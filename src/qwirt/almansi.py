@@ -18,12 +18,14 @@ spherical/fueter agreement characterizes slice-regularity.
 
 import random
 from dataclasses import dataclass, field as dataclass_field
+from functools import reduce
 
 from .quaternion import Quaternion
 from .stem import bit, mask_indices
 from .slicefn import SliceFunction, constant, variable, conj_variable
 from .numeric import (fueter_derivative_field, spherical_dirac_field,
-                      multiply_by_variable, div_by_twice_im, negate_field)
+                      multiply_by_variable, div_by_twice_im, negate_field,
+                      running_worst)
 from .sampling import respin_units
 
 FLAVOR_SPHERICAL = "spherical"
@@ -54,9 +56,6 @@ class ComponentFamily:
 
     def masks(self):
         return sorted(self.entries)
-
-    def entry(self, mask):
-        return self.entries[mask]
 
     def entry_value(self, mask, point):
         entry = self.entries[mask]
@@ -96,10 +95,17 @@ def spherical_components(f, level):
     return ComponentFamily(FLAVOR_SPHERICAL, level, f.n, entries)
 
 
+def _shared_view(field):
+    """A memoizing cost-0 view of the caller's field: sibling entries built
+    from it share its stencil evaluations, and the caller's field itself
+    keeps no state."""
+    return field.derived(field, cost=0, step=field.step)
+
+
 def fueter_components(field, level):
     """Numeric family by nested negated Cauchy-Riemann-Fueter derivatives."""
     _check_level(field.n, level)
-    entries = {0: field}
+    entries = {0: _shared_view(field)}
     for m in range(1, level + 1):
         nxt = {}
         for mask, g in entries.items():
@@ -113,7 +119,7 @@ def fueter_components(field, level):
 def dirac_components(field, level):
     """Numeric family by nested normalized spherical Dirac derivatives."""
     _check_level(field.n, level)
-    entries = {0: field}
+    entries = {0: _shared_view(field)}
     for m in range(1, level + 1):
         nxt = {}
         for mask, g in entries.items():
@@ -219,8 +225,7 @@ def check_zonal(family, point, rotations=8, rng=None, seed=0):
         rotated = respin_units(rng, point, family.level)
         for mask in family.masks():
             dev = abs(family.entry_value(mask, rotated) - base[mask])
-            if dev > per_entry[mask]:
-                per_entry[mask] = dev
+            per_entry[mask] = running_worst(per_entry[mask], dev)
     return {"rotations": rotations,
-            "max_deviation": max(per_entry.values()),
+            "max_deviation": reduce(running_worst, per_entry.values(), 0.0),
             "per_entry": per_entry}

@@ -15,8 +15,8 @@ import sys
 from .quaternion import parse_quaternion, format_quaternion, RealArgumentError
 from .expr import parse, lower, max_variable_index, ExpressionSyntaxError, ArityError
 from .slicefn import format_slice
-from .numeric import lift, NearRealAxisError, DepthExhaustedError, \
-    DEFAULT_STEP, DEFAULT_BAND
+from .numeric import lift, running_worst, NearRealAxisError, \
+    DepthExhaustedError, DEFAULT_STEP, DEFAULT_BAND
 from .almansi import (spherical_components, fueter_components, dirac_components,
                       reconstruct, reconstruct_symbolic)
 from .sampling import random_slice_point
@@ -98,6 +98,15 @@ def _resolve_seed(args):
         return args.seed
     env = os.environ.get("QWIRT_SEED")
     return int(env) if env else 0
+
+
+def _samples(args, default):
+    """The sample count of a numeric suite, refused below 1 before any work:
+    a verdict over no points shows nothing."""
+    samples = args.samples if args.samples is not None else default
+    if samples < 1:
+        raise ValueError("--samples must be at least 1, got %d" % samples)
+    return samples
 
 
 def _parse_point(text, n):
@@ -184,8 +193,9 @@ def _cmd_spherical(args):
 
 
 def _cmd_almansi(args):
-    f, n = _load(args)
     flavor = _FLAVORS[args.flavor]
+    samples = None if flavor == "spherical" else _samples(args, 20)
+    f, n = _load(args)
     seed = _resolve_seed(args)
     if flavor == "spherical":
         family = spherical_components(f, args.level)
@@ -203,13 +213,12 @@ def _cmd_almansi(args):
     field = _lift(f, args)
     family = (fueter_components(field, args.level) if flavor == "fueter"
               else dirac_components(field, args.level))
-    samples = args.samples if args.samples is not None else 20
     rng = random.Random(seed)
     tol = args.tol if args.tol is not None else 1e-4
     worst = 0.0
     for _ in range(samples):
         p = random_slice_point(rng, n)
-        worst = max(worst, abs(reconstruct(family, p) - field(p)))
+        worst = running_worst(worst, abs(reconstruct(family, p) - field(p)))
     report = {
         "level": args.level,
         "flavor": args.flavor,
@@ -222,10 +231,10 @@ def _cmd_almansi(args):
 
 
 def _cmd_check_regular(args):
+    samples = _samples(args, 10) if args.numeric else None
     f, _ = _load(args)
     seed = _resolve_seed(args)
     if args.numeric:
-        samples = args.samples if args.samples is not None else 10
         report = wirtinger.check_regularity_numeric(
             _lift(f, args), samples=samples, seed=seed, tol=args.tol,
             slice_established=True)
@@ -236,9 +245,9 @@ def _cmd_check_regular(args):
 
 
 def _cmd_check_slice(args):
+    samples = _samples(args, 5)
     f, _ = _load(args)
     seed = _resolve_seed(args)
-    samples = args.samples if args.samples is not None else 5
     tol = args.tol if args.tol is not None else 1e-2
     report = wirtinger.check_strong_sliceness(_lift(f, args), samples=samples,
                                               seed=seed, tol=tol)
@@ -247,14 +256,15 @@ def _cmd_check_slice(args):
 
 
 def _cmd_crosscheck(args):
+    samples = _samples(args, 10)
     f, n = _load(args)
     seed = _resolve_seed(args)
-    samples = args.samples if args.samples is not None else 10
     indices = [args.m] if args.m else list(range(1, min(n, 2) + 1))
     reports = []
     ok = True
     for m in indices:
-        rep = wirtinger.crosscheck(f, m, samples=samples, seed=seed, tol=args.tol)
+        rep = wirtinger.crosscheck(f, m, samples=samples, seed=seed, tol=args.tol,
+                                   step=args.fd_step, band=args.fd_delta)
         reports.append(rep)
         ok = ok and rep["verdict"]
     _emit({"records": reports, "verdict": ok}, args.format)

@@ -17,13 +17,10 @@ multiplies factors in source order.
 import re
 from fractions import Fraction
 
-from .quaternion import Quaternion
+from .quaternion import Quaternion, I, J, K
 from .slicefn import variable, conj_variable, constant
 
-I_UNIT = Quaternion(0, 1)
-J_UNIT = Quaternion(0, 0, 1)
-K_UNIT = Quaternion(0, 0, 0, 1)
-_UNIT_VALUES = {"i": I_UNIT, "j": J_UNIT, "k": K_UNIT}
+_UNIT_VALUES = {"i": I, "j": J, "k": K}
 
 
 class ExpressionSyntaxError(ValueError):

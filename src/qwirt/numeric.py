@@ -12,6 +12,8 @@ are applied exactly in the displayed order; with noncommuting values the
 order is load-bearing.
 """
 
+import math
+
 from .quaternion import Quaternion, I, J, K, coordinate, replace_coordinate
 
 DEFAULT_STEP = 1e-3
@@ -33,7 +35,15 @@ class DepthExhaustedError(RuntimeError):
 
 
 class NumericField:
-    """A black-box function H^n -> H with a finite-difference configuration."""
+    """A black-box function H^n -> H with a finite-difference configuration.
+
+    The function must be pure: its value depends on the point alone.  A field
+    built by the caller keeps no state.  Every field built by an operator of
+    this package comes from ``derived``, which memoizes values by the exact
+    components of the point for as long as that derived field lives (one
+    component family, or one call of a checker), so nested stencils evaluate
+    each point once.
+    """
 
     __slots__ = ("func", "n", "smoothness", "step", "band")
 
@@ -55,7 +65,31 @@ class NumericField:
                 % (depth, self.smoothness))
 
     def derived(self, func, cost=1, step=NESTED_STEP):
-        return NumericField(func, self.n, self.smoothness - cost, step, self.band)
+        """A field of ``func`` that spends ``cost`` of this field's budget.
+
+        Values are memoized by the point's components; a raised exception
+        (``NearRealAxisError``, say) is never stored.
+        """
+        values = {}
+
+        def memo(point):
+            key = tuple([(q.w, q.x, q.y, q.z) for q in point])
+            value = values.get(key)
+            if value is None:
+                value = values[key] = func(point)
+            return value
+
+        return NumericField(memo, self.n, self.smoothness - cost, step, self.band)
+
+
+def running_worst(worst, residual):
+    """The larger of two residuals, with NaN beating every number.
+
+    ``max(0.0, nan)`` is ``0.0``, which would let a non-finite residual pass
+    a tolerance; folded with this instead, it reaches the verdict, and every
+    ``residual < tol`` test then fails.
+    """
+    return residual if residual > worst or residual != residual else worst
 
 
 def _check_var(field, m):
@@ -95,22 +129,23 @@ def euler_operator(field, m, point):
     return total
 
 
-def global_derivative(field, m, point):
-    """(d/dx_{m_0} + Im(x_m)^-1 * Euler)/2; undefined inside the band."""
+def _global_derivative(field, m, point, conj):
     _check_var(field, m)
     _check_off_axis(field, m, point)
     d0 = coordinate_partial(field, m, 0, point)
     im_inv = point[m - 1].im().to_float().inverse()
-    return (d0 + im_inv * euler_operator(field, m, point)) * 0.5
+    euler = im_inv * euler_operator(field, m, point)
+    return (d0 - euler if conj else d0 + euler) * 0.5
+
+
+def global_derivative(field, m, point):
+    """(d/dx_{m_0} + Im(x_m)^-1 * Euler)/2; undefined inside the band."""
+    return _global_derivative(field, m, point, conj=False)
 
 
 def global_conj_derivative(field, m, point):
     """(d/dx_{m_0} - Im(x_m)^-1 * Euler)/2; undefined inside the band."""
-    _check_var(field, m)
-    _check_off_axis(field, m, point)
-    d0 = coordinate_partial(field, m, 0, point)
-    im_inv = point[m - 1].im().to_float().inverse()
-    return (d0 - im_inv * euler_operator(field, m, point)) * 0.5
+    return _global_derivative(field, m, point, conj=True)
 
 
 def tangential_derivative(field, m, i, j, point):
@@ -124,10 +159,15 @@ def tangential_derivative(field, m, i, j, point):
 
 
 def spherical_dirac(field, m, point):
-    """The spherical Dirac operator -i L_23 + j L_13 - k L_12 in x_m."""
-    l23 = tangential_derivative(field, m, 2, 3, point)
-    l13 = tangential_derivative(field, m, 1, 3, point)
-    l12 = tangential_derivative(field, m, 1, 2, point)
+    """The spherical Dirac operator -i L_23 + j L_13 - k L_12 in x_m.
+
+    The three tangential derivatives share one set of coordinate partials.
+    """
+    x1, x2, x3 = (float(coordinate(point[m - 1], h)) for h in (1, 2, 3))
+    d1, d2, d3 = (coordinate_partial(field, m, h, point) for h in (1, 2, 3))
+    l23 = d3 * x2 - d2 * x3
+    l13 = d3 * x1 - d1 * x3
+    l12 = d2 * x1 - d1 * x2
     return -(I * l23) + J * l13 - K * l12
 
 
@@ -158,21 +198,6 @@ def laplacian(field, m, point, step=None):
 # -- derived fields -------------------------------------------------------------
 
 
-def coordinate_partial_field(field, m, i):
-    field.spend()
-    return field.derived(lambda p: coordinate_partial(field, m, i, p))
-
-
-def global_derivative_field(field, m):
-    field.spend()
-    return field.derived(lambda p: global_derivative(field, m, p))
-
-
-def global_conj_derivative_field(field, m):
-    field.spend()
-    return field.derived(lambda p: global_conj_derivative(field, m, p))
-
-
 def spherical_dirac_field(field, m):
     field.spend()
     return field.derived(lambda p: spherical_dirac(field, m, p))
@@ -183,14 +208,8 @@ def fueter_derivative_field(field, m):
     return field.derived(lambda p: fueter_derivative(field, m, p))
 
 
-def tangential_derivative_field(field, m, i, j):
-    field.spend()
-    return field.derived(lambda p: tangential_derivative(field, m, i, j, p))
-
-
 def negate_field(field):
-    return NumericField(lambda p: -field(p), field.n, field.smoothness,
-                        field.step, field.band)
+    return field.derived(lambda p: -field(p), cost=0, step=field.step)
 
 
 def multiply_by_variable(field, m, conj=False):
@@ -201,7 +220,7 @@ def multiply_by_variable(field, m, conj=False):
         func = lambda p: p[m - 1].to_float().conjugate() * field(p)
     else:
         func = lambda p: p[m - 1].to_float() * field(p)
-    return NumericField(func, field.n, field.smoothness, field.step, field.band)
+    return field.derived(func, cost=0, step=field.step)
 
 
 def div_by_twice_im(field, m):
@@ -212,41 +231,61 @@ def div_by_twice_im(field, m):
         _check_off_axis(field, m, point)
         return (point[m - 1].im().to_float() * 2.0).inverse() * field(point)
 
-    return NumericField(func, field.n, field.smoothness, field.step, field.band)
+    return field.derived(func, cost=0, step=field.step)
+
+
+def _hamilton(p, q):
+    """``Quaternion.__mul__`` on float 4-tuples, in its operation order."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e)
 
 
 def lift(f, smoothness=DEFAULT_SMOOTHNESS, step=DEFAULT_STEP, band=DEFAULT_BAND):
     """Wrap an exact slice function as a numeric field.
 
-    The stem is compiled once: coefficients to floats, and per point the unit
-    products are cached across all terms.
+    The stem is compiled once: coefficients to float 4-tuples, and a plan
+    for the products of the point's imaginary units over every subset the
+    stem uses.  Each product is the lowest unit times the product over the
+    remaining ones, formed in ascending mask order so the remainder exists.
+    Per point the loop runs on plain floats with the operation order of
+    ``Quaternion.__mul__`` and ``__add__``, so the value is bit for bit the
+    one the quaternion arithmetic gives.
     """
     n = f.n
     compiled = []
+    plan = set()
     for key, elem in f.stem.terms.items():
-        comps = [(mask, coeff.to_float()) for mask, coeff in elem.components.items()]
+        comps = []
+        for mask, coeff in elem.components.items():
+            comps.append((mask, coeff.to_float().components()))
+            while mask & (mask - 1):
+                low = mask & -mask
+                plan.add((mask, low, mask & ~low))
+                mask &= ~low
         compiled.append((key[:n], key[n:], comps))
+    plan = sorted(plan)
 
     def evaluate(point):
-        alphas, betas, units = [], [], []
-        for q in point:
-            a, b, j = q.split_slice()
-            alphas.append(a)
-            betas.append(b)
-            units.append(j)
-        jcache = {0: Quaternion(1.0, 0.0, 0.0, 0.0)}
-
-        def unit_product(mask):
-            cached = jcache.get(mask)
-            if cached is None:
-                low = mask & -mask
-                cached = unit_product(low) * unit_product(mask & ~low)
-                jcache[mask] = cached
-            return cached
-
-        for h in range(n):
-            jcache[1 << h] = units[h]
-        total = Quaternion(0.0, 0.0, 0.0, 0.0)
+        alphas, betas = [], []
+        prods = {0: (1.0, 0.0, 0.0, 0.0)}
+        for h, q in enumerate(point):
+            x, y, z = float(q.x), float(q.y), float(q.z)
+            n2 = x ** 2 + y ** 2 + z ** 2
+            alphas.append(float(q.w))
+            if n2 == 0.0:
+                betas.append(0.0)
+                prods[1 << h] = (0.0, 1.0, 0.0, 0.0)
+            else:
+                b = math.sqrt(n2)
+                betas.append(b)
+                prods[1 << h] = (0.0, x / b, y / b, z / b)
+        for mask, low, rest in plan:
+            prods[mask] = _hamilton(prods[low], prods[rest])
+        tw = tx = ty = tz = 0.0
         for aexps, bexps, comps in compiled:
             scalar = 1.0
             for m in range(n):
@@ -257,7 +296,11 @@ def lift(f, smoothness=DEFAULT_SMOOTHNESS, step=DEFAULT_STEP, band=DEFAULT_BAND)
             if scalar == 0.0:
                 continue
             for mask, coeff in comps:
-                total = total + (unit_product(mask) * coeff) * scalar
-        return total
+                pw, px, py, pz = _hamilton(prods[mask], coeff)
+                tw = tw + pw * scalar
+                tx = tx + px * scalar
+                ty = ty + py * scalar
+                tz = tz + pz * scalar
+        return Quaternion(tw, tx, ty, tz)
 
     return NumericField(evaluate, n, smoothness, step, band)

@@ -110,9 +110,6 @@ class StemElement:
         """Multiply every coefficient on the left by a real scalar."""
         return StemElement(self.n, {m: c * value for m, c in self.components.items()})
 
-    def right_mul(self, q):
-        return StemElement(self.n, {m: c * q for m, c in self.components.items()})
-
     def apply_structure(self, h):
         """Apply the complex structure of variable h.
 

@@ -12,10 +12,11 @@ exercised by the cross-check suite.
 
 import random
 import warnings
+from functools import reduce
 
 from .quaternion import Quaternion
 from .numeric import global_derivative, global_conj_derivative, lift, \
-    tangential_derivative
+    tangential_derivative, running_worst, DEFAULT_STEP, DEFAULT_BAND
 from .almansi import dirac_components, complement_indices, _neg_conj_value
 from .sampling import random_slice_point
 
@@ -72,6 +73,21 @@ def default_tolerance(m):
     return DEPTH1_TOL if m == 1 else DEPTH2_TOL
 
 
+def _sample_points(points, samples, seed, n):
+    """The given points, or ``samples`` seeded random admissible points.
+
+    An empty point set is refused: a verdict over no points shows nothing.
+    """
+    if points is None:
+        if samples < 1:
+            raise ValueError("samples must be at least 1, got %d" % samples)
+        rng = random.Random(seed)
+        points = [random_slice_point(rng, n) for _ in range(samples)]
+    if not points:
+        raise ValueError("no sample points given")
+    return points
+
+
 def _stem_magnitude(f):
     mags = [abs(coeff) for elem in f.stem.terms.values()
             for coeff in elem.components.values()]
@@ -106,9 +122,7 @@ def check_regularity_numeric(field, points=None, *, samples=20, seed=0,
     only yields the verdict ``inconclusive``: the kernel characterization is
     claimed for (locally strongly) slice inputs.
     """
-    if points is None:
-        rng = random.Random(seed)
-        points = [random_slice_point(rng, field.n) for _ in range(samples)]
+    points = _sample_points(points, samples, seed, field.n)
     limit = min(field.n, MAX_NUMERIC_INDEX if max_index is None else max_index)
     residuals = {}
     tolerances = {}
@@ -116,11 +130,12 @@ def check_regularity_numeric(field, points=None, *, samples=20, seed=0,
     for m in range(1, limit + 1):
         worst = 0.0
         for p in points:
-            worst = max(worst, abs(wirtinger_conj_derivative_numeric(field, m, p)))
+            worst = running_worst(
+                worst, abs(wirtinger_conj_derivative_numeric(field, m, p)))
         key = "thetabar_%d" % m
         residuals[key] = worst
         tolerances[key] = tol if tol is not None else default_tolerance(m)
-        if worst >= tolerances[key]:
+        if not worst < tolerances[key]:
             failures.append(key)
     if failures:
         verdict = "not-regular"
@@ -134,7 +149,7 @@ def check_regularity_numeric(field, points=None, *, samples=20, seed=0,
         "residuals": residuals,
         "tolerances": tolerances,
         "failures": failures,
-        "max_residual": max(residuals.values(), default=0.0),
+        "max_residual": reduce(running_worst, residuals.values(), 0.0),
         "samples": len(points),
         "seed": seed,
         "verdict": verdict,
@@ -156,9 +171,7 @@ def check_strong_sliceness(field, points=None, *, samples=5, seed=0, tol=1e-2):
     Records one residual per (level m, tangential variable h <= m, pair
     i < j, subset mask), maximized over the sample points.
     """
-    if points is None:
-        rng = random.Random(seed)
-        points = [random_slice_point(rng, field.n) for _ in range(samples)]
+    points = _sample_points(points, samples, seed, field.n)
     records = []
     worst = 0.0
     for m in range(1, field.n + 1):
@@ -169,11 +182,11 @@ def check_strong_sliceness(field, points=None, *, samples=5, seed=0, tol=1e-2):
                 for i, j in ((1, 2), (1, 3), (2, 3)):
                     residual = 0.0
                     for p in points:
-                        residual = max(residual,
-                                       abs(tangential_derivative(entry, h, i, j, p)))
+                        residual = running_worst(
+                            residual, abs(tangential_derivative(entry, h, i, j, p)))
                     records.append({"m": m, "h": h, "i": i, "j": j,
                                     "mask": mask, "residual": residual})
-                    worst = max(worst, residual)
+                    worst = running_worst(worst, residual)
     return {
         "records": records,
         "max_residual": worst,
@@ -195,45 +208,44 @@ def check_conjugation_identity(f, m):
 
 
 def check_independence(f, first, points=None, *, samples=10, seed=0,
-                       tol=DEPTH1_TOL):
+                       tol=DEPTH1_TOL, step=DEFAULT_STEP, band=DEFAULT_BAND):
     """For f depending only on variables first..n: the lower-index operators
     vanish exactly, and the index-``first`` operators reduce to the global
-    derivatives of the raw field (checked numerically on the lift)."""
+    derivatives of the raw field (checked numerically on the lift with the
+    given finite-difference step and exclusion band)."""
     if not f.depends_only_on(first):
         raise ValueError("function depends on a variable below %d" % first)
+    points = _sample_points(points, samples, seed, f.n)
     for h in range(1, first):
         if not (wirtinger_derivative(f, h).is_zero()
                 and wirtinger_conj_derivative(f, h).is_zero()):
             return False
-    if points is None:
-        rng = random.Random(seed)
-        points = [random_slice_point(rng, f.n) for _ in range(samples)]
-    field = lift(f)
+    field = lift(f, step=step, band=band)
     plain = wirtinger_derivative(f, first)
     conj = wirtinger_conj_derivative(f, first)
     for p in points:
-        if abs(global_derivative(field, first, p) - plain.evaluate(p)) >= tol:
+        if not abs(global_derivative(field, first, p) - plain.evaluate(p)) < tol:
             return False
-        if abs(global_conj_derivative(field, first, p) - conj.evaluate(p)) >= tol:
+        if not abs(global_conj_derivative(field, first, p) - conj.evaluate(p)) < tol:
             return False
     return True
 
 
-def crosscheck(f, m, points=None, *, samples=10, seed=0, tol=None):
-    """Agreement of the two realizations on a lifted slice polynomial."""
-    if points is None:
-        rng = random.Random(seed)
-        points = [random_slice_point(rng, f.n) for _ in range(samples)]
+def crosscheck(f, m, points=None, *, samples=10, seed=0, tol=None,
+               step=DEFAULT_STEP, band=DEFAULT_BAND):
+    """Agreement of the two realizations on a slice polynomial lifted with
+    the given finite-difference step and exclusion band."""
+    points = _sample_points(points, samples, seed, f.n)
     tolerance = tol if tol is not None else default_tolerance(m)
-    field = lift(f)
+    field = lift(f, step=step, band=band)
     plain = wirtinger_derivative(f, m)
     conj = wirtinger_conj_derivative(f, m)
     worst = 0.0
     for p in points:
-        worst = max(worst, abs(wirtinger_derivative_numeric(field, m, p)
-                               - plain.evaluate(p)))
-        worst = max(worst, abs(wirtinger_conj_derivative_numeric(field, m, p)
-                               - conj.evaluate(p)))
+        worst = running_worst(worst, abs(wirtinger_derivative_numeric(field, m, p)
+                                         - plain.evaluate(p)))
+        worst = running_worst(worst, abs(wirtinger_conj_derivative_numeric(field, m, p)
+                                         - conj.evaluate(p)))
     return {
         "operator": "theta_%d/thetabar_%d" % (m, m),
         "realization": "symbolic-vs-numeric",

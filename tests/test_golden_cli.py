@@ -1,0 +1,90 @@
+"""Byte-for-byte golden outputs of fixed CLI runs.
+
+Every subcommand and both realizations are covered; the recorded stdout
+and exit code of each run live in ``golden_cli.json`` next to this file.
+A refactor or optimization of the numeric or symbolic layers must leave
+them unchanged.  To re-record after an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden_cli.py --record
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import warnings
+
+import pytest
+
+from qwirt.cli import main
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "golden_cli.json")
+
+RUNS = (
+    ("eval", "x1*x2+~x1*(1/2-j)", "--at", "1+i;2j-1/3k"),
+    ("theta", "--m", "2", "x1^2*x2+~x1*x2*(2i)"),
+    ("thetabar", "--m", "1", "~x1^2*x2+x1*(1/2k)"),
+    ("theta", "--numeric", "--m", "2", "x1*~x2+x2^2*(1/2i)",
+     "--at", "1/2+i-1/3j;-1/4+1/2j+k"),
+    ("thetabar", "--numeric", "--m", "3", "x1*x2*~x3+~x1*(1/2j)",
+     "--at", "1/3+i;-1/2+2/3j+1/2k;1/5+1/2i-k"),
+    ("thetabar", "--numeric", "--m", "1", "x1^2", "--at", "1+1/20i"),
+    ("spherical", "--var", "1", "--kind", "derivative", "x1^2*x2+~x1*(i)"),
+    ("almansi", "--flavor", "sp", "--level", "2", "x1*~x2+x1^2*(1/2j)"),
+    ("almansi", "--flavor", "a", "--level", "2", "x1*x2+x2^2*(1/3k)",
+     "--samples", "3", "--seed", "3"),
+    ("almansi", "--flavor", "gamma", "--level", "2", "x1*~x2+~x1^2*x2",
+     "--samples", "3", "--seed", "4"),
+    ("check-regular", "~x1*x2+x1"),
+    ("check-regular", "--numeric", "x1*x2+x2^2*(1/2i)", "--samples", "3",
+     "--seed", "5"),
+    ("check-regular", "--numeric", "~x1*x2", "--samples", "2", "--seed", "6"),
+    ("check-slice", "x1^2*x2+~x1*x2^2", "--samples", "1", "--seed", "7"),
+    ("check-slice", "x1*~x2", "--samples", "1", "--seed", "8",
+     "--format", "csv"),
+    ("crosscheck", "--m", "2", "x1*~x2+x1^2*x2*(1/2j)", "--samples", "3",
+     "--seed", "2"),
+    ("crosscheck", "x1*x2^2", "--samples", "2", "--seed", "9",
+     "--format", "csv"),
+)
+
+
+def run_cli(argv):
+    """Exit code and stdout of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def load_golden():
+    with open(GOLDEN_PATH) as handle:
+        return {tuple(rec["argv"]): rec for rec in json.load(handle)}
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=["%02d-%s" % (index, argv[0])
+                                           for index, argv in enumerate(RUNS)])
+def test_golden_cli(argv):
+    golden = load_golden()[tuple(argv)]
+    code, stdout = run_cli(argv)
+    assert code == golden["exit"]
+    assert stdout == golden["stdout"]
+
+
+def record():
+    records = []
+    for argv in RUNS:
+        code, stdout = run_cli(argv)
+        records.append({"argv": list(argv), "exit": code, "stdout": stdout})
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(records, handle, indent=1)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_golden_cli.py --record")
+    record()
