@@ -35,7 +35,12 @@ FLAVOR_DIRAC = "dirac"
 
 @dataclass(frozen=True)
 class ComponentFamily:
-    """A level-m family of components, keyed by subset masks of {1..m}."""
+    """A level-m family of components, keyed by subset masks of {1..m}.
+
+    Numeric entries memoize every point they are evaluated at for as long
+    as the family lives, so a sweep over many points builds one family per
+    point.
+    """
 
     flavor: str
     level: int

@@ -100,15 +100,6 @@ def _resolve_seed(args):
     return int(env) if env else 0
 
 
-def _samples(args, default):
-    """The sample count of a numeric suite, refused below 1 before any work:
-    a verdict over no points shows nothing."""
-    samples = args.samples if args.samples is not None else default
-    if samples < 1:
-        raise ValueError("--samples must be at least 1, got %d" % samples)
-    return samples
-
-
 def _parse_point(text, n):
     coords = [parse_quaternion(part) for part in text.split(";")]
     if len(coords) != n:
@@ -193,9 +184,8 @@ def _cmd_spherical(args):
 
 
 def _cmd_almansi(args):
-    flavor = _FLAVORS[args.flavor]
-    samples = None if flavor == "spherical" else _samples(args, 20)
     f, n = _load(args)
+    flavor = _FLAVORS[args.flavor]
     seed = _resolve_seed(args)
     if flavor == "spherical":
         family = spherical_components(f, args.level)
@@ -210,14 +200,18 @@ def _cmd_almansi(args):
         }
         _emit(report, args.format)
         return EXIT_OK if exact else EXIT_FAIL
+    samples = args.samples if args.samples is not None else 20
+    if samples < 1:
+        raise ValueError("--samples must be at least 1, got %d" % samples)
     field = _lift(f, args)
-    family = (fueter_components(field, args.level) if flavor == "fueter"
-              else dirac_components(field, args.level))
+    components = fueter_components if flavor == "fueter" else dirac_components
     rng = random.Random(seed)
     tol = args.tol if args.tol is not None else 1e-4
     worst = 0.0
     for _ in range(samples):
         p = random_slice_point(rng, n)
+        # one family per point: its memo holds this point's stencils only
+        family = components(field, args.level)
         worst = running_worst(worst, abs(reconstruct(family, p) - field(p)))
     report = {
         "level": args.level,
@@ -231,10 +225,10 @@ def _cmd_almansi(args):
 
 
 def _cmd_check_regular(args):
-    samples = _samples(args, 10) if args.numeric else None
     f, _ = _load(args)
     seed = _resolve_seed(args)
     if args.numeric:
+        samples = args.samples if args.samples is not None else 10
         report = wirtinger.check_regularity_numeric(
             _lift(f, args), samples=samples, seed=seed, tol=args.tol,
             slice_established=True)
@@ -245,9 +239,9 @@ def _cmd_check_regular(args):
 
 
 def _cmd_check_slice(args):
-    samples = _samples(args, 5)
     f, _ = _load(args)
     seed = _resolve_seed(args)
+    samples = args.samples if args.samples is not None else 5
     tol = args.tol if args.tol is not None else 1e-2
     report = wirtinger.check_strong_sliceness(_lift(f, args), samples=samples,
                                               seed=seed, tol=tol)
@@ -256,9 +250,9 @@ def _cmd_check_slice(args):
 
 
 def _cmd_crosscheck(args):
-    samples = _samples(args, 10)
     f, n = _load(args)
     seed = _resolve_seed(args)
+    samples = args.samples if args.samples is not None else 10
     indices = [args.m] if args.m else list(range(1, min(n, 2) + 1))
     reports = []
     ok = True

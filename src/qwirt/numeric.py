@@ -12,9 +12,8 @@ are applied exactly in the displayed order; with noncommuting values the
 order is load-bearing.
 """
 
-import math
-
-from .quaternion import Quaternion, I, J, K, coordinate, replace_coordinate
+from .quaternion import Quaternion, I, J, K, coordinate, replace_coordinate, \
+    hamilton
 
 DEFAULT_STEP = 1e-3
 # Outer step for differentiating an already-derived field.  Cancellation of
@@ -234,16 +233,6 @@ def div_by_twice_im(field, m):
     return field.derived(func, cost=0, step=field.step)
 
 
-def _hamilton(p, q):
-    """``Quaternion.__mul__`` on float 4-tuples, in its operation order."""
-    a, b, c, d = p
-    e, f, g, h = q
-    return (a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e)
-
-
 def lift(f, smoothness=DEFAULT_SMOOTHNESS, step=DEFAULT_STEP, band=DEFAULT_BAND):
     """Wrap an exact slice function as a numeric field.
 
@@ -251,9 +240,10 @@ def lift(f, smoothness=DEFAULT_SMOOTHNESS, step=DEFAULT_STEP, band=DEFAULT_BAND)
     for the products of the point's imaginary units over every subset the
     stem uses.  Each product is the lowest unit times the product over the
     remaining ones, formed in ascending mask order so the remainder exists.
-    Per point the loop runs on plain floats with the operation order of
-    ``Quaternion.__mul__`` and ``__add__``, so the value is bit for bit the
-    one the quaternion arithmetic gives.
+    Per point each coordinate is split by ``Quaternion.split_slice``, and the
+    loop then runs on float 4-tuples: products by ``hamilton``, the product
+    ``Quaternion.__mul__`` uses, and sums in the order of ``__add__``, so the
+    value is bit for bit the one the quaternion arithmetic gives.
     """
     n = f.n
     compiled = []
@@ -273,18 +263,12 @@ def lift(f, smoothness=DEFAULT_SMOOTHNESS, step=DEFAULT_STEP, band=DEFAULT_BAND)
         alphas, betas = [], []
         prods = {0: (1.0, 0.0, 0.0, 0.0)}
         for h, q in enumerate(point):
-            x, y, z = float(q.x), float(q.y), float(q.z)
-            n2 = x ** 2 + y ** 2 + z ** 2
-            alphas.append(float(q.w))
-            if n2 == 0.0:
-                betas.append(0.0)
-                prods[1 << h] = (0.0, 1.0, 0.0, 0.0)
-            else:
-                b = math.sqrt(n2)
-                betas.append(b)
-                prods[1 << h] = (0.0, x / b, y / b, z / b)
+            alpha, beta, unit = q.split_slice()
+            alphas.append(alpha)
+            betas.append(beta)
+            prods[1 << h] = unit.components()
         for mask, low, rest in plan:
-            prods[mask] = _hamilton(prods[low], prods[rest])
+            prods[mask] = hamilton(prods[low], prods[rest])
         tw = tx = ty = tz = 0.0
         for aexps, bexps, comps in compiled:
             scalar = 1.0
@@ -296,7 +280,7 @@ def lift(f, smoothness=DEFAULT_SMOOTHNESS, step=DEFAULT_STEP, band=DEFAULT_BAND)
             if scalar == 0.0:
                 continue
             for mask, coeff in comps:
-                pw, px, py, pz = _hamilton(prods[mask], coeff)
+                pw, px, py, pz = hamilton(prods[mask], coeff)
                 tw = tw + pw * scalar
                 tx = tx + px * scalar
                 ty = ty + py * scalar

@@ -19,6 +19,20 @@ class RealArgumentError(ValueError):
     """The imaginary unit of a quaternion with zero vector part was requested."""
 
 
+def hamilton(p, q):
+    """Hamilton's product of two component 4-tuples ``(w, x, y, z)``.
+
+    ``Quaternion.__mul__`` and the float loop of ``numeric.lift`` both call
+    this, so the two share one operation order and agree bit for bit.
+    """
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e)
+
+
 class Quaternion:
     """A quaternion w + x*i + y*j + z*k."""
 
@@ -94,14 +108,8 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            a, b, c, d = self.w, self.x, self.y, self.z
-            e, f, g, h = other.w, other.x, other.y, other.z
-            return Quaternion(
-                a * e - b * f - c * g - d * h,
-                a * f + b * e + c * h - d * g,
-                a * g - b * h + c * e + d * f,
-                a * h + b * g - c * f + d * e,
-            )
+            return Quaternion(*hamilton((self.w, self.x, self.y, self.z),
+                                        (other.w, other.x, other.y, other.z)))
         if isinstance(other, _SCALAR_TYPES):
             return Quaternion(self.w * other, self.x * other,
                               self.y * other, self.z * other)

@@ -172,21 +172,22 @@ def check_strong_sliceness(field, points=None, *, samples=5, seed=0, tol=1e-2):
     i < j, subset mask), maximized over the sample points.
     """
     points = _sample_points(points, samples, seed, field.n)
-    records = []
-    worst = 0.0
-    for m in range(1, field.n + 1):
-        family = dirac_components(field, m)
-        for mask in family.masks():
-            entry = family.entries[mask]
-            for h in range(1, m + 1):
-                for i, j in ((1, 2), (1, 3), (2, 3)):
-                    residual = 0.0
-                    for p in points:
-                        residual = running_worst(
-                            residual, abs(tangential_derivative(entry, h, i, j, p)))
-                    records.append({"m": m, "h": h, "i": i, "j": j,
-                                    "mask": mask, "residual": residual})
-                    worst = running_worst(worst, residual)
+    residuals = {}
+    for p in points:
+        for m in range(1, field.n + 1):
+            # one family per point: its memo holds this point's stencils only
+            family = dirac_components(field, m)
+            for mask in family.masks():
+                entry = family.entries[mask]
+                for h in range(1, m + 1):
+                    for i, j in ((1, 2), (1, 3), (2, 3)):
+                        key = (m, h, i, j, mask)
+                        residuals[key] = running_worst(
+                            residuals.get(key, 0.0),
+                            abs(tangential_derivative(entry, h, i, j, p)))
+    records = [{"m": m, "h": h, "i": i, "j": j, "mask": mask, "residual": residual}
+               for (m, h, i, j, mask), residual in residuals.items()]
+    worst = reduce(running_worst, residuals.values(), 0.0)
     return {
         "records": records,
         "max_residual": worst,
@@ -208,11 +209,10 @@ def check_conjugation_identity(f, m):
 
 
 def check_independence(f, first, points=None, *, samples=10, seed=0,
-                       tol=DEPTH1_TOL, step=DEFAULT_STEP, band=DEFAULT_BAND):
+                       tol=DEPTH1_TOL):
     """For f depending only on variables first..n: the lower-index operators
     vanish exactly, and the index-``first`` operators reduce to the global
-    derivatives of the raw field (checked numerically on the lift with the
-    given finite-difference step and exclusion band)."""
+    derivatives of the raw field (checked numerically on the lift)."""
     if not f.depends_only_on(first):
         raise ValueError("function depends on a variable below %d" % first)
     points = _sample_points(points, samples, seed, f.n)
@@ -220,7 +220,7 @@ def check_independence(f, first, points=None, *, samples=10, seed=0,
         if not (wirtinger_derivative(f, h).is_zero()
                 and wirtinger_conj_derivative(f, h).is_zero()):
             return False
-    field = lift(f, step=step, band=band)
+    field = lift(f)
     plain = wirtinger_derivative(f, first)
     conj = wirtinger_conj_derivative(f, first)
     for p in points:

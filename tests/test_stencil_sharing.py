@@ -3,11 +3,13 @@ call, the caller's field keeps no state, and the float loop of ``lift``
 matches quaternion arithmetic bit for bit."""
 
 import random
+import tracemalloc
 import warnings
 
 import pytest
 
 import helpers
+from qwirt.cli import main
 from qwirt.numeric import (NumericField, NearRealAxisError, lift,
                            spherical_dirac_field, div_by_twice_im)
 from qwirt.quaternion import Quaternion
@@ -62,6 +64,30 @@ def test_strong_sliceness_shares_stencils_and_keeps_no_cache():
     check_strong_sliceness(field, samples=1, seed=3)
     assert counter.calls == 2 * first
     assert counter.distinct == len(set(counter.points[:first]))
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_sweeps_keep_memory_flat(capsys):
+    # every memo holds one sample point's stencils, so peak memory does not
+    # grow with the number of samples
+    field = lift(variable(2, 1) * conj_variable(2, 2) + variable(2, 2) ** 2)
+    one = _peak_bytes(lambda: check_strong_sliceness(field, samples=1, seed=3))
+    many = _peak_bytes(lambda: check_strong_sliceness(field, samples=8, seed=3))
+    assert many < 1.5 * one
+    for flavor in ("a", "gamma"):
+        argv = ["almansi", "--flavor", flavor, "--level", "2", "x1*~x2+x2^2"]
+        one = _peak_bytes(lambda: main(argv + ["--samples", "1"]))
+        many = _peak_bytes(lambda: main(argv + ["--samples", "8"]))
+        capsys.readouterr()
+        assert many < 1.5 * one
 
 
 def test_derived_field_memoizes_values_but_not_exceptions():
