@@ -48,6 +48,11 @@ RUNS = (
      "--seed", "2"),
     ("crosscheck", "x1*x2^2", "--samples", "2", "--seed", "9",
      "--format", "csv"),
+    ("eval", "x1^2*~x2+~x1*x2*(1/3i)", "--at", "1/2;-2"),
+    ("eval", "x1*~x2*x3+x2^2*x3*(1/2k)", "--at",
+     "1+i;-1/3+1/2j-k;1/5+1/2i+2/3k"),
+    ("theta", "--numeric", "--m", "1", "x1^2*x2+~x1*(1/2i)",
+     "--at", "1/3+1/2j;1-1/4i+k"),
 )
 
 
