@@ -107,32 +107,33 @@ def _shared_view(field):
     return field.derived(field, cost=0, step=field.step)
 
 
-def fueter_components(field, level):
-    """Numeric family by nested negated Cauchy-Riemann-Fueter derivatives."""
+def _numeric_components(flavor, derivative, field, level):
+    """The level-``level`` family of nested ``derivative(g, m)`` steps: the
+    entry on K | {m} differentiates x_m * g where the entry on K
+    differentiates g."""
     _check_level(field.n, level)
     entries = {0: _shared_view(field)}
     for m in range(1, level + 1):
         nxt = {}
         for mask, g in entries.items():
-            nxt[mask] = negate_field(fueter_derivative_field(g, m))
-            nxt[mask | bit(m)] = negate_field(
-                fueter_derivative_field(multiply_by_variable(g, m), m))
+            nxt[mask] = derivative(g, m)
+            nxt[mask | bit(m)] = derivative(multiply_by_variable(g, m), m)
         entries = nxt
-    return ComponentFamily(FLAVOR_FUETER, level, field.n, entries)
+    return ComponentFamily(flavor, level, field.n, entries)
+
+
+def fueter_components(field, level):
+    """Numeric family by nested negated Cauchy-Riemann-Fueter derivatives."""
+    return _numeric_components(
+        FLAVOR_FUETER, lambda g, m: negate_field(fueter_derivative_field(g, m)),
+        field, level)
 
 
 def dirac_components(field, level):
     """Numeric family by nested normalized spherical Dirac derivatives."""
-    _check_level(field.n, level)
-    entries = {0: _shared_view(field)}
-    for m in range(1, level + 1):
-        nxt = {}
-        for mask, g in entries.items():
-            nxt[mask] = div_by_twice_im(spherical_dirac_field(g, m), m)
-            nxt[mask | bit(m)] = div_by_twice_im(
-                spherical_dirac_field(multiply_by_variable(g, m), m), m)
-        entries = nxt
-    return ComponentFamily(FLAVOR_DIRAC, level, field.n, entries)
+    return _numeric_components(
+        FLAVOR_DIRAC, lambda g, m: div_by_twice_im(spherical_dirac_field(g, m), m),
+        field, level)
 
 
 def _neg_conj_value(point, indices):

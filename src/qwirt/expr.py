@@ -7,7 +7,8 @@ Grammar (whitespace insensitive):
     factor := atom ('^' nat)?
     atom   := var | '~' var | 'conj(' var ')' | qlit | '(' expr ')'
     var    := 'x' nat
-    qlit   := rational ['i'|'j'|'k'] | 'i' | 'j' | 'k'
+    qlit   := number ['i'|'j'|'k'] | 'i' | 'j' | 'k'
+    number := nat ['/' nat | '.' nat]
 
 ``*`` always denotes the slice product; multi-component quaternion literals
 arise from sums, e.g. ``1+2i``.  Lowering is total on well-formed trees and
@@ -17,7 +18,7 @@ multiplies factors in source order.
 import re
 from fractions import Fraction
 
-from .quaternion import Quaternion, I, J, K
+from .quaternion import Quaternion, I, J, K, NUMBER_PATTERN
 from .slicefn import variable, conj_variable, constant
 
 _UNIT_VALUES = {"i": I, "j": J, "k": K}
@@ -39,10 +40,10 @@ _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<var>x(?P<varidx>\d+))
   | (?P<conj>conj)
-  | (?P<number>\d+(?:/\d+)?)
+  | (?P<number>%s)
   | (?P<unit>[ijk])
   | (?P<op>[+\-*^()~])
-""", re.VERBOSE)
+""" % NUMBER_PATTERN, re.VERBOSE)
 
 
 def tokenize(text):

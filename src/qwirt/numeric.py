@@ -12,8 +12,7 @@ are applied exactly in the displayed order; with noncommuting values the
 order is load-bearing.
 """
 
-from .quaternion import Quaternion, I, J, K, coordinate, replace_coordinate, \
-    hamilton
+from .quaternion import Quaternion, I, J, K, coordinate, replace_coordinate
 
 DEFAULT_STEP = 1e-3
 # Outer step for differentiating an already-derived field.  Cancellation of
@@ -128,23 +127,24 @@ def euler_operator(field, m, point):
     return total
 
 
-def _global_derivative(field, m, point, conj):
+def _global_derivative_pair(field, m, point):
+    """The global derivative and its conjugate in x_m from one stencil."""
     _check_var(field, m)
     _check_off_axis(field, m, point)
     d0 = coordinate_partial(field, m, 0, point)
     im_inv = point[m - 1].im().to_float().inverse()
     euler = im_inv * euler_operator(field, m, point)
-    return (d0 - euler if conj else d0 + euler) * 0.5
+    return (d0 + euler) * 0.5, (d0 - euler) * 0.5
 
 
 def global_derivative(field, m, point):
     """(d/dx_{m_0} + Im(x_m)^-1 * Euler)/2; undefined inside the band."""
-    return _global_derivative(field, m, point, conj=False)
+    return _global_derivative_pair(field, m, point)[0]
 
 
 def global_conj_derivative(field, m, point):
     """(d/dx_{m_0} - Im(x_m)^-1 * Euler)/2; undefined inside the band."""
-    return _global_derivative(field, m, point, conj=True)
+    return _global_derivative_pair(field, m, point)[1]
 
 
 def tangential_derivative(field, m, i, j, point):
@@ -236,55 +236,7 @@ def div_by_twice_im(field, m):
 def lift(f, smoothness=DEFAULT_SMOOTHNESS, step=DEFAULT_STEP, band=DEFAULT_BAND):
     """Wrap an exact slice function as a numeric field.
 
-    The stem is compiled once: coefficients to float 4-tuples, and a plan
-    for the products of the point's imaginary units over every subset the
-    stem uses.  Each product is the lowest unit times the product over the
-    remaining ones, formed in ascending mask order so the remainder exists.
-    Per point each coordinate is split by ``Quaternion.split_slice``, and the
-    loop then runs on float 4-tuples: products by ``hamilton``, the product
-    ``Quaternion.__mul__`` uses, and sums in the order of ``__add__``, so the
-    value is bit for bit the one the quaternion arithmetic gives.
+    The field evaluates through ``f.evaluator()``, the compiled stem that
+    ``SliceFunction.evaluate`` runs too.
     """
-    n = f.n
-    compiled = []
-    plan = set()
-    for key, elem in f.stem.terms.items():
-        comps = []
-        for mask, coeff in elem.components.items():
-            comps.append((mask, coeff.to_float().components()))
-            while mask & (mask - 1):
-                low = mask & -mask
-                plan.add((mask, low, mask & ~low))
-                mask &= ~low
-        compiled.append((key[:n], key[n:], comps))
-    plan = sorted(plan)
-
-    def evaluate(point):
-        alphas, betas = [], []
-        prods = {0: (1.0, 0.0, 0.0, 0.0)}
-        for h, q in enumerate(point):
-            alpha, beta, unit = q.split_slice()
-            alphas.append(alpha)
-            betas.append(beta)
-            prods[1 << h] = unit.components()
-        for mask, low, rest in plan:
-            prods[mask] = hamilton(prods[low], prods[rest])
-        tw = tx = ty = tz = 0.0
-        for aexps, bexps, comps in compiled:
-            scalar = 1.0
-            for m in range(n):
-                if aexps[m]:
-                    scalar *= alphas[m] ** aexps[m]
-                if bexps[m]:
-                    scalar *= betas[m] ** bexps[m]
-            if scalar == 0.0:
-                continue
-            for mask, coeff in comps:
-                pw, px, py, pz = hamilton(prods[mask], coeff)
-                tw = tw + pw * scalar
-                tx = tx + px * scalar
-                ty = ty + py * scalar
-                tz = tz + pz * scalar
-        return Quaternion(tw, tx, ty, tz)
-
-    return NumericField(evaluate, n, smoothness, step, band)
+    return NumericField(f.evaluator(), f.n, smoothness, step, band)

@@ -22,8 +22,9 @@ class RealArgumentError(ValueError):
 def hamilton(p, q):
     """Hamilton's product of two component 4-tuples ``(w, x, y, z)``.
 
-    ``Quaternion.__mul__`` and the float loop of ``numeric.lift`` both call
-    this, so the two share one operation order and agree bit for bit.
+    ``Quaternion.__mul__`` and the compiled stem evaluator of ``slicefn``
+    both call this, so the two share one operation order and agree bit for
+    bit.
     """
     a, b, c, d = p
     e, f, g, h = q
@@ -225,8 +226,12 @@ def format_quaternion(q):
     return "".join(parts) if parts else "0"
 
 
+# A number literal: a natural number, a ratio of two, or a decimal; each
+# parses to an exact Fraction.  The expression language uses it too.
+NUMBER_PATTERN = r"\d+(?:/\d+|\.\d+)?"
+
 _COMPONENT_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:(?P<num>\d+(?:/\d+|\.\d+)?)\s*(?P<unit>[ijk])?"
+    r"\s*(?P<sign>[+-])?\s*(?:(?P<num>" + NUMBER_PATTERN + r")\s*(?P<unit>[ijk])?"
     r"|(?P<lone>[ijk]))\s*"
 )
 

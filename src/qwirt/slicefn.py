@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .quaternion import Quaternion, ONE, format_quaternion
+from .quaternion import Quaternion, ONE, format_quaternion, hamilton
 from .stem import StemElement, MAX_VARS, bit, mask_indices
 
 MAX_DEGREE_PER_VARIABLE = 32
@@ -200,43 +200,6 @@ class StemPolynomial:
             terms[key] = StemElement(self.n, comps)
         return StemPolynomial(self.n, terms, validate=False)
 
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate_parts(self, alphas, betas, units):
-        """Evaluate at given real parts, imaginary radii and units.
-
-        ``units[m-1]`` is the imaginary unit J_m; the unit products multiply
-        ascending in the variable index and act from the left on the
-        component value.
-        """
-        jcache = {0: Quaternion(1.0)}
-
-        def unit_product(mask):
-            cached = jcache.get(mask)
-            if cached is None:
-                low = mask & -mask
-                cached = jcache[low] if low == mask else unit_product(low) * unit_product(mask & ~low)
-                jcache[mask] = cached
-            return cached
-
-        for h in range(self.n):
-            jcache[1 << h] = units[h]
-
-        total = Quaternion(0.0, 0.0, 0.0, 0.0)
-        for key, elem in self.terms.items():
-            scalar = 1.0
-            for m in range(self.n):
-                a, b = key[m], key[self.n + m]
-                if a:
-                    scalar *= alphas[m] ** a
-                if b:
-                    scalar *= betas[m] ** b
-            if scalar == 0.0:
-                continue
-            for mask, coeff in elem.components.items():
-                total = total + (unit_product(mask) * coeff) * scalar
-        return total
-
     def __eq__(self, other):
         if not isinstance(other, StemPolynomial):
             return NotImplemented
@@ -247,6 +210,59 @@ class StemPolynomial:
 
     def __repr__(self):
         return "StemPolynomial(%d, %d terms)" % (self.n, len(self.terms))
+
+
+def _compile_stem(stem):
+    """Compile a stem into a float evaluator of ``(alphas, betas, units)``.
+
+    ``units[m-1]`` is the imaginary unit J_m.  Coefficients become float
+    4-tuples, and a plan orders the products of the units over every subset
+    the stem uses: each is the lowest unit times the product over the
+    remaining ones, formed in ascending mask order so the remainder exists.
+    The loop runs on float 4-tuples: the unit product acts from the left on
+    each component value through ``hamilton``, the product
+    ``Quaternion.__mul__`` uses, and sums follow ``__add__``, so the value is
+    bit for bit the one quaternion arithmetic gives.
+    """
+    n = stem.n
+    compiled = []
+    plan = set()
+    for key, elem in stem.terms.items():
+        comps = []
+        for mask, coeff in elem.components.items():
+            comps.append((mask, coeff.to_float().components()))
+            while mask & (mask - 1):
+                low = mask & -mask
+                plan.add((mask, low, mask & ~low))
+                mask &= ~low
+        compiled.append((key[:n], key[n:], comps))
+    plan = sorted(plan)
+
+    def evaluate_parts(alphas, betas, units):
+        prods = {0: (1.0, 0.0, 0.0, 0.0)}
+        for h in range(n):
+            prods[1 << h] = units[h].components()
+        for mask, low, rest in plan:
+            prods[mask] = hamilton(prods[low], prods[rest])
+        tw = tx = ty = tz = 0.0
+        for aexps, bexps, comps in compiled:
+            scalar = 1.0
+            for m in range(n):
+                if aexps[m]:
+                    scalar *= alphas[m] ** aexps[m]
+                if bexps[m]:
+                    scalar *= betas[m] ** bexps[m]
+            if scalar == 0.0:
+                continue
+            for mask, coeff in comps:
+                pw, px, py, pz = hamilton(prods[mask], coeff)
+                tw = tw + pw * scalar
+                tx = tx + px * scalar
+                ty = ty + py * scalar
+                tz = tz + pz * scalar
+        return Quaternion(tw, tx, ty, tz)
+
+    return evaluate_parts
 
 
 class SliceFunction:
@@ -317,16 +333,25 @@ class SliceFunction:
         if len(point) != self.n:
             raise ValueError("point has %d coordinates, expected %d"
                              % (len(point), self.n))
-        alphas, betas, units = [], [], []
-        for q in point:
-            a, b, j = q.split_slice()
-            alphas.append(a)
-            betas.append(b)
-            units.append(j)
-        return self.stem.evaluate_parts(alphas, betas, units)
+        return self.evaluator()(point)
 
     def evaluate_parts(self, alphas, betas, units):
-        return self.stem.evaluate_parts(alphas, betas, units)
+        """Evaluate at given real parts, imaginary radii and units J_m."""
+        return _compile_stem(self.stem)(alphas, betas, units)
+
+    def evaluator(self):
+        """The stem compiled once into a function of points of H^n.
+
+        Each coordinate is split by ``Quaternion.split_slice``; the point's
+        length is not checked.
+        """
+        parts = _compile_stem(self.stem)
+
+        def evaluate(point):
+            alphas, betas, units = zip(*[q.split_slice() for q in point])
+            return parts(alphas, betas, units)
+
+        return evaluate
 
     def spherical_value(self, m):
         """Drop every component whose subset contains m; equals the average

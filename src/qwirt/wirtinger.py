@@ -4,9 +4,9 @@ Two realizations exist side by side.  The symbolic one acts on slice
 polynomials, where the operators reduce to the slice partial derivatives.
 The numeric one evaluates the defining differential expression verbatim on
 any smooth field: the order-(m-1) Dirac family is built first, each entry is
-differentiated with the global (conjugate) derivative in x_m, and the
-results are summed with the ordered negated-conjugate-coordinate products on
-the left.  On lifted slice polynomials the two realizations agree, which is
+differentiated with the global derivative pair in x_m, and the results are
+summed with the ordered negated-conjugate-coordinate products on the left.
+Both operators of a pair come from one family and one stencil per entry.  On lifted slice polynomials the two realizations agree, which is
 exercised by the cross-check suite.
 """
 
@@ -15,8 +15,8 @@ import warnings
 from functools import reduce
 
 from .quaternion import Quaternion
-from .numeric import global_derivative, global_conj_derivative, lift, \
-    tangential_derivative, running_worst, DEFAULT_STEP, DEFAULT_BAND
+from .numeric import _global_derivative_pair, lift, tangential_derivative, \
+    running_worst, DEFAULT_STEP, DEFAULT_BAND
 from .almansi import dirac_components, complement_indices, _neg_conj_value
 from .sampling import random_slice_point
 
@@ -36,7 +36,8 @@ def wirtinger_conj_derivative(f, m):
     return f.slice_partial_conj(m)
 
 
-def _wirtinger_numeric(field, m, point, conj):
+def _wirtinger_pair(field, m, point):
+    """The index-m operator and its conjugate from one Dirac family."""
     if not 1 <= m <= field.n:
         raise ValueError("operator index %d out of range 1..%d" % (m, field.n))
     if m > MAX_NUMERIC_INDEX:
@@ -46,25 +47,26 @@ def _wirtinger_numeric(field, m, point, conj):
         warnings.warn("numeric Wirtinger operator of index %d nests %d finite "
                       "differences; double precision may be marginal" % (m, m),
                       RuntimeWarning, stacklevel=3)
-    op = global_conj_derivative if conj else global_derivative
     if m == 1:
-        return op(field, 1, point)
+        return _global_derivative_pair(field, 1, point)
     family = dirac_components(field, m - 1)
-    total = Quaternion(0.0, 0.0, 0.0, 0.0)
+    theta = thetabar = Quaternion(0.0, 0.0, 0.0, 0.0)
     for mask in family.masks():
         mult = _neg_conj_value(point, complement_indices(mask, m - 1))
-        total = total + mult * op(family.entries[mask], m, point)
-    return total
+        plain, conj = _global_derivative_pair(family.entries[mask], m, point)
+        theta = theta + mult * plain
+        thetabar = thetabar + mult * conj
+    return theta, thetabar
 
 
 def wirtinger_derivative_numeric(field, m, point):
     """Numeric realization of the index-m Wirtinger operator at a point."""
-    return _wirtinger_numeric(field, m, point, conj=False)
+    return _wirtinger_pair(field, m, point)[0]
 
 
 def wirtinger_conj_derivative_numeric(field, m, point):
     """Numeric realization of the conjugate index-m operator at a point."""
-    return _wirtinger_numeric(field, m, point, conj=True)
+    return _wirtinger_pair(field, m, point)[1]
 
 
 def default_tolerance(m):
@@ -124,6 +126,8 @@ def check_regularity_numeric(field, points=None, *, samples=20, seed=0,
     """
     points = _sample_points(points, samples, seed, field.n)
     limit = min(field.n, MAX_NUMERIC_INDEX if max_index is None else max_index)
+    if limit < 1:
+        raise ValueError("no operator to check: max_index must be at least 1")
     residuals = {}
     tolerances = {}
     failures = []
@@ -224,9 +228,10 @@ def check_independence(f, first, points=None, *, samples=10, seed=0,
     plain = wirtinger_derivative(f, first)
     conj = wirtinger_conj_derivative(f, first)
     for p in points:
-        if not abs(global_derivative(field, first, p) - plain.evaluate(p)) < tol:
+        theta, thetabar = _global_derivative_pair(field, first, p)
+        if not abs(theta - plain.evaluate(p)) < tol:
             return False
-        if not abs(global_conj_derivative(field, first, p) - conj.evaluate(p)) < tol:
+        if not abs(thetabar - conj.evaluate(p)) < tol:
             return False
     return True
 
@@ -242,10 +247,9 @@ def crosscheck(f, m, points=None, *, samples=10, seed=0, tol=None,
     conj = wirtinger_conj_derivative(f, m)
     worst = 0.0
     for p in points:
-        worst = running_worst(worst, abs(wirtinger_derivative_numeric(field, m, p)
-                                         - plain.evaluate(p)))
-        worst = running_worst(worst, abs(wirtinger_conj_derivative_numeric(field, m, p)
-                                         - conj.evaluate(p)))
+        theta, thetabar = _wirtinger_pair(field, m, p)
+        worst = running_worst(worst, abs(theta - plain.evaluate(p)))
+        worst = running_worst(worst, abs(thetabar - conj.evaluate(p)))
     return {
         "operator": "theta_%d/thetabar_%d" % (m, m),
         "realization": "symbolic-vs-numeric",

@@ -60,6 +60,15 @@ def test_syntax_errors_carry_offsets():
         parse("x1 x2")
 
 
+def test_decimals_parse_exactly_as_in_point_literals():
+    assert parse_slice("x1*(1.5)") == parse_slice("x1*(3/2)")
+    assert parse_slice("0.25i - 2.5") == \
+        constant(1, Quaternion(Fraction(-5, 2), Fraction(1, 4)))
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse("x1^2.5")
+    assert err.value.offset == 3
+
+
 def test_arity_errors():
     node = parse("x3*x1")
     assert max_variable_index(node) == 3

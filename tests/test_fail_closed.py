@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwirt.cli import main
-from qwirt.numeric import NumericField, running_worst
+from qwirt.numeric import NumericField, lift, running_worst
 from qwirt.quaternion import Quaternion
 from qwirt.sampling import random_slice_point
-from qwirt.slicefn import variable
+from qwirt.slicefn import variable, conj_variable
 from qwirt.wirtinger import (check_independence, check_regularity_numeric,
                              check_strong_sliceness, crosscheck)
 
@@ -147,4 +147,17 @@ def test_library_refuses_empty_point_sets():
             check(f, 1, [])
         with pytest.raises(ValueError):
             check(f, 1, samples=-1)
+    assert not calls
+
+
+def test_regularity_check_refuses_no_operators():
+    # max_index 0 used to check nothing and still report "regular"
+    field = lift(conj_variable(2, 1))
+    calls = []
+    inner = field.func
+    field.func = lambda p: calls.append(p) or inner(p)
+    for max_index in (0, -1):
+        with pytest.raises(ValueError, match="max_index"):
+            check_regularity_numeric(field, samples=2, slice_established=True,
+                                     max_index=max_index)
     assert not calls

@@ -1,6 +1,7 @@
 """Nested finite-difference operators evaluate each stencil point once per
-call, the caller's field keeps no state, and the float loop of ``lift``
-matches quaternion arithmetic bit for bit."""
+call, the caller's field keeps no state, and the compiled stem evaluator
+that ``lift`` and ``SliceFunction.evaluate`` share matches quaternion
+arithmetic bit for bit."""
 
 import random
 import tracemalloc
@@ -16,7 +17,7 @@ from qwirt.quaternion import Quaternion
 from qwirt.sampling import random_slice_point
 from qwirt.slicefn import variable, conj_variable
 from qwirt.wirtinger import (wirtinger_conj_derivative_numeric,
-                             check_strong_sliceness)
+                             check_strong_sliceness, crosscheck)
 
 
 class Counter:
@@ -50,6 +51,17 @@ def test_thetabar_3_evaluates_each_point_once():
         wirtinger_conj_derivative_numeric(field, 3, p)
     # the three nested stencils reach 288 distinct points
     assert counter.distinct == 288
+    assert counter.calls == counter.distinct
+
+
+def test_crosscheck_builds_one_family_for_both_operators(monkeypatch):
+    f = variable(2, 1) * conj_variable(2, 2)
+    field = lift(f)
+    counter = Counter(field)
+    monkeypatch.setattr("qwirt.wirtinger.lift", lambda *args, **kwargs: field)
+    crosscheck(f, 2, samples=2, seed=1)
+    # theta_2 and thetabar_2 share each sample's 48 stencil points
+    assert counter.distinct == 96
     assert counter.calls == counter.distinct
 
 
@@ -119,7 +131,7 @@ def test_derived_banded_field_raises_at_every_call():
 
 
 def _reference_lift(f, point):
-    """The quaternion-object evaluation that ``lift`` replaces."""
+    """Quaternion-object evaluation: the reference for the compiled stem."""
     n = f.n
     alphas, betas, units = [], [], []
     for q in point:
@@ -162,6 +174,6 @@ def test_lift_matches_quaternion_arithmetic_bit_for_bit(n):
         pts = [random_slice_point(rng, n) for _ in range(4)]
         pts.append(tuple(Quaternion(0.5 * h, 0.0, 0.0, 0.0) for h in range(n)))
         for p in pts:
-            got = [c.hex() for c in field(p).components()]
             want = [c.hex() for c in _reference_lift(f, p).components()]
-            assert got == want
+            for value in (field(p), f.evaluate(p)):
+                assert [c.hex() for c in value.components()] == want
