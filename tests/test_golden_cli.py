@@ -53,6 +53,10 @@ RUNS = (
      "1+i;-1/3+1/2j-k;1/5+1/2i+2/3k"),
     ("theta", "--numeric", "--m", "1", "x1^2*x2+~x1*(1/2i)",
      "--at", "1/3+1/2j;1-1/4i+k"),
+    ("check-slice", "x1*~x2*x3+x3^2*(1/2i)", "--samples", "1", "--seed", "10"),
+    ("almansi", "--flavor", "gamma", "--level", "3", "x1*x2*~x3+x2^2",
+     "--samples", "2", "--seed", "11"),
+    ("eval", "x1^40", "--at", "i"),
 )
 
 
