@@ -20,7 +20,7 @@ from .almansi import (ComponentFamily, spherical_components, fueter_components,
 from .wirtinger import (wirtinger_derivative, wirtinger_conj_derivative,
                         wirtinger_derivative_numeric,
                         wirtinger_conj_derivative_numeric,
-                        check_regularity, check_regularity_symbolic,
+                        check_regularity_symbolic,
                         check_regularity_numeric, check_strong_sliceness,
                         check_conjugation_identity, check_independence,
                         crosscheck)

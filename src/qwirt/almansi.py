@@ -108,9 +108,9 @@ def _shared_view(field):
 
 
 def _numeric_components(flavor, derivative, field, level):
-    """The level-``level`` family of nested ``derivative(g, m)`` steps: the
-    entry on K | {m} differentiates x_m * g where the entry on K
-    differentiates g."""
+    """Yield the families of levels 1..``level`` of one recursion of nested
+    ``derivative(g, m)`` steps: the entry on K | {m} differentiates x_m * g
+    where the entry on K differentiates g."""
     _check_level(field.n, level)
     entries = {0: _shared_view(field)}
     for m in range(1, level + 1):
@@ -119,21 +119,27 @@ def _numeric_components(flavor, derivative, field, level):
             nxt[mask] = derivative(g, m)
             nxt[mask | bit(m)] = derivative(multiply_by_variable(g, m), m)
         entries = nxt
-    return ComponentFamily(flavor, level, field.n, entries)
+        yield ComponentFamily(flavor, m, field.n, entries)
 
 
 def fueter_components(field, level):
     """Numeric family by nested negated Cauchy-Riemann-Fueter derivatives."""
-    return _numeric_components(
+    return list(_numeric_components(
         FLAVOR_FUETER, lambda g, m: negate_field(fueter_derivative_field(g, m)),
+        field, level))[-1]
+
+
+def dirac_levels(field, level):
+    """Yield the Dirac families of levels 1..``level``, each built from the
+    entries of the one before."""
+    return _numeric_components(
+        FLAVOR_DIRAC, lambda g, m: div_by_twice_im(spherical_dirac_field(g, m), m),
         field, level)
 
 
 def dirac_components(field, level):
     """Numeric family by nested normalized spherical Dirac derivatives."""
-    return _numeric_components(
-        FLAVOR_DIRAC, lambda g, m: div_by_twice_im(spherical_dirac_field(g, m), m),
-        field, level)
+    return list(dirac_levels(field, level))[-1]
 
 
 def _neg_conj_value(point, indices):

@@ -9,7 +9,6 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 
 from .quaternion import parse_quaternion, format_quaternion, RealArgumentError
@@ -19,7 +18,7 @@ from .numeric import lift, running_worst, NearRealAxisError, \
     DepthExhaustedError, DEFAULT_STEP, DEFAULT_BAND
 from .almansi import (spherical_components, fueter_components, dirac_components,
                       reconstruct, reconstruct_symbolic)
-from .sampling import random_slice_point
+from .sampling import _sample_points
 from . import wirtinger
 
 EXIT_OK = 0
@@ -33,17 +32,21 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, default=None,
                         help="ambient variable count (default: inferred)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed (default: QWIRT_SEED or 0)")
-    common.add_argument("--samples", type=int, default=None,
-                        help="number of sample points for numeric suites")
-    common.add_argument("--tol", type=float, default=None,
-                        help="residual tolerance override")
-    common.add_argument("--fd-step", type=float, default=DEFAULT_STEP,
-                        help="finite-difference step")
-    common.add_argument("--fd-delta", type=float, default=DEFAULT_BAND,
-                        help="exclusion band around the real axes")
     common.add_argument("--format", choices=("json", "csv"), default="json")
+
+    stencil = argparse.ArgumentParser(add_help=False)
+    stencil.add_argument("--fd-step", type=float, default=DEFAULT_STEP,
+                         help="finite-difference step")
+    stencil.add_argument("--fd-delta", type=float, default=DEFAULT_BAND,
+                         help="exclusion band around the real axes")
+
+    suite = argparse.ArgumentParser(add_help=False)
+    suite.add_argument("--seed", type=int, default=None,
+                       help="random seed (default: QWIRT_SEED or 0)")
+    suite.add_argument("--samples", type=int, default=None,
+                       help="number of sample points for numeric suites")
+    suite.add_argument("--tol", type=float, default=None,
+                       help="residual tolerance override")
 
     parser = argparse.ArgumentParser(
         prog="qwirt",
@@ -56,7 +59,7 @@ def build_parser():
                    help="semicolon-separated quaternion literals, e.g. 'i;j'")
 
     for name in ("theta", "thetabar"):
-        p = sub.add_parser(name, parents=[common],
+        p = sub.add_parser(name, parents=[common, stencil],
                            help="apply the %s Wirtinger operator" % name)
         p.add_argument("expr")
         p.add_argument("--m", type=int, required=True)
@@ -70,22 +73,22 @@ def build_parser():
     p.add_argument("--var", type=int, required=True)
     p.add_argument("--kind", choices=("value", "derivative"), required=True)
 
-    p = sub.add_parser("almansi", parents=[common],
+    p = sub.add_parser("almansi", parents=[common, stencil, suite],
                        help="component family and reconstruction residuals")
     p.add_argument("expr")
     p.add_argument("--flavor", choices=tuple(_FLAVORS), required=True)
     p.add_argument("--level", type=int, required=True)
 
-    p = sub.add_parser("check-regular", parents=[common],
+    p = sub.add_parser("check-regular", parents=[common, stencil, suite],
                        help="slice-regularity verdict")
     p.add_argument("expr")
     p.add_argument("--numeric", action="store_true")
 
-    p = sub.add_parser("check-slice", parents=[common],
+    p = sub.add_parser("check-slice", parents=[common, stencil, suite],
                        help="strong-sliceness residuals of the lifted field")
     p.add_argument("expr")
 
-    p = sub.add_parser("crosscheck", parents=[common],
+    p = sub.add_parser("crosscheck", parents=[common, stencil, suite],
                        help="symbolic vs numeric Wirtinger agreement")
     p.add_argument("expr")
     p.add_argument("--m", type=int, default=None)
@@ -201,15 +204,12 @@ def _cmd_almansi(args):
         _emit(report, args.format)
         return EXIT_OK if exact else EXIT_FAIL
     samples = args.samples if args.samples is not None else 20
-    if samples < 1:
-        raise ValueError("--samples must be at least 1, got %d" % samples)
+    points = _sample_points(None, samples, seed, n)
     field = _lift(f, args)
     components = fueter_components if flavor == "fueter" else dirac_components
-    rng = random.Random(seed)
     tol = args.tol if args.tol is not None else 1e-4
     worst = 0.0
-    for _ in range(samples):
-        p = random_slice_point(rng, n)
+    for p in points:
         # one family per point: its memo holds this point's stencils only
         family = components(field, args.level)
         worst = running_worst(worst, abs(reconstruct(family, p) - field(p)))

@@ -71,7 +71,9 @@ class NumericField:
         values = {}
 
         def memo(point):
-            key = tuple([(q.w, q.x, q.y, q.z) for q in point])
+            # one flat tuple per point: a tuple per coordinate would double
+            # the memory of the keys
+            key = tuple([c for q in point for c in (q.w, q.x, q.y, q.z)])
             value = values.get(key)
             if value is None:
                 value = values[key] = func(point)

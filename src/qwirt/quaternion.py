@@ -56,9 +56,6 @@ class Quaternion:
     def conjugate(self):
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
-    def real_part(self):
-        return self.w
-
     def im(self):
         """The vector part x*i + y*j + z*k as a quaternion."""
         return Quaternion(0, self.x, self.y, self.z)

@@ -1,6 +1,7 @@
 """Seeded random draws used by the numeric test suites and the CLI."""
 
 import math
+import random
 
 from .quaternion import Quaternion
 
@@ -22,6 +23,21 @@ def random_slice_point(rng, n, re_range=(-1.0, 1.0), im_range=(0.3, 2.0)):
         beta = rng.uniform(*im_range)
         coords.append(Quaternion(alpha) + random_unit(rng) * beta)
     return tuple(coords)
+
+
+def _sample_points(points, samples, seed, n):
+    """The given points, or ``samples`` seeded random admissible points.
+
+    An empty point set is refused: a verdict over no points shows nothing.
+    """
+    if points is None:
+        if samples < 1:
+            raise ValueError("samples must be at least 1, got %d" % samples)
+        rng = random.Random(seed)
+        points = [random_slice_point(rng, n) for _ in range(samples)]
+    if not points:
+        raise ValueError("no sample points given")
+    return points
 
 
 def respin_units(rng, point, upto):

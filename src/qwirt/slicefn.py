@@ -22,6 +22,7 @@ offered here.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,6 +32,15 @@ from .stem import StemElement, MAX_VARS, bit, mask_indices
 MAX_DEGREE_PER_VARIABLE = 32
 
 _HALF = Fraction(1, 2)
+
+
+def _check_degree_cap(degrees):
+    """Refuse per-variable degrees over the cap, naming the lowest variable
+    that exceeds it."""
+    for m, degree in enumerate(degrees, start=1):
+        if degree > MAX_DEGREE_PER_VARIABLE:
+            raise ValueError("degree cap %d exceeded in variable %d"
+                             % (MAX_DEGREE_PER_VARIABLE, m))
 
 
 class StemPolynomial:
@@ -59,22 +69,24 @@ class StemPolynomial:
 
     def _validate(self):
         for key, elem in self.terms.items():
+            if min(key) < 0:
+                raise ValueError("negative exponent in stem term")
             parity = 0
             for m in range(1, self.n + 1):
-                a, b = key[m - 1], key[self.n + m - 1]
-                if a < 0 or b < 0:
-                    raise ValueError("negative exponent in stem term")
-                if a + b > MAX_DEGREE_PER_VARIABLE:
-                    raise ValueError(
-                        "degree cap %d exceeded in variable %d"
-                        % (MAX_DEGREE_PER_VARIABLE, m))
-                if b % 2:
+                if key[self.n + m - 1] % 2:
                     parity |= bit(m)
             for mask in elem.components:
                 if mask != parity:
                     raise ValueError(
                         "stem parity violated: term %r carries subset %r"
                         % (key, mask_indices(mask)))
+        _check_degree_cap(self.degrees())
+
+    def degrees(self):
+        """Per-variable degrees: the largest a_m + b_m over the terms."""
+        n = self.n
+        return [max((key[m] + key[n + m] for key in self.terms), default=0)
+                for m in range(n)]
 
     @classmethod
     def zero(cls, n):
@@ -90,6 +102,10 @@ class StemPolynomial:
             raise ValueError("mismatched ambient variable counts")
 
     # -- ring operations ----------------------------------------------------
+    # Results are built unvalidated: the parity of k1 + k2 is the mask that
+    # basis_product gives, so parity is kept.  Stems are polynomials over H
+    # in the central indeterminates alpha_m and e_m*beta_m, which have no zero
+    # divisors, so the degrees of a product are the sums of its factors'.
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -97,7 +113,7 @@ class StemPolynomial:
         for key, elem in other.terms.items():
             cur = terms.get(key)
             terms[key] = elem if cur is None else cur + elem
-        return StemPolynomial(self.n, terms)
+        return StemPolynomial(self.n, terms, validate=False)
 
     def __neg__(self):
         return StemPolynomial(self.n, {k: -e for k, e in self.terms.items()},
@@ -108,6 +124,7 @@ class StemPolynomial:
 
     def __mul__(self, other):
         self._check_compatible(other)
+        _check_degree_cap([a + b for a, b in zip(self.degrees(), other.degrees())])
         terms = {}
         for k1, e1 in self.terms.items():
             for k2, e2 in other.terms.items():
@@ -115,7 +132,7 @@ class StemPolynomial:
                 prod = e1 * e2
                 cur = terms.get(key)
                 terms[key] = prod if cur is None else cur + prod
-        return StemPolynomial(self.n, terms)
+        return StemPolynomial(self.n, terms, validate=False)
 
     def scale(self, value):
         return StemPolynomial(self.n, {k: e.scale(value) for k, e in self.terms.items()},
@@ -307,15 +324,16 @@ class SliceFunction:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("powers must be natural numbers")
+        # no intermediate power exceeds the k-th, whose degrees are k times ours
+        _check_degree_cap([k * d for d in self.stem.degrees()])
         result = constant(self.n, ONE)
         base = self
         while k:
             if k & 1:
                 result = result * base
-            base_needed = k >> 1
-            if base_needed:
+            k >>= 1
+            if k:
                 base = base * base
-            k = base_needed
         return result
 
     def __eq__(self, other):
@@ -482,14 +500,7 @@ def variable(n, m):
 
 def conj_variable(n, m):
     """The conjugate coordinate slice function."""
-    if not 1 <= m <= n:
-        raise ValueError("variable index %d out of range 1..%d" % (m, n))
-    akey = tuple(1 if i == m - 1 else 0 for i in range(2 * n))
-    bkey = tuple(1 if i == n + m - 1 else 0 for i in range(2 * n))
-    return SliceFunction(StemPolynomial(n, {
-        akey: StemElement(n, {0: ONE}),
-        bkey: StemElement(n, {bit(m): -ONE}),
-    }))
+    return variable(n, m).conjugate()
 
 
 def monomial(n, powers, conj_powers=None, coeff=1):
@@ -525,19 +536,12 @@ def _variable_expansion(a, b):
     out = {}
     base = Fraction((-1) ** (b // 2), 2 ** (a + b))
     for s in range(a + 1):
-        ca = _binomial(a, s)
+        ca = math.comb(a, s)
         for t in range(b + 1):
-            cb = _binomial(b, t) * ((-1) ** (b - t))
+            cb = math.comb(b, t) * ((-1) ** (b - t))
             lh = (s + t, a + b - s - t)
             out[lh] = out.get(lh, Fraction(0)) + base * ca * cb
     return tuple((lh, c) for lh, c in out.items() if c)
-
-
-def _binomial(n, k):
-    result = 1
-    for i in range(k):
-        result = result * (n - i) // (i + 1)
-    return result
 
 
 def to_monomials(f):

@@ -65,10 +65,6 @@ class StemElement:
         self.components = clean
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
     def basis(cls, n, mask, coeff=ONE):
         return cls(n, {mask: coeff})
 
@@ -101,7 +97,9 @@ class StemElement:
         for hm, a in self.components.items():
             for km, b in other.components.items():
                 sign, mask = basis_product(hm, km)
-                term = (a * b) * sign
+                term = a * b
+                if sign < 0:
+                    term = -term
                 acc = comps.get(mask)
                 comps[mask] = term if acc is None else acc + term
         return StemElement(self.n, comps)

@@ -10,15 +10,15 @@ Both operators of a pair come from one family and one stencil per entry.  On lif
 exercised by the cross-check suite.
 """
 
-import random
 import warnings
 from functools import reduce
 
 from .quaternion import Quaternion
 from .numeric import _global_derivative_pair, lift, tangential_derivative, \
     running_worst, DEFAULT_STEP, DEFAULT_BAND
-from .almansi import dirac_components, complement_indices, _neg_conj_value
-from .sampling import random_slice_point
+from .almansi import dirac_components, dirac_levels, complement_indices, \
+    _neg_conj_value
+from .sampling import _sample_points
 
 MAX_NUMERIC_INDEX = 3
 
@@ -73,21 +73,6 @@ def default_tolerance(m):
     """Default residual tolerance by operator depth: the index-1 operators
     nest one difference, deeper ones nest two or more."""
     return DEPTH1_TOL if m == 1 else DEPTH2_TOL
-
-
-def _sample_points(points, samples, seed, n):
-    """The given points, or ``samples`` seeded random admissible points.
-
-    An empty point set is refused: a verdict over no points shows nothing.
-    """
-    if points is None:
-        if samples < 1:
-            raise ValueError("samples must be at least 1, got %d" % samples)
-        rng = random.Random(seed)
-        points = [random_slice_point(rng, n) for _ in range(samples)]
-    if not points:
-        raise ValueError("no sample points given")
-    return points
 
 
 def _stem_magnitude(f):
@@ -160,14 +145,6 @@ def check_regularity_numeric(field, points=None, *, samples=20, seed=0,
     }
 
 
-def check_regularity(f, mode="symbolic", **kwargs):
-    if mode == "symbolic":
-        return check_regularity_symbolic(f)
-    if mode == "numeric":
-        return check_regularity_numeric(f, **kwargs)
-    raise ValueError("mode must be 'symbolic' or 'numeric'")
-
-
 def check_strong_sliceness(field, points=None, *, samples=5, seed=0, tol=1e-2):
     """Residuals of the sphere-tangential derivatives of every Dirac
     component: all must vanish for a (strongly) slice field.
@@ -178,9 +155,9 @@ def check_strong_sliceness(field, points=None, *, samples=5, seed=0, tol=1e-2):
     points = _sample_points(points, samples, seed, field.n)
     residuals = {}
     for p in points:
-        for m in range(1, field.n + 1):
-            # one family per point: its memo holds this point's stencils only
-            family = dirac_components(field, m)
+        # one recursion per point: its memos hold this point's stencils only
+        for family in dirac_levels(field, field.n):
+            m = family.level
             for mask in family.masks():
                 entry = family.entries[mask]
                 for h in range(1, m + 1):

@@ -1,0 +1,118 @@
+"""Each concept has one home: the degree cap is checked before any product
+is formed, unvalidated ring operations keep the stem invariants, the Dirac
+recursion runs once per sample point and the CLI accepts only the flags a
+command reads."""
+
+import random
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import helpers
+from qwirt.cli import main
+from qwirt.numeric import lift
+from qwirt.quaternion import ONE
+from qwirt.slicefn import StemPolynomial, variable, conj_variable
+from qwirt.stem import StemElement
+from qwirt.wirtinger import check_strong_sliceness
+
+
+def _degrees(f):
+    n = f.n
+    return [max((key[m] + key[n + m] for key in f.stem.terms), default=0)
+            for m in range(n)]
+
+
+def _revalidate(f):
+    """Rebuild f's stem through the validating constructor."""
+    return StemPolynomial(f.n, f.stem.terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(1, 3))
+def test_unvalidated_results_pass_validation(seed, n):
+    rng = random.Random(seed)
+    f = helpers.random_slice_polynomial(rng, n)
+    g = helpers.random_slice_polynomial(rng, n)
+    results = [f + g, f * g, f.conjugate()]
+    for m in range(1, n + 1):
+        results += [f.spherical_value(m), f.spherical_derivative(m),
+                    f.slice_partial(m), f.slice_partial_conj(m)]
+    for h in results:
+        assert _revalidate(h) == h.stem
+    assume(not f.is_zero() and not g.is_zero())
+    assert _degrees(f * g) == [a + b for a, b in zip(_degrees(f), _degrees(g))]
+
+
+class _CountStemProducts:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        inner = StemElement.__mul__
+
+        def counted(a, b):
+            self.calls += 1
+            return inner(a, b)
+
+        monkeypatch.setattr(StemElement, "__mul__", counted)
+
+
+def test_power_over_the_cap_is_refused_before_any_product(monkeypatch):
+    x = variable(1, 1)
+    counter = _CountStemProducts(monkeypatch)
+    with pytest.raises(ValueError, match="degree cap 32 exceeded in variable 1"):
+        x ** 40
+    assert counter.calls == 0
+
+
+def test_product_over_the_cap_is_refused_before_any_product(monkeypatch):
+    x = variable(1, 1)
+    a, b = x ** 20, x ** 13
+    counter = _CountStemProducts(monkeypatch)
+    with pytest.raises(ValueError, match="degree cap 32 exceeded in variable 1"):
+        a * b
+    assert counter.calls == 0
+
+
+def test_degree_cap_error_names_the_lowest_variable():
+    # the first term overflows variable 2, the second variable 1
+    terms = {(0, 33, 0, 0): StemElement(2, {0: ONE}),
+             (34, 0, 0, 0): StemElement(2, {0: ONE})}
+    with pytest.raises(ValueError, match="exceeded in variable 1"):
+        StemPolynomial(2, terms)
+
+
+@pytest.mark.parametrize("n, evaluations", [(2, 360), (3, 2988)])
+def test_strong_sliceness_runs_one_recursion_per_point(n, evaluations):
+    f = variable(n, 1) ** 2 * variable(n, 2) + conj_variable(n, 1) * variable(n, n) ** 2
+    field = lift(f)
+    points = []
+    inner = field.func
+
+    def counted(point):
+        points.append(tuple((q.w, q.x, q.y, q.z) for q in point))
+        return inner(point)
+
+    field.func = counted
+    check_strong_sliceness(field, samples=1, seed=3)
+    # every level extends the one before: no stencil point is evaluated twice
+    assert len(points) == evaluations
+    assert len(set(points)) == evaluations
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "x1", "--at", "i", "--samples", "3"],
+    ["eval", "x1", "--at", "i", "--seed", "3"],
+    ["eval", "x1", "--at", "i", "--tol", "1"],
+    ["eval", "x1", "--at", "i", "--fd-step", "0.1"],
+    ["eval", "x1", "--at", "i", "--fd-delta", "0.1"],
+    ["spherical", "x1", "--var", "1", "--kind", "value", "--samples", "3"],
+    ["spherical", "x1", "--var", "1", "--kind", "value", "--fd-step", "0.1"],
+    ["theta", "x1", "--m", "1", "--seed", "3"],
+    ["thetabar", "x1", "--m", "1", "--numeric", "--at", "i", "--tol", "1"],
+    ["thetabar", "x1", "--m", "1", "--samples", "3"],
+])
+def test_cli_refuses_flags_the_command_never_reads(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from qwirt.numeric import NumericField, lift
 from qwirt.wirtinger import (wirtinger_derivative, wirtinger_conj_derivative,
                              wirtinger_derivative_numeric,
                              wirtinger_conj_derivative_numeric,
-                             check_regularity, check_regularity_symbolic,
+                             check_regularity_symbolic,
                              check_regularity_numeric, check_strong_sliceness,
                              check_conjugation_identity, check_independence,
                              crosscheck)
@@ -98,7 +98,7 @@ def test_check_regularity_symbolic():
     report = check_regularity_symbolic(conj_variable(1, 1))
     assert report["verdict"] == "not-regular"
     assert report["failures"] == ["thetabar_1"]
-    assert check_regularity(constant(1, I))["verdict"] == "regular"
+    assert check_regularity_symbolic(constant(1, I))["verdict"] == "regular"
 
 
 def test_check_regularity_numeric_verdicts():
