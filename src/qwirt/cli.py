@@ -27,6 +27,16 @@ EXIT_ERROR = 2
 
 _FLAVORS = {"sp": "spherical", "a": "fueter", "gamma": "dirac"}
 
+# The default sample count and tolerance of each command's numeric suite; a
+# tolerance of None leaves the library's own.
+_SUITE_DEFAULTS = {"almansi": (20, 1e-4), "check-regular": (10, None),
+                   "check-slice": (5, 1e-2), "crosscheck": (10, None)}
+
+# Flags read by numeric runs only, as (Namespace attribute, flag).
+_NUMERIC_FLAGS = (("seed", "--seed"), ("samples", "--samples"), ("tol", "--tol"),
+                  ("fd_step", "--fd-step"), ("fd_delta", "--fd-delta"),
+                  ("at", "--at"))
+
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
@@ -35,10 +45,11 @@ def build_parser():
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
     stencil = argparse.ArgumentParser(add_help=False)
-    stencil.add_argument("--fd-step", type=float, default=DEFAULT_STEP,
-                         help="finite-difference step")
-    stencil.add_argument("--fd-delta", type=float, default=DEFAULT_BAND,
-                         help="exclusion band around the real axes")
+    stencil.add_argument("--fd-step", type=float, default=None,
+                         help="finite-difference step (default: %g)" % DEFAULT_STEP)
+    stencil.add_argument("--fd-delta", type=float, default=None,
+                         help="exclusion band around the real axes "
+                              "(default: %g)" % DEFAULT_BAND)
 
     suite = argparse.ArgumentParser(add_help=False)
     suite.add_argument("--seed", type=int, default=None,
@@ -96,11 +107,51 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
+def _shared_parser():
+    """The parser of every ``main`` call in this process, built on the first."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    return _parser
+
+
 def _resolve_seed(args):
     if args.seed is not None:
         return args.seed
     env = os.environ.get("QWIRT_SEED")
     return int(env) if env else 0
+
+
+def _resolve_numeric(args):
+    """Fill in the defaults of a numeric run's flags.  A symbolic run given
+    any of them would ignore it, so it is refused before any work."""
+    if args.command in ("eval", "spherical"):
+        return
+    if args.command == "almansi":
+        numeric, mode = args.flavor != "sp", "almansi --flavor sp"
+    else:
+        numeric = getattr(args, "numeric", True)
+        mode = "%s without --numeric" % args.command
+    if not numeric:
+        given = [flag for dest, flag in _NUMERIC_FLAGS
+                 if getattr(args, dest, None) is not None]
+        if given:
+            raise ValueError("%s ignores %s" % (mode, ", ".join(given)))
+        return
+    if args.fd_step is None:
+        args.fd_step = DEFAULT_STEP
+    if args.fd_delta is None:
+        args.fd_delta = DEFAULT_BAND
+    if args.command in _SUITE_DEFAULTS:
+        samples, tol = _SUITE_DEFAULTS[args.command]
+        args.seed = _resolve_seed(args)
+        if args.samples is None:
+            args.samples = samples
+        if args.tol is None:
+            args.tol = tol
 
 
 def _parse_point(text, n):
@@ -189,7 +240,6 @@ def _cmd_spherical(args):
 def _cmd_almansi(args):
     f, n = _load(args)
     flavor = _FLAVORS[args.flavor]
-    seed = _resolve_seed(args)
     if flavor == "spherical":
         family = spherical_components(f, args.level)
         exact = reconstruct_symbolic(family) == f
@@ -203,11 +253,9 @@ def _cmd_almansi(args):
         }
         _emit(report, args.format)
         return EXIT_OK if exact else EXIT_FAIL
-    samples = args.samples if args.samples is not None else 20
-    points = _sample_points(None, samples, seed, n)
+    points = _sample_points(None, args.samples, args.seed, n)
     field = _lift(f, args)
     components = fueter_components if flavor == "fueter" else dirac_components
-    tol = args.tol if args.tol is not None else 1e-4
     worst = 0.0
     for p in points:
         # one family per point: its memo holds this point's stencils only
@@ -217,20 +265,18 @@ def _cmd_almansi(args):
         "level": args.level,
         "flavor": args.flavor,
         "entries": {str(mask): "numeric" for mask in family.masks()},
-        "reconstruction_residuals": {"max_residual": worst, "tolerance": tol,
-                                     "samples": samples, "seed": seed},
+        "reconstruction_residuals": {"max_residual": worst, "tolerance": args.tol,
+                                     "samples": args.samples, "seed": args.seed},
     }
     _emit(report, args.format)
-    return EXIT_OK if worst < tol else EXIT_FAIL
+    return EXIT_OK if worst < args.tol else EXIT_FAIL
 
 
 def _cmd_check_regular(args):
     f, _ = _load(args)
-    seed = _resolve_seed(args)
     if args.numeric:
-        samples = args.samples if args.samples is not None else 10
         report = wirtinger.check_regularity_numeric(
-            _lift(f, args), samples=samples, seed=seed, tol=args.tol,
+            _lift(f, args), samples=args.samples, seed=args.seed, tol=args.tol,
             slice_established=True)
     else:
         report = wirtinger.check_regularity_symbolic(f)
@@ -240,25 +286,21 @@ def _cmd_check_regular(args):
 
 def _cmd_check_slice(args):
     f, _ = _load(args)
-    seed = _resolve_seed(args)
-    samples = args.samples if args.samples is not None else 5
-    tol = args.tol if args.tol is not None else 1e-2
-    report = wirtinger.check_strong_sliceness(_lift(f, args), samples=samples,
-                                              seed=seed, tol=tol)
+    report = wirtinger.check_strong_sliceness(_lift(f, args), samples=args.samples,
+                                              seed=args.seed, tol=args.tol)
     _emit(report, args.format)
     return EXIT_OK if report["verdict"] else EXIT_FAIL
 
 
 def _cmd_crosscheck(args):
     f, n = _load(args)
-    seed = _resolve_seed(args)
-    samples = args.samples if args.samples is not None else 10
     indices = [args.m] if args.m else list(range(1, min(n, 2) + 1))
     reports = []
     ok = True
     for m in indices:
-        rep = wirtinger.crosscheck(f, m, samples=samples, seed=seed, tol=args.tol,
-                                   step=args.fd_step, band=args.fd_delta)
+        rep = wirtinger.crosscheck(f, m, samples=args.samples, seed=args.seed,
+                                   tol=args.tol, step=args.fd_step,
+                                   band=args.fd_delta)
         reports.append(rep)
         ok = ok and rep["verdict"]
     _emit({"records": reports, "verdict": ok}, args.format)
@@ -276,21 +318,23 @@ _ERROR_TYPES = (
 )
 
 
+_HANDLERS = {
+    "eval": _cmd_eval,
+    "theta": lambda a: _cmd_wirtinger(a, conj=False),
+    "thetabar": lambda a: _cmd_wirtinger(a, conj=True),
+    "spherical": _cmd_spherical,
+    "almansi": _cmd_almansi,
+    "check-regular": _cmd_check_regular,
+    "check-slice": _cmd_check_slice,
+    "crosscheck": _cmd_crosscheck,
+}
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "eval": _cmd_eval,
-        "theta": lambda a: _cmd_wirtinger(a, conj=False),
-        "thetabar": lambda a: _cmd_wirtinger(a, conj=True),
-        "spherical": _cmd_spherical,
-        "almansi": _cmd_almansi,
-        "check-regular": _cmd_check_regular,
-        "check-slice": _cmd_check_slice,
-        "crosscheck": _cmd_crosscheck,
-    }
+    args = _shared_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        _resolve_numeric(args)
+        return _HANDLERS[args.command](args)
     except Exception as exc:  # mapped to a machine-readable report
         for klass, label in _ERROR_TYPES:
             if isinstance(exc, klass):

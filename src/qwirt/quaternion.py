@@ -13,6 +13,9 @@ from fractions import Fraction
 
 _EXACT_TYPES = (int, Fraction)
 _SCALAR_TYPES = (int, float, Fraction)
+# Component types of a product that runs on integer numerators; exact types
+# only, so a subclass (bool, a float subclass) takes the plain path.
+_NUMERATOR_TYPES = frozenset(_EXACT_TYPES)
 
 
 class RealArgumentError(ValueError):
@@ -24,7 +27,10 @@ def hamilton(p, q):
 
     ``Quaternion.__mul__`` and the compiled stem evaluator of ``slicefn``
     both call this, so the two share one operation order and agree bit for
-    bit.
+    bit.  When the factors are exact and hold a ``Fraction``, ``__mul__``
+    passes the integer numerators of each factor over its common
+    denominator, so the 16 products and 12 sums here are int operations and
+    only the four results are reduced to lowest terms.
     """
     a, b, c, d = p
     e, f, g, h = q
@@ -34,8 +40,23 @@ def hamilton(p, q):
             a * h + b * g - c * f + d * e)
 
 
+def _over_common_denominator(comps):
+    """Integer numerators of exact components over their least common
+    denominator, and that denominator."""
+    d = math.lcm(*[c.denominator for c in comps])
+    return [c.numerator * (d // c.denominator) for c in comps], d
+
+
 class Quaternion:
-    """A quaternion w + x*i + y*j + z*k."""
+    """A quaternion w + x*i + y*j + z*k.
+
+    The product of two exact quaternions, every component an ``int`` or a
+    ``Fraction`` and at least one a ``Fraction``, has the ``Fraction``
+    components of Hamilton's product over ``Fraction``, computed on integer
+    numerators.  Any other product (all ``int``, or a float anywhere) calls
+    ``hamilton`` on the components as they are, so component types are
+    those of the plain product in every case.
+    """
 
     __slots__ = ("w", "x", "y", "z")
 
@@ -106,8 +127,15 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion(*hamilton((self.w, self.x, self.y, self.z),
-                                        (other.w, other.x, other.y, other.z)))
+            p = (self.w, self.x, self.y, self.z)
+            q = (other.w, other.x, other.y, other.z)
+            kinds = set(map(type, p + q))
+            if Fraction not in kinds or not kinds <= _NUMERATOR_TYPES:
+                return Quaternion(*hamilton(p, q))
+            p, dp = _over_common_denominator(p)
+            q, dq = _over_common_denominator(q)
+            d = dp * dq
+            return Quaternion(*[Fraction(v, d) for v in hamilton(p, q)])
         if isinstance(other, _SCALAR_TYPES):
             return Quaternion(self.w * other, self.x * other,
                               self.y * other, self.z * other)

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import qwirt
+from qwirt import cli
 from qwirt.cli import main
 
 
@@ -146,3 +153,50 @@ def test_env_seed_fallback(capsys, monkeypatch):
     _, out2 = run(capsys, "check-regular", "x1", "--numeric", "--samples", "2")
     assert json.loads(out1)["seed"] == 7
     assert json.loads(out2)["seed"] == 8
+
+
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    run(capsys, "eval", "x1*x2", "--at", "i;j")
+    run(capsys, "theta", "--m", "1", "x1^2", "--numeric", "--at", "1+2i")
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_new_parser_each_time():
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    assert first.parse_args(["eval", "x1", "--at", "i"]).at == "i"
+
+
+def test_usage_error_leaves_the_shared_parser_intact(capsys):
+    argv = ["eval", "x1*x2+~x1", "--at", "1+i;j", "--n", "2"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "x1", "--at", "i", "--samples", "3"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    code, out = run(capsys, *argv)
+    assert code == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwirt.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh = subprocess.run([sys.executable, "-m", "qwirt.cli"] + argv, env=env,
+                           capture_output=True, text=True, check=False)
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+
+
+def test_negative_point_attaches_to_at(capsys):
+    code, report = run_json(capsys, "eval", "x1", "--at=-1+i")
+    assert code == 0
+    assert report["value"] == "-1+i"
+    # a separate value starting with '-' reads as a flag: argparse refuses it
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--at", "-1+i", "x1"])
+    assert exit_info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err

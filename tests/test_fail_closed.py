@@ -110,6 +110,52 @@ def test_non_finite_field_value_fails_checkers(seed, count, index, bad):
     assert not math.isfinite(report["max_residual"])
 
 
+# -- numeric flags on symbolic runs -----------------------------------------------
+
+
+def _refused_before_any_work(capsys, monkeypatch, argv):
+    monkeypatch.setattr("qwirt.cli._load", lambda args: pytest.fail("work began"))
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["error"]["type"] == "value"
+    return report["error"]["message"]
+
+
+@pytest.mark.parametrize("flags", [
+    ("--samples", "0", "--tol", "-1", "--fd-step", "nan"),
+    ("--seed", "3"), ("--samples", "4"), ("--tol", "1e-3"),
+    ("--fd-step", "1e-3"), ("--fd-delta", "0.1"),
+])
+def test_symbolic_check_regular_refuses_numeric_flags(capsys, monkeypatch, flags):
+    message = _refused_before_any_work(capsys, monkeypatch,
+                                       ("check-regular", "x1") + flags)
+    assert message.startswith("check-regular without --numeric ignores ")
+    assert all(flag in message for flag in flags if flag.startswith("--"))
+
+
+@pytest.mark.parametrize("flags", [
+    ("--samples", "0", "--tol", "-1"),
+    ("--seed", "3"), ("--samples", "4"), ("--tol", "1e-3"),
+    ("--fd-step", "1e-3"), ("--fd-delta", "0.1"),
+])
+def test_spherical_almansi_refuses_numeric_flags(capsys, monkeypatch, flags):
+    message = _refused_before_any_work(
+        capsys, monkeypatch, ("almansi", "--flavor", "sp", "--level", "1", "x1") + flags)
+    assert message.startswith("almansi --flavor sp ignores ")
+    assert all(flag in message for flag in flags if flag.startswith("--"))
+
+
+@pytest.mark.parametrize("command", ["theta", "thetabar"])
+@pytest.mark.parametrize("flags", [
+    ("--fd-step", "nan"), ("--fd-delta", "0.1"), ("--at", "1+i"),
+])
+def test_symbolic_wirtinger_refuses_numeric_flags(capsys, monkeypatch, command,
+                                                  flags):
+    message = _refused_before_any_work(capsys, monkeypatch,
+                                       (command, "--m", "1", "x1") + flags)
+    assert message == "%s without --numeric ignores %s" % (command, flags[0])
+
+
 # -- empty sample sets ----------------------------------------------------------
 
 

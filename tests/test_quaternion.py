@@ -4,12 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qwirt import quaternion
 from qwirt.quaternion import (Quaternion, RealArgumentError, parse_quaternion,
                               format_quaternion, coordinate, replace_coordinate,
-                              ONE, I, J, K)
+                              hamilton, ONE, I, J, K)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 quaternions = st.builds(Quaternion, rationals, rationals, rationals, rationals)
+# ints and Fractions side by side, zeros and negatives included
+exact_scalars = st.one_of(st.just(0), st.integers(-50, 50),
+                          st.fractions(min_value=-50, max_value=50,
+                                       max_denominator=60))
+exact_quaternions = st.builds(Quaternion, exact_scalars, exact_scalars,
+                              exact_scalars, exact_scalars)
 
 
 def test_multiplication_table():
@@ -119,3 +126,53 @@ def test_parse_examples():
 @given(quaternions)
 def test_literal_round_trip(q):
     assert parse_quaternion(format_quaternion(q)) == q
+
+
+@given(exact_quaternions, exact_quaternions)
+def test_exact_product_is_hamilton_over_fractions(a, b):
+    want = hamilton(tuple(map(Fraction, a.components())),
+                    tuple(map(Fraction, b.components())))
+    got = (a * b).components()
+    assert got == want
+    assert [str(c) for c in got] == [str(c) for c in want]
+    assert str(a * b) == format_quaternion(Quaternion(*want))
+
+
+@pytest.fixture
+def hamilton_calls(monkeypatch):
+    """The operands of every ``hamilton`` call that products make."""
+    calls = []
+
+    def recording(p, q):
+        calls.append((tuple(p), tuple(q)))
+        return hamilton(p, q)
+
+    monkeypatch.setattr(quaternion, "hamilton", recording)
+    return calls
+
+
+@pytest.mark.parametrize("a, b", [
+    (Quaternion(0.5, -1.25, 2.0, 0.1), Quaternion(-3.0, 0.5, 1.25, -2.0)),
+    (Quaternion(Fraction(1, 3), 2, 0, -1), Quaternion(0.5, 0, Fraction(1, 7), 3)),
+    (Quaternion(1, 0.0, 0, 0), Quaternion(Fraction(2, 3), -1, 1, 1)),
+    (Quaternion(-0.0, 1.0, 0.0, 0.0), Quaternion(0.0, 0.0, -1.0, 0.0)),
+    (Quaternion(1, -2, 0, 3), Quaternion(0, 4, -1, 1)),
+])
+def test_float_and_int_products_call_hamilton_on_the_components(a, b,
+                                                               hamilton_calls):
+    got = (a * b).components()
+    assert hamilton_calls == [(a.components(), b.components())]
+    # repr tells 1 from 1.0 and -0.0 from 0.0: types and bits are unchanged
+    want = hamilton(a.components(), b.components())
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
+def test_exact_products_run_on_integer_numerators(hamilton_calls):
+    a = Quaternion(Fraction(1, 2), 0, Fraction(-2, 3), 1)
+    b = Quaternion(3, Fraction(1, 4), 0, -5)
+    got = (a * b).components()
+    [(p, q)] = hamilton_calls
+    assert [type(c) for c in p + q] == [int] * 8
+    assert all(type(c) is Fraction for c in got)
+    assert got == hamilton(tuple(map(Fraction, a.components())),
+                           tuple(map(Fraction, b.components())))
