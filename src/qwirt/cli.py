@@ -118,13 +118,6 @@ def _shared_parser():
     return _parser
 
 
-def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QWIRT_SEED")
-    return int(env) if env else 0
-
-
 def _resolve_numeric(args):
     """Fill in the defaults of a numeric run's flags.  A symbolic run given
     any of them would ignore it, so it is refused before any work."""
@@ -147,7 +140,9 @@ def _resolve_numeric(args):
         args.fd_delta = DEFAULT_BAND
     if args.command in _SUITE_DEFAULTS:
         samples, tol = _SUITE_DEFAULTS[args.command]
-        args.seed = _resolve_seed(args)
+        if args.seed is None:
+            env = os.environ.get("QWIRT_SEED")
+            args.seed = int(env) if env else 0
         if args.samples is None:
             args.samples = samples
         if args.tol is None:
