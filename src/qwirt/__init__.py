@@ -16,7 +16,8 @@ from .numeric import (NumericField, lift, coordinate_partial, euler_operator,
                       laplacian, NearRealAxisError, DepthExhaustedError)
 from .almansi import (ComponentFamily, spherical_components, fueter_components,
                       dirac_components, reconstruct, reconstruct_symbolic,
-                      check_uniqueness, truncated_spherical, check_zonal)
+                      check_uniqueness, truncated_spherical, check_zonal,
+                      check_reconstruction)
 from .wirtinger import (wirtinger_derivative, wirtinger_conj_derivative,
                         wirtinger_derivative_numeric,
                         wirtinger_conj_derivative_numeric,

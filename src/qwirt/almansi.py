@@ -25,8 +25,8 @@ from .stem import bit, mask_indices
 from .slicefn import SliceFunction, constant, variable, conj_variable
 from .numeric import (fueter_derivative_field, spherical_dirac_field,
                       multiply_by_variable, div_by_twice_im, negate_field,
-                      running_worst)
-from .sampling import respin_units
+                      running_worst, sweep, report_tail)
+from .sampling import respin_units, _sample_points
 
 FLAVOR_SPHERICAL = "spherical"
 FLAVOR_FUETER = "fueter"
@@ -79,6 +79,23 @@ def _check_level(obj_n, level):
         raise ValueError("level %d out of range 1..%d" % (level, obj_n))
 
 
+def _component_levels(flavor, f, level, times_variable, derivative):
+    """Yield the families of levels 1..``level`` of one recursion from f.
+    The entry g on subset K one level down gives ``derivative(g, m)`` on K
+    and ``derivative(times_variable(m)(g), m)`` on K | {m} of level m, where
+    ``times_variable(m)`` maps g to x_m * g."""
+    _check_level(f.n, level)
+    entries = {0: f}
+    for m in range(1, level + 1):
+        times_xm = times_variable(m)
+        nxt = {}
+        for mask, g in entries.items():
+            nxt[mask] = derivative(g, m)
+            nxt[mask | bit(m)] = derivative(times_xm(g), m)
+        entries = nxt
+        yield ComponentFamily(flavor, m, f.n, entries)
+
+
 def spherical_components(f, level):
     """Exact symbolic family by the spherical-derivative recursion.
 
@@ -88,43 +105,23 @@ def spherical_components(f, level):
     meeting {1..m}, hence are constant on the product spheres of the first
     m coordinates.
     """
-    _check_level(f.n, level)
-    entries = {0: f}
-    for m in range(1, level + 1):
-        xm = variable(f.n, m)
-        nxt = {}
-        for mask, g in entries.items():
-            nxt[mask] = g.spherical_derivative(m)
-            nxt[mask | bit(m)] = (xm * g).spherical_derivative(m)
-        entries = nxt
-    return ComponentFamily(FLAVOR_SPHERICAL, level, f.n, entries)
+    return list(_component_levels(
+        FLAVOR_SPHERICAL, f, level, lambda m: variable(f.n, m).__mul__,
+        lambda g, m: g.spherical_derivative(m)))[-1]
 
 
-def _shared_view(field):
-    """A memoizing cost-0 view of the caller's field: sibling entries built
-    from it share its stencil evaluations, and the caller's field itself
-    keeps no state."""
-    return field.derived(field, cost=0, step=field.step)
-
-
-def _numeric_components(flavor, derivative, field, level):
-    """Yield the families of levels 1..``level`` of one recursion of nested
-    ``derivative(g, m)`` steps: the entry on K | {m} differentiates x_m * g
-    where the entry on K differentiates g."""
-    _check_level(field.n, level)
-    entries = {0: _shared_view(field)}
-    for m in range(1, level + 1):
-        nxt = {}
-        for mask, g in entries.items():
-            nxt[mask] = derivative(g, m)
-            nxt[mask | bit(m)] = derivative(multiply_by_variable(g, m), m)
-        entries = nxt
-        yield ComponentFamily(flavor, m, field.n, entries)
+def _numeric_levels(flavor, derivative, field, level):
+    """The levels of a numeric recursion from a memoizing cost-0 view of the
+    caller's field: sibling entries share its stencil evaluations, and the
+    caller's field keeps no state."""
+    return _component_levels(
+        flavor, field.derived(field, cost=0, step=field.step), level,
+        lambda m: lambda g: multiply_by_variable(g, m), derivative)
 
 
 def fueter_components(field, level):
     """Numeric family by nested negated Cauchy-Riemann-Fueter derivatives."""
-    return list(_numeric_components(
+    return list(_numeric_levels(
         FLAVOR_FUETER, lambda g, m: negate_field(fueter_derivative_field(g, m)),
         field, level))[-1]
 
@@ -132,7 +129,7 @@ def fueter_components(field, level):
 def dirac_levels(field, level):
     """Yield the Dirac families of levels 1..``level``, each built from the
     entries of the one before."""
-    return _numeric_components(
+    return _numeric_levels(
         FLAVOR_DIRAC, lambda g, m: div_by_twice_im(spherical_dirac_field(g, m), m),
         field, level)
 
@@ -197,12 +194,10 @@ def check_uniqueness(f, candidate):
         raise ValueError("uniqueness checking needs a symbolic family")
     window = (1 << candidate.level) - 1
     for mask, entry in candidate.entries.items():
-        for elem in entry.stem.terms.values():
-            for cmask in elem.components:
-                if cmask & window:
-                    raise ValueError("candidate entry %r is not constant on the "
-                                     "first %d spheres" % (mask_indices(mask),
-                                                           candidate.level))
+        if any(cmask & window for _, cmask, _ in entry.stem.coefficients()):
+            raise ValueError("candidate entry %r is not constant on the "
+                             "first %d spheres" % (mask_indices(mask),
+                                                   candidate.level))
     reconstructs = reconstruct_symbolic(candidate) == f
     reference = spherical_components(f, candidate.level)
     matches = all(candidate.entries[mask] == reference.entries[mask]
@@ -230,14 +225,37 @@ def truncated_spherical(f, selectors):
 def check_zonal(family, point, rotations=8, rng=None, seed=0):
     """Deviation of each entry under random unit rotations of the first
     ``level`` coordinates, keeping all real parts and imaginary radii."""
+    if rotations < 1:
+        raise ValueError("rotations must be at least 1, got %d" % rotations)
     rng = rng if rng is not None else random.Random(seed)
     base = {mask: family.entry_value(mask, point) for mask in family.masks()}
-    per_entry = {mask: 0.0 for mask in family.masks()}
-    for _ in range(rotations):
-        rotated = respin_units(rng, point, family.level)
-        for mask in family.masks():
-            dev = abs(family.entry_value(mask, rotated) - base[mask])
-            per_entry[mask] = running_worst(per_entry[mask], dev)
+    # drawn one at a time, as the sweep reaches them
+    rotated = (respin_units(rng, point, family.level) for _ in range(rotations))
+    per_entry = sweep(rotated, lambda p: (
+        (mask, abs(family.entry_value(mask, p) - base[mask]))
+        for mask in family.masks()))
     return {"rotations": rotations,
             "max_deviation": reduce(running_worst, per_entry.values(), 0.0),
             "per_entry": per_entry}
+
+
+def check_reconstruction(field, flavor, level, points=None, *, samples=20,
+                         seed=0, tol=1e-4):
+    """Worst deviation of the ``flavor`` family's reconstruction from the
+    field over sampled admissible points; ``flavor`` is ``fueter`` or
+    ``dirac``."""
+    components = {FLAVOR_FUETER: fueter_components,
+                  FLAVOR_DIRAC: dirac_components}.get(flavor)
+    if components is None:
+        raise ValueError("numeric reconstruction needs flavor %r or %r, got %r"
+                         % (FLAVOR_FUETER, FLAVOR_DIRAC, flavor))
+    points = _sample_points(points, samples, seed, field.n)
+
+    def residual(p):
+        # one family per point: its memo holds this point's stencils only
+        family = components(field, level)
+        yield "reconstruction", abs(reconstruct(family, p) - field(p))
+
+    residuals = sweep(points, residual)
+    return {"flavor": flavor, "level": level,
+            **report_tail(residuals.values(), tol, points, seed)}

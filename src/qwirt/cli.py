@@ -14,11 +14,10 @@ import sys
 from .quaternion import parse_quaternion, format_quaternion, RealArgumentError
 from .expr import parse, lower, max_variable_index, ExpressionSyntaxError, ArityError
 from .slicefn import format_slice
-from .numeric import lift, running_worst, NearRealAxisError, \
-    DepthExhaustedError, DEFAULT_STEP, DEFAULT_BAND
-from .almansi import (spherical_components, fueter_components, dirac_components,
-                      reconstruct, reconstruct_symbolic)
-from .sampling import _sample_points
+from .numeric import lift, NearRealAxisError, DepthExhaustedError, \
+    DEFAULT_STEP, DEFAULT_BAND
+from .almansi import spherical_components, reconstruct_symbolic, \
+    check_reconstruction
 from . import wirtinger
 
 EXIT_OK = 0
@@ -27,15 +26,14 @@ EXIT_ERROR = 2
 
 _FLAVORS = {"sp": "spherical", "a": "fueter", "gamma": "dirac"}
 
-# The default sample count and tolerance of each command's numeric suite; a
-# tolerance of None leaves the library's own.
-_SUITE_DEFAULTS = {"almansi": (20, 1e-4), "check-regular": (10, None),
-                   "check-slice": (5, 1e-2), "crosscheck": (10, None)}
-
 # Flags read by numeric runs only, as (Namespace attribute, flag).
 _NUMERIC_FLAGS = (("seed", "--seed"), ("samples", "--samples"), ("tol", "--tol"),
                   ("fd_step", "--fd-step"), ("fd_delta", "--fd-delta"),
                   ("at", "--at"))
+
+# Library keyword of each stencil and sampling flag's Namespace attribute.
+_STENCIL = {"step": "fd_step", "band": "fd_delta"}
+_SAMPLING = {"samples": "samples", "seed": "seed", "tol": "tol"}
 
 
 def build_parser():
@@ -119,8 +117,9 @@ def _shared_parser():
 
 
 def _resolve_numeric(args):
-    """Fill in the defaults of a numeric run's flags.  A symbolic run given
-    any of them would ignore it, so it is refused before any work."""
+    """Refuse the numeric flags of a symbolic run, which would ignore them,
+    before any work; a numeric suite run without ``--seed`` reads
+    ``QWIRT_SEED``.  Every other default is the library's."""
     if args.command in ("eval", "spherical"):
         return
     if args.command == "almansi":
@@ -134,19 +133,16 @@ def _resolve_numeric(args):
         if given:
             raise ValueError("%s ignores %s" % (mode, ", ".join(given)))
         return
-    if args.fd_step is None:
-        args.fd_step = DEFAULT_STEP
-    if args.fd_delta is None:
-        args.fd_delta = DEFAULT_BAND
-    if args.command in _SUITE_DEFAULTS:
-        samples, tol = _SUITE_DEFAULTS[args.command]
-        if args.seed is None:
-            env = os.environ.get("QWIRT_SEED")
-            args.seed = int(env) if env else 0
-        if args.samples is None:
-            args.samples = samples
-        if args.tol is None:
-            args.tol = tol
+    env = os.environ.get("QWIRT_SEED")
+    if "seed" in vars(args) and args.seed is None and env:
+        args.seed = int(env)
+
+
+def _given(args, keywords):
+    """The library keyword arguments of the flags given on the command line,
+    from a map of keyword to Namespace attribute."""
+    return {keyword: getattr(args, dest) for keyword, dest in keywords.items()
+            if getattr(args, dest) is not None}
 
 
 def _parse_point(text, n):
@@ -170,7 +166,7 @@ def _load(args):
 
 
 def _lift(f, args):
-    return lift(f, step=args.fd_step, band=args.fd_delta)
+    return lift(f, **_given(args, _STENCIL))
 
 
 def _emit(report, fmt):
@@ -233,7 +229,7 @@ def _cmd_spherical(args):
 
 
 def _cmd_almansi(args):
-    f, n = _load(args)
+    f, _ = _load(args)
     flavor = _FLAVORS[args.flavor]
     if flavor == "spherical":
         family = spherical_components(f, args.level)
@@ -248,31 +244,25 @@ def _cmd_almansi(args):
         }
         _emit(report, args.format)
         return EXIT_OK if exact else EXIT_FAIL
-    points = _sample_points(None, args.samples, args.seed, n)
-    field = _lift(f, args)
-    components = fueter_components if flavor == "fueter" else dirac_components
-    worst = 0.0
-    for p in points:
-        # one family per point: its memo holds this point's stencils only
-        family = components(field, args.level)
-        worst = running_worst(worst, abs(reconstruct(family, p) - field(p)))
+    result = check_reconstruction(_lift(f, args), flavor, args.level,
+                                  **_given(args, _SAMPLING))
     report = {
         "level": args.level,
         "flavor": args.flavor,
-        "entries": {str(mask): "numeric" for mask in family.masks()},
-        "reconstruction_residuals": {"max_residual": worst, "tolerance": args.tol,
-                                     "samples": args.samples, "seed": args.seed},
+        "entries": {str(mask): "numeric" for mask in range(1 << args.level)},
+        "reconstruction_residuals": {key: result[key] for key in
+                                     ("max_residual", "tolerance", "samples",
+                                      "seed")},
     }
     _emit(report, args.format)
-    return EXIT_OK if worst < args.tol else EXIT_FAIL
+    return EXIT_OK if result["verdict"] else EXIT_FAIL
 
 
 def _cmd_check_regular(args):
     f, _ = _load(args)
     if args.numeric:
         report = wirtinger.check_regularity_numeric(
-            _lift(f, args), samples=args.samples, seed=args.seed, tol=args.tol,
-            slice_established=True)
+            _lift(f, args), slice_established=True, **_given(args, _SAMPLING))
     else:
         report = wirtinger.check_regularity_symbolic(f)
     _emit(report, args.format)
@@ -281,23 +271,18 @@ def _cmd_check_regular(args):
 
 def _cmd_check_slice(args):
     f, _ = _load(args)
-    report = wirtinger.check_strong_sliceness(_lift(f, args), samples=args.samples,
-                                              seed=args.seed, tol=args.tol)
+    report = wirtinger.check_strong_sliceness(_lift(f, args),
+                                              **_given(args, _SAMPLING))
     _emit(report, args.format)
     return EXIT_OK if report["verdict"] else EXIT_FAIL
 
 
 def _cmd_crosscheck(args):
     f, n = _load(args)
-    indices = [args.m] if args.m else list(range(1, min(n, 2) + 1))
-    reports = []
-    ok = True
-    for m in indices:
-        rep = wirtinger.crosscheck(f, m, samples=args.samples, seed=args.seed,
-                                   tol=args.tol, step=args.fd_step,
-                                   band=args.fd_delta)
-        reports.append(rep)
-        ok = ok and rep["verdict"]
+    indices = [args.m] if args.m is not None else range(1, min(n, 2) + 1)
+    options = _given(args, {**_STENCIL, **_SAMPLING})
+    reports = [wirtinger.crosscheck(f, m, **options) for m in indices]
+    ok = all(rep["verdict"] for rep in reports)
     _emit({"records": reports, "verdict": ok}, args.format)
     return EXIT_OK if ok else EXIT_FAIL
 

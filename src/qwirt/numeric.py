@@ -12,6 +12,8 @@ are applied exactly in the displayed order; with noncommuting values the
 order is load-bearing.
 """
 
+from functools import reduce
+
 from .quaternion import Quaternion, I, J, K, coordinate, replace_coordinate
 
 DEFAULT_STEP = 1e-3
@@ -47,6 +49,8 @@ class NumericField:
 
     def __init__(self, func, n, smoothness=DEFAULT_SMOOTHNESS,
                  step=DEFAULT_STEP, band=DEFAULT_BAND):
+        if not n >= 1:
+            raise ValueError("a field needs at least one variable, got n=%d" % n)
         self.func = func
         self.n = n
         self.smoothness = smoothness
@@ -90,6 +94,25 @@ def running_worst(worst, residual):
     ``residual < tol`` test then fails.
     """
     return residual if residual > worst or residual != residual else worst
+
+
+def sweep(points, residuals):
+    """The worst residual of each key over the points: the one loop over
+    sample points of every suite.  ``residuals(point)`` yields ``(key,
+    residual)`` pairs; keys keep the order in which they first appear."""
+    worst = {}
+    for point in points:
+        for key, residual in residuals(point):
+            worst[key] = running_worst(worst.get(key, 0.0), residual)
+    return worst
+
+
+def report_tail(residuals, tol, points, seed):
+    """The closing keys of a suite report: the worst of ``residuals``, the
+    tolerance, the sample count and seed, and whether the worst passed."""
+    worst = reduce(running_worst, residuals, 0.0)
+    return {"max_residual": worst, "tolerance": tol, "samples": len(points),
+            "seed": seed, "verdict": worst < tol}
 
 
 def _check_var(field, m):

@@ -95,6 +95,13 @@ class StemPolynomial:
     def is_zero(self):
         return not self.terms
 
+    def coefficients(self):
+        """Yield ``(key, mask, coeff)`` for every nonzero coefficient: the
+        exponent key, the subset mask and the quaternion on that subset."""
+        for key, elem in self.terms.items():
+            for mask, coeff in elem.components.items():
+                yield key, mask, coeff
+
     def _check_compatible(self, other):
         if not isinstance(other, StemPolynomial):
             raise TypeError("expected a StemPolynomial")
@@ -244,15 +251,12 @@ def _compile_stem(stem):
     n = stem.n
     compiled = []
     plan = set()
-    for key, elem in stem.terms.items():
-        comps = []
-        for mask, coeff in elem.components.items():
-            comps.append((mask, coeff.to_float().components()))
-            while mask & (mask - 1):
-                low = mask & -mask
-                plan.add((mask, low, mask & ~low))
-                mask &= ~low
-        compiled.append((key[:n], key[n:], comps))
+    for key, mask, coeff in stem.coefficients():
+        compiled.append((key[:n], key[n:], mask, coeff.to_float().components()))
+        while mask & (mask - 1):
+            low = mask & -mask
+            plan.add((mask, low, mask & ~low))
+            mask &= ~low
     plan = sorted(plan)
 
     def evaluate_parts(alphas, betas, units):
@@ -262,7 +266,7 @@ def _compile_stem(stem):
         for mask, low, rest in plan:
             prods[mask] = hamilton(prods[low], prods[rest])
         tw = tx = ty = tz = 0.0
-        for aexps, bexps, comps in compiled:
+        for aexps, bexps, mask, coeff in compiled:
             scalar = 1.0
             for m in range(n):
                 if aexps[m]:
@@ -271,12 +275,11 @@ def _compile_stem(stem):
                     scalar *= betas[m] ** bexps[m]
             if scalar == 0.0:
                 continue
-            for mask, coeff in comps:
-                pw, px, py, pz = hamilton(prods[mask], coeff)
-                tw = tw + pw * scalar
-                tx = tx + px * scalar
-                ty = ty + py * scalar
-                tz = tz + pz * scalar
+            pw, px, py, pz = hamilton(prods[mask], coeff)
+            tw = tw + pw * scalar
+            tx = tx + px * scalar
+            ty = ty + py * scalar
+            tz = tz + pz * scalar
         return Quaternion(tw, tx, ty, tz)
 
     return evaluate_parts
@@ -396,11 +399,8 @@ class SliceFunction:
         self._check_var(m)
         lower = (1 << (m - 1)) - 1
         hb = 1 << (m - 1)
-        for elem in self.stem.terms.values():
-            for mask in elem.components:
-                if mask & hb and mask & lower:
-                    return False
-        return True
+        return not any(mask & hb and mask & lower
+                       for _, mask, _ in self.stem.coefficients())
 
     def slice_partial(self, m):
         """Slice partial derivative w.r.t. x_m."""
@@ -423,13 +423,11 @@ class SliceFunction:
 
     def depends_only_on(self, first):
         """True when no exponent or subset touches a variable below ``first``."""
-        for key, elem in self.stem.terms.items():
-            for m in range(1, first):
-                if key[m - 1] or key[self.n + m - 1]:
-                    return False
-            for mask in elem.components:
-                if mask & ((1 << (first - 1)) - 1):
-                    return False
+        lower = (1 << (first - 1)) - 1
+        for key, mask, _ in self.stem.coefficients():
+            if mask & lower or any(key[m - 1] or key[self.n + m - 1]
+                                   for m in range(1, first)):
+                return False
         return True
 
     def _check_var(self, m):
@@ -553,17 +551,16 @@ def to_monomials(f):
     """
     n = f.n
     out = {}
-    for key, elem in f.stem.terms.items():
-        for mask, coeff in elem.components.items():
-            expansions = [_variable_expansion(key[m], key[n + m]) for m in range(n)]
-            for combo in itertools.product(*expansions):
-                scalar = Fraction(1)
-                for _, c in combo:
-                    scalar *= c
-                lh = (tuple(p[0][0] for p in combo), tuple(p[0][1] for p in combo))
-                add = coeff * scalar
-                cur = out.get(lh)
-                out[lh] = add if cur is None else cur + add
+    for key, _, coeff in f.stem.coefficients():
+        expansions = [_variable_expansion(key[m], key[n + m]) for m in range(n)]
+        for combo in itertools.product(*expansions):
+            scalar = Fraction(1)
+            for _, c in combo:
+                scalar *= c
+            lh = (tuple(p[0][0] for p in combo), tuple(p[0][1] for p in combo))
+            add = coeff * scalar
+            cur = out.get(lh)
+            out[lh] = add if cur is None else cur + add
     return {lh: q for lh, q in out.items() if not q.is_zero()}
 
 

@@ -15,7 +15,7 @@ from functools import reduce
 
 from .quaternion import Quaternion
 from .numeric import _global_derivative_pair, lift, tangential_derivative, \
-    running_worst, DEFAULT_STEP, DEFAULT_BAND
+    running_worst, sweep, report_tail, DEFAULT_STEP, DEFAULT_BAND
 from .almansi import dirac_components, dirac_levels, complement_indices, \
     _neg_conj_value
 from .sampling import _sample_points
@@ -76,9 +76,8 @@ def default_tolerance(m):
 
 
 def _stem_magnitude(f):
-    mags = [abs(coeff) for elem in f.stem.terms.values()
-            for coeff in elem.components.values()]
-    return max(mags, default=0.0)
+    return max((abs(coeff) for _, _, coeff in f.stem.coefficients()),
+               default=0.0)
 
 
 def check_regularity_symbolic(f):
@@ -100,9 +99,8 @@ def check_regularity_symbolic(f):
     }
 
 
-def check_regularity_numeric(field, points=None, *, samples=20, seed=0,
-                             tol=None, slice_established=False,
-                             max_index=None):
+def check_regularity_numeric(field, points=None, *, samples=10, seed=0,
+                             tol=None, slice_established=False):
     """Residual kernel test on a smooth field at sampled admissible points.
 
     Without an established sliceness certificate a below-tolerance residual
@@ -110,28 +108,16 @@ def check_regularity_numeric(field, points=None, *, samples=20, seed=0,
     claimed for (locally strongly) slice inputs.
     """
     points = _sample_points(points, samples, seed, field.n)
-    limit = min(field.n, MAX_NUMERIC_INDEX if max_index is None else max_index)
-    if limit < 1:
-        raise ValueError("no operator to check: max_index must be at least 1")
-    residuals = {}
-    tolerances = {}
-    failures = []
-    for m in range(1, limit + 1):
-        worst = 0.0
-        for p in points:
-            worst = running_worst(
-                worst, abs(wirtinger_conj_derivative_numeric(field, m, p)))
-        key = "thetabar_%d" % m
-        residuals[key] = worst
-        tolerances[key] = tol if tol is not None else default_tolerance(m)
-        if not worst < tolerances[key]:
-            failures.append(key)
-    if failures:
-        verdict = "not-regular"
-    elif slice_established:
-        verdict = "regular"
-    else:
-        verdict = "inconclusive"
+    indices = range(1, min(field.n, MAX_NUMERIC_INDEX) + 1)
+    residuals = sweep(points, lambda p: (
+        ("thetabar_%d" % m, abs(wirtinger_conj_derivative_numeric(field, m, p)))
+        for m in indices))
+    tolerances = {"thetabar_%d" % m: tol if tol is not None else default_tolerance(m)
+                  for m in indices}
+    failures = [key for key, worst in residuals.items()
+                if not worst < tolerances[key]]
+    verdict = ("not-regular" if failures
+               else "regular" if slice_established else "inconclusive")
     return {
         "operator": "thetabar",
         "realization": "numeric",
@@ -153,8 +139,8 @@ def check_strong_sliceness(field, points=None, *, samples=5, seed=0, tol=1e-2):
     i < j, subset mask), maximized over the sample points.
     """
     points = _sample_points(points, samples, seed, field.n)
-    residuals = {}
-    for p in points:
+
+    def tangential(p):
         # one recursion per point: its memos hold this point's stencils only
         for family in dirac_levels(field, field.n):
             m = family.level
@@ -162,21 +148,14 @@ def check_strong_sliceness(field, points=None, *, samples=5, seed=0, tol=1e-2):
                 entry = family.entries[mask]
                 for h in range(1, m + 1):
                     for i, j in ((1, 2), (1, 3), (2, 3)):
-                        key = (m, h, i, j, mask)
-                        residuals[key] = running_worst(
-                            residuals.get(key, 0.0),
-                            abs(tangential_derivative(entry, h, i, j, p)))
+                        yield ((m, h, i, j, mask),
+                               abs(tangential_derivative(entry, h, i, j, p)))
+
+    residuals = sweep(points, tangential)
     records = [{"m": m, "h": h, "i": i, "j": j, "mask": mask, "residual": residual}
                for (m, h, i, j, mask), residual in residuals.items()]
-    worst = reduce(running_worst, residuals.values(), 0.0)
-    return {
-        "records": records,
-        "max_residual": worst,
-        "tolerance": tol,
-        "samples": len(points),
-        "seed": seed,
-        "verdict": worst < tol,
-    }
+    return {"records": records,
+            **report_tail(residuals.values(), tol, points, seed)}
 
 
 def check_conjugation_identity(f, m):
@@ -187,6 +166,20 @@ def check_conjugation_identity(f, m):
     second = wirtinger_conj_derivative(f, m).conjugate() == \
         wirtinger_derivative(f.conjugate(), m)
     return first and second
+
+
+def _pair_residuals(f, m, pair, field):
+    """The residuals at a point of the numeric operator pair
+    ``pair(field, m, p)`` against the exact theta_m and thetabar_m of f."""
+    plain = wirtinger_derivative(f, m)
+    conj = wirtinger_conj_derivative(f, m)
+
+    def residuals(p):
+        theta, thetabar = pair(field, m, p)
+        yield "theta_%d" % m, abs(theta - plain.evaluate(p))
+        yield "thetabar_%d" % m, abs(thetabar - conj.evaluate(p))
+
+    return residuals
 
 
 def check_independence(f, first, points=None, *, samples=10, seed=0,
@@ -201,16 +194,9 @@ def check_independence(f, first, points=None, *, samples=10, seed=0,
         if not (wirtinger_derivative(f, h).is_zero()
                 and wirtinger_conj_derivative(f, h).is_zero()):
             return False
-    field = lift(f)
-    plain = wirtinger_derivative(f, first)
-    conj = wirtinger_conj_derivative(f, first)
-    for p in points:
-        theta, thetabar = _global_derivative_pair(field, first, p)
-        if not abs(theta - plain.evaluate(p)) < tol:
-            return False
-        if not abs(thetabar - conj.evaluate(p)) < tol:
-            return False
-    return True
+    residuals = _pair_residuals(f, first, _global_derivative_pair, lift(f))
+    # stops at the first residual over the tolerance
+    return all(residual < tol for p in points for _, residual in residuals(p))
 
 
 def crosscheck(f, m, points=None, *, samples=10, seed=0, tol=None,
@@ -219,20 +205,8 @@ def crosscheck(f, m, points=None, *, samples=10, seed=0, tol=None,
     the given finite-difference step and exclusion band."""
     points = _sample_points(points, samples, seed, f.n)
     tolerance = tol if tol is not None else default_tolerance(m)
-    field = lift(f, step=step, band=band)
-    plain = wirtinger_derivative(f, m)
-    conj = wirtinger_conj_derivative(f, m)
-    worst = 0.0
-    for p in points:
-        theta, thetabar = _wirtinger_pair(field, m, p)
-        worst = running_worst(worst, abs(theta - plain.evaluate(p)))
-        worst = running_worst(worst, abs(thetabar - conj.evaluate(p)))
-    return {
-        "operator": "theta_%d/thetabar_%d" % (m, m),
-        "realization": "symbolic-vs-numeric",
-        "max_residual": worst,
-        "tolerance": tolerance,
-        "samples": len(points),
-        "seed": seed,
-        "verdict": worst < tolerance,
-    }
+    residuals = sweep(points, _pair_residuals(
+        f, m, _wirtinger_pair, lift(f, step=step, band=band)))
+    return {"operator": "theta_%d/thetabar_%d" % (m, m),
+            "realization": "symbolic-vs-numeric",
+            **report_tail(residuals.values(), tolerance, points, seed)}

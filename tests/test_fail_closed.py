@@ -10,11 +10,12 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qwirt.almansi import check_reconstruction, check_zonal, dirac_components
 from qwirt.cli import main
 from qwirt.numeric import NumericField, lift, running_worst
 from qwirt.quaternion import Quaternion
 from qwirt.sampling import random_slice_point
-from qwirt.slicefn import variable, conj_variable
+from qwirt.slicefn import variable
 from qwirt.wirtinger import (check_independence, check_regularity_numeric,
                              check_strong_sliceness, crosscheck)
 
@@ -108,6 +109,10 @@ def test_non_finite_field_value_fails_checkers(seed, count, index, bad):
     report = check_strong_sliceness(field, pts)
     assert report["verdict"] is False
     assert not math.isfinite(report["max_residual"])
+    for flavor in ("fueter", "dirac"):
+        report = check_reconstruction(field, flavor, 1, pts)
+        assert report["verdict"] is False
+        assert not math.isfinite(report["max_residual"])
 
 
 # -- numeric flags on symbolic runs -----------------------------------------------
@@ -193,17 +198,42 @@ def test_library_refuses_empty_point_sets():
             check(f, 1, [])
         with pytest.raises(ValueError):
             check(f, 1, samples=-1)
+    for flavor in ("fueter", "dirac"):
+        with pytest.raises(ValueError):
+            check_reconstruction(field, flavor, 1, [])
+        with pytest.raises(ValueError):
+            check_reconstruction(field, flavor, 1, samples=0)
     assert not calls
 
 
 def test_regularity_check_refuses_no_operators():
-    # max_index 0 used to check nothing and still report "regular"
-    field = lift(conj_variable(2, 1))
+    # a field of no variables would leave the kernel test no operator to
+    # check, so it is refused when it is built, before any evaluation
+    calls = []
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one variable"):
+            NumericField(lambda p: calls.append(p) or Quaternion(1.0), n)
+    assert not calls
+
+
+def test_crosscheck_refuses_operator_index_zero(capsys):
+    # --m 0 used to be read as "no --m" and check m=1 and m=2, exit 0
+    code, report = run_json(capsys, "crosscheck", "--m", "0", "--samples", "1",
+                            "x1*x2")
+    assert code == 2
+    assert report["error"]["type"] == "value"
+    assert "index 0" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("rotations", [0, -3])
+def test_zonal_check_refuses_no_rotations(rotations):
+    # no rotation used to report max_deviation 0.0 over nothing
+    field = lift(variable(2, 1) * variable(2, 2))
     calls = []
     inner = field.func
     field.func = lambda p: calls.append(p) or inner(p)
-    for max_index in (0, -1):
-        with pytest.raises(ValueError, match="max_index"):
-            check_regularity_numeric(field, samples=2, slice_established=True,
-                                     max_index=max_index)
+    family = dirac_components(field, 1)
+    point = random_slice_point(random.Random(4), 2)
+    with pytest.raises(ValueError, match="rotations"):
+        check_zonal(family, point, rotations=rotations)
     assert not calls
