@@ -58,8 +58,8 @@ def test_spherical_entries_clear_of_leading_subsets():
             fam = spherical_components(f, m)
             window = (1 << m) - 1
             for entry in fam.entries.values():
-                for elem in entry.stem.terms.values():
-                    assert all(not mask & window for mask in elem.components)
+                assert all(not mask & window
+                           for _, mask, _ in entry.stem.coefficients())
 
 
 def test_symbolic_reconstruction_exact():

@@ -11,9 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 import helpers
 from qwirt.cli import main
 from qwirt.numeric import lift
-from qwirt.quaternion import ONE
-from qwirt.slicefn import StemPolynomial, variable, conj_variable
-from qwirt.stem import StemElement
+from qwirt.quaternion import Quaternion
+from qwirt.slicefn import SliceFunction, StemPolynomial, variable, conj_variable
 from qwirt.wirtinger import check_strong_sliceness
 
 
@@ -45,15 +44,18 @@ def test_unvalidated_results_pass_validation(seed, n):
 
 
 class _CountStemProducts:
+    """Count quaternion products: every stem product forms one per pair of
+    terms, whatever the layout of the terms."""
+
     def __init__(self, monkeypatch):
         self.calls = 0
-        inner = StemElement.__mul__
+        inner = Quaternion.__mul__
 
         def counted(a, b):
             self.calls += 1
             return inner(a, b)
 
-        monkeypatch.setattr(StemElement, "__mul__", counted)
+        monkeypatch.setattr(Quaternion, "__mul__", counted)
 
 
 def test_power_over_the_cap_is_refused_before_any_product(monkeypatch):
@@ -75,10 +77,11 @@ def test_product_over_the_cap_is_refused_before_any_product(monkeypatch):
 
 def test_degree_cap_error_names_the_lowest_variable():
     # the first term overflows variable 2, the second variable 1
-    terms = {(0, 33, 0, 0): StemElement(2, {0: ONE}),
-             (34, 0, 0, 0): StemElement(2, {0: ONE})}
+    one = [{"mask": 0, "quaternion": ["1", "0", "0", "0"]}]
+    terms = [{"alpha_exps": [0, 33], "beta_exps": [0, 0], "components": one},
+             {"alpha_exps": [34, 0], "beta_exps": [0, 0], "components": one}]
     with pytest.raises(ValueError, match="exceeded in variable 1"):
-        StemPolynomial(2, terms)
+        SliceFunction.from_json({"n": 2, "terms": terms})
 
 
 @pytest.mark.parametrize("n, evaluations", [(2, 360), (3, 2988)])

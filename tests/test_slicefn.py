@@ -5,19 +5,21 @@ import pytest
 
 import helpers
 from qwirt.quaternion import Quaternion, ONE, I, J, K
-from qwirt.stem import StemElement, bit
-from qwirt.slicefn import (SliceFunction, StemPolynomial, variable,
-                           conj_variable, constant, monomial, format_slice,
-                           to_monomials)
+from qwirt.stem import bit
+from qwirt.slicefn import (SliceFunction, variable, conj_variable, constant,
+                           monomial, format_slice, to_monomials)
 from qwirt.sampling import random_slice_point, random_unit
 
 
 def stem_of(n, entries):
-    """Build a stem polynomial from {(aexps, bexps): {mask: quaternion}}."""
-    terms = {}
-    for (aexps, bexps), comps in entries.items():
-        terms[tuple(aexps) + tuple(bexps)] = StemElement(n, comps)
-    return SliceFunction(StemPolynomial(n, terms))
+    """Build a slice function from {(aexps, bexps): {mask: quaternion}}
+    through its JSON form, which checks each mask against the parity."""
+    terms = [{"alpha_exps": list(aexps), "beta_exps": list(bexps),
+              "components": [{"mask": mask,
+                              "quaternion": [str(c) for c in q.components()]}
+                             for mask, q in comps.items()]}
+             for (aexps, bexps), comps in entries.items()]
+    return SliceFunction.from_json({"n": n, "terms": terms})
 
 
 def test_monomial_generator_stems():
@@ -344,9 +346,8 @@ def test_component_recovery_from_sign_flipped_evaluations():
                     total = units[h].inverse() * total
             recovered = total * (1.0 / (1 << n))
             component = Quaternion(0.0, 0.0, 0.0, 0.0)
-            for key, elem in f.stem.terms.items():
-                coeff = elem.components.get(mask)
-                if coeff is None:
+            for key, cmask, coeff in f.stem.coefficients():
+                if cmask != mask:
                     continue
                 scalar = 1.0
                 for m in range(n):

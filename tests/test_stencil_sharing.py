@@ -159,7 +159,7 @@ def _reference_lift(f, point):
         return cache[mask]
 
     total = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for key, elem in f.stem.terms.items():
+    for key, mask, coeff in f.stem.coefficients():
         scalar = 1.0
         for m in range(n):
             if key[m]:
@@ -168,8 +168,7 @@ def _reference_lift(f, point):
                 scalar *= betas[m] ** key[n + m]
         if scalar == 0.0:
             continue
-        for mask, coeff in elem.components.items():
-            total = total + (unit_product(mask) * coeff.to_float()) * scalar
+        total = total + (unit_product(mask) * coeff.to_float()) * scalar
     return total
 
 

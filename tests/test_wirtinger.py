@@ -228,10 +228,9 @@ def _exact_nullspace(columns):
 
 def _stem_coordinates(f):
     out = {}
-    for key, elem in f.stem.terms.items():
-        for mask, coeff in elem.components.items():
-            assert coeff.x == 0 and coeff.y == 0 and coeff.z == 0
-            out[(key, mask)] = Fraction(coeff.w)
+    for key, mask, coeff in f.stem.coefficients():
+        assert coeff.x == 0 and coeff.y == 0 and coeff.z == 0
+        out[(key, mask)] = Fraction(coeff.w)
     return out
 
 
