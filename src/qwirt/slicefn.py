@@ -1,20 +1,21 @@
 """Exact slice polynomials of several quaternionic variables.
 
-A slice polynomial is stored through its inducing stem polynomial: a sparse
-map from exponent vectors to coefficient-algebra elements.  With n variables
-the key is a 2n-tuple
+A slice polynomial is stored through its inducing stem polynomial, whose
+coefficients lie in the 2^n-component algebra of ``stem``.  With n variables
+each term is keyed by a 2n-tuple
 
     (a_1, ..., a_n, b_1, ..., b_n)
 
 recording the exponents of the real pair (alpha_m, beta_m) attached to each
 quaternionic variable x_m = alpha_m + J_m*beta_m.  The parity condition ties
 exponents to subsets: a term may carry a coefficient on subset K only when
-the beta_m exponent is odd exactly for m in K.  This is checked on
-construction and is what makes evaluation independent of the choice of unit
-on the real axis.
+the beta_m exponent is odd exactly for m in K.  So every term lies on one
+subset, the parity mask of its key, and a stem is stored as a sparse map
+from keys to single quaternions.  Parity is what makes evaluation
+independent of the choice of unit on the real axis.
 
-Example: the variable x_1 (n=1) is  {(1,0): e{} * 1, (0,1): e{1} * 1},
-its square is  {(2,0): e{}, (0,2): -e{}, (1,1): e{1} * 2}.
+Example: the variable x_1 (n=1) is  {(1,0): 1, (0,1): 1}, read as
+e{} * 1 + e{1} * beta_1, and its square is  {(2,0): 1, (0,2): -1, (1,1): 2}.
 
 All products are slice products (pointwise products of stems); a pointwise
 product of slice functions is generally not a slice function and is not
@@ -23,11 +24,12 @@ offered here.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from .quaternion import Quaternion, ONE, format_quaternion, hamilton
-from .stem import StemElement, MAX_VARS, bit, mask_indices
+from .stem import MAX_VARS, basis_product
 
 MAX_DEGREE_PER_VARIABLE = 32
 
@@ -43,10 +45,23 @@ def _check_degree_cap(degrees):
                              % (MAX_DEGREE_PER_VARIABLE, m))
 
 
+def _parity(key, n):
+    """The subset a term of exponent key lies on: the variables whose beta
+    exponent is odd."""
+    mask = 0
+    for m in range(n):
+        if key[n + m] % 2:
+            mask |= 1 << m
+    return mask
+
+
 class StemPolynomial:
     """Sparse polynomial in (alpha_1..alpha_n, beta_1..beta_n) with
     coefficients in the 2^n-component algebra, satisfying the stem parity
-    condition."""
+    condition.
+
+    ``terms`` maps each exponent key to the quaternion on its parity mask.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -55,31 +70,21 @@ class StemPolynomial:
             raise ValueError("number of variables must be in 1..%d" % MAX_VARS)
         self.n = n
         clean = {}
-        for key, elem in (terms or {}).items():
+        for key, coeff in (terms or {}).items():
             key = tuple(key)
             if len(key) != 2 * n:
                 raise ValueError("exponent key must have length 2n")
-            if elem.n != n:
-                raise ValueError("mismatched ambient variable counts")
-            if not elem.is_zero():
-                clean[key] = elem
+            if not isinstance(coeff, Quaternion):
+                raise TypeError("stem coefficients must be quaternions")
+            if not coeff.is_zero():
+                clean[key] = coeff
         self.terms = clean
         if validate:
             self._validate()
 
     def _validate(self):
-        for key, elem in self.terms.items():
-            if min(key) < 0:
-                raise ValueError("negative exponent in stem term")
-            parity = 0
-            for m in range(1, self.n + 1):
-                if key[self.n + m - 1] % 2:
-                    parity |= bit(m)
-            for mask in elem.components:
-                if mask != parity:
-                    raise ValueError(
-                        "stem parity violated: term %r carries subset %r"
-                        % (key, mask_indices(mask)))
+        if any(min(key) < 0 for key in self.terms):
+            raise ValueError("negative exponent in stem term")
         _check_degree_cap(self.degrees())
 
     def degrees(self):
@@ -98,9 +103,9 @@ class StemPolynomial:
     def coefficients(self):
         """Yield ``(key, mask, coeff)`` for every nonzero coefficient: the
         exponent key, the subset mask and the quaternion on that subset."""
-        for key, elem in self.terms.items():
-            for mask, coeff in elem.components.items():
-                yield key, mask, coeff
+        n = self.n
+        for key, coeff in self.terms.items():
+            yield key, _parity(key, n), coeff
 
     def _check_compatible(self, other):
         if not isinstance(other, StemPolynomial):
@@ -117,13 +122,13 @@ class StemPolynomial:
     def __add__(self, other):
         self._check_compatible(other)
         terms = dict(self.terms)
-        for key, elem in other.terms.items():
+        for key, coeff in other.terms.items():
             cur = terms.get(key)
-            terms[key] = elem if cur is None else cur + elem
+            terms[key] = coeff if cur is None else cur + coeff
         return StemPolynomial(self.n, terms, validate=False)
 
     def __neg__(self):
-        return StemPolynomial(self.n, {k: -e for k, e in self.terms.items()},
+        return StemPolynomial(self.n, {k: -q for k, q in self.terms.items()},
                               validate=False)
 
     def __sub__(self, other):
@@ -132,59 +137,58 @@ class StemPolynomial:
     def __mul__(self, other):
         self._check_compatible(other)
         _check_degree_cap([a + b for a, b in zip(self.degrees(), other.degrees())])
+        n = self.n
+        right = [(k2, _parity(k2, n), q2) for k2, q2 in other.terms.items()]
         terms = {}
-        for k1, e1 in self.terms.items():
-            for k2, e2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(k1, k2))
-                prod = e1 * e2
+        for k1, q1 in self.terms.items():
+            h = _parity(k1, n)
+            for k2, k, q2 in right:
+                key = tuple(map(operator.add, k1, k2))
+                prod = q1 * q2
+                if basis_product(h, k)[0] < 0:
+                    prod = -prod
                 cur = terms.get(key)
                 terms[key] = prod if cur is None else cur + prod
-        return StemPolynomial(self.n, terms, validate=False)
+        return StemPolynomial(n, terms, validate=False)
 
     def scale(self, value):
-        return StemPolynomial(self.n, {k: e.scale(value) for k, e in self.terms.items()},
+        return StemPolynomial(self.n, {k: q * value for k, q in self.terms.items()},
                               validate=False)
 
     # -- per-variable surgery -----------------------------------------------
 
     def spherical_value_terms(self, m):
-        """Keep exactly the components whose subset avoids variable m."""
-        hb = bit(m)
-        terms = {}
-        for key, elem in self.terms.items():
-            kept = {mask: c for mask, c in elem.components.items() if not mask & hb}
-            if kept:
-                terms[key] = StemElement(self.n, kept)
-        return StemPolynomial(self.n, terms, validate=False)
+        """Keep exactly the terms whose subset avoids variable m."""
+        bpos = self.n + m - 1
+        return StemPolynomial(self.n, {key: q for key, q in self.terms.items()
+                                       if not key[bpos] % 2},
+                              validate=False)
 
     def spherical_derivative_terms(self, m):
-        """Divide the components whose subset contains m by beta_m and drop m.
+        """Divide the terms whose subset contains m by beta_m and drop m.
 
         Division is exact: parity forces an odd (hence positive) beta_m
-        exponent on every such component.
+        exponent on every such term.
         """
-        hb = bit(m)
         bpos = self.n + m - 1
         terms = {}
-        for key, elem in self.terms.items():
-            kept = {mask & ~hb: c for mask, c in elem.components.items() if mask & hb}
-            if not kept:
+        for key, q in self.terms.items():
+            if not key[bpos] % 2:
                 continue
             new_key = key[:bpos] + (key[bpos] - 1,) + key[bpos + 1:]
             cur = terms.get(new_key)
-            add = StemElement(self.n, kept)
-            terms[new_key] = add if cur is None else cur + add
+            terms[new_key] = q if cur is None else cur + q
         return StemPolynomial(self.n, terms, validate=False)
 
     def partial_alpha(self, m):
         apos = m - 1
         terms = {}
-        for key, elem in self.terms.items():
+        for key, q in self.terms.items():
             a = key[apos]
             if a == 0:
                 continue
             new_key = key[:apos] + (a - 1,) + key[apos + 1:]
-            add = elem.scale(a)
+            add = q * a
             cur = terms.get(new_key)
             terms[new_key] = add if cur is None else cur + add
         return StemPolynomial(self.n, terms, validate=False)
@@ -193,16 +197,20 @@ class StemPolynomial:
         """The beta_m partial followed by the complex structure of m.
 
         The bare beta_m partial breaks parity; composing with the structure
-        restores it, so only the composite is exposed.
+        restores it, so only the composite is exposed.  The structure moves
+        a term off subset K when m is in K, with a sign, and onto K + {m}
+        otherwise, so it negates exactly the terms of odd b.
         """
         bpos = self.n + m - 1
         terms = {}
-        for key, elem in self.terms.items():
+        for key, q in self.terms.items():
             b = key[bpos]
             if b == 0:
                 continue
             new_key = key[:bpos] + (b - 1,) + key[bpos + 1:]
-            add = elem.scale(b).apply_structure(m)
+            add = q * b
+            if b % 2:
+                add = -add
             cur = terms.get(new_key)
             terms[new_key] = add if cur is None else cur + add
         return StemPolynomial(self.n, terms, validate=False)
@@ -215,14 +223,11 @@ class StemPolynomial:
         return combined.scale(_HALF)
 
     def conjugate_components(self):
-        """Flip the sign of every component on an odd-size subset."""
-        terms = {}
-        for key, elem in self.terms.items():
-            comps = {}
-            for mask, coeff in elem.components.items():
-                comps[mask] = -coeff if mask.bit_count() % 2 else coeff
-            terms[key] = StemElement(self.n, comps)
-        return StemPolynomial(self.n, terms, validate=False)
+        """Flip the sign of every term on an odd-size subset."""
+        n = self.n
+        return StemPolynomial(n, {key: -q if sum(key[n:]) % 2 else q
+                                  for key, q in self.terms.items()},
+                              validate=False)
 
     def __eq__(self, other):
         if not isinstance(other, StemPolynomial):
@@ -437,28 +442,37 @@ class SliceFunction:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self):
+        n = self.n
         terms = []
         for key in sorted(self.stem.terms):
-            elem = self.stem.terms[key]
-            comps = [{"mask": mask,
-                      "quaternion": [str(c) for c in elem.components[mask].components()]}
-                     for mask in sorted(elem.components)]
-            terms.append({"alpha_exps": list(key[:self.n]),
-                          "beta_exps": list(key[self.n:]),
-                          "components": comps})
-        return {"n": self.n, "terms": terms}
+            q = self.stem.terms[key]
+            terms.append({"alpha_exps": list(key[:n]),
+                          "beta_exps": list(key[n:]),
+                          "components": [{"mask": _parity(key, n),
+                                          "quaternion": [str(c) for c in q.components()]}]})
+        return {"n": n, "terms": terms}
 
     @classmethod
     def from_json(cls, data):
+        """Inverse of ``to_json``.  Each term lists one component, on the
+        parity mask of its exponents."""
         n = data["n"]
         terms = {}
+        masks = []
         for t in data["terms"]:
             key = tuple(t["alpha_exps"]) + tuple(t["beta_exps"])
-            comps = {}
-            for c in t["components"]:
-                comps[c["mask"]] = Quaternion(*[Fraction(s) for s in c["quaternion"]])
-            terms[key] = StemElement(n, comps)
-        return cls(StemPolynomial(n, terms))
+            if len(t["components"]) != 1:
+                raise ValueError("stem term %r must list exactly one component"
+                                 % (key,))
+            (c,) = t["components"]
+            terms[key] = Quaternion(*[Fraction(s) for s in c["quaternion"]])
+            masks.append((key, c["mask"]))
+        stem = StemPolynomial(n, terms)
+        for key, mask in masks:
+            if mask != _parity(key, n):
+                raise ValueError("stem parity violated: term %r carries mask %r"
+                                 % (key, mask))
+        return cls(stem)
 
     def __repr__(self):
         return "SliceFunction(%s)" % format_slice(self)
@@ -481,7 +495,7 @@ def constant(n, value):
     if q.is_zero():
         return SliceFunction.zero(n)
     key = (0,) * (2 * n)
-    return SliceFunction(StemPolynomial(n, {key: StemElement(n, {0: q})}))
+    return SliceFunction(StemPolynomial(n, {key: q}))
 
 
 def variable(n, m):
@@ -490,10 +504,7 @@ def variable(n, m):
         raise ValueError("variable index %d out of range 1..%d" % (m, n))
     akey = tuple(1 if i == m - 1 else 0 for i in range(2 * n))
     bkey = tuple(1 if i == n + m - 1 else 0 for i in range(2 * n))
-    return SliceFunction(StemPolynomial(n, {
-        akey: StemElement(n, {0: ONE}),
-        bkey: StemElement(n, {bit(m): ONE}),
-    }))
+    return SliceFunction(StemPolynomial(n, {akey: ONE, bkey: ONE}))
 
 
 def conj_variable(n, m):

@@ -45,7 +45,10 @@ class StemElement:
     """A sparse element of the 2^n-dimensional coefficient algebra.
 
     ``components`` maps subset masks to quaternion coefficients; absent
-    masks are zero.  Instances are treated as immutable.
+    masks are zero.  Instances are treated as immutable.  This is the
+    reference implementation of the algebra: a stem term lies on one subset,
+    its parity mask, so ``slicefn.StemPolynomial`` stores one quaternion per
+    term and takes the sign of each product from ``basis_product``.
     """
 
     __slots__ = ("n", "components")
@@ -104,10 +107,6 @@ class StemElement:
                 comps[mask] = term if acc is None else acc + term
         return StemElement(self.n, comps)
 
-    def scale(self, value):
-        """Multiply every coefficient on the left by a real scalar."""
-        return StemElement(self.n, {m: c * value for m, c in self.components.items()})
-
     def apply_structure(self, h):
         """Apply the complex structure of variable h.
 
@@ -129,10 +128,6 @@ class StemElement:
         if not isinstance(other, StemElement):
             return NotImplemented
         return self.n == other.n and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.components.items(),
-                                          key=lambda kv: kv[0]))))
 
     def __repr__(self):
         if not self.components:

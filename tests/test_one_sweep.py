@@ -105,12 +105,15 @@ def test_cli_holds_no_suite_loop():
     assert qwirt.check_reconstruction is check_reconstruction
 
 
-def test_only_the_stem_modules_read_element_components():
-    # Quaternion.components() is a method; an element's .components is not
+def test_slicefn_does_not_use_the_element_algebra():
+    # stems hold one quaternion per key; StemElement is only the reference
+    # algebra, and no library module reads an element's .components
+    # (Quaternion.components() is a method, an element's .components is not)
     src = pathlib.Path(qwirt.__file__).parent
+    assert "StemElement" not in (src / "slicefn.py").read_text()
     readers = sorted(path.name for path in src.glob("*.py") if ".components"
                      in path.read_text().replace(".components()", ""))
-    assert readers == ["slicefn.py", "stem.py"]
+    assert readers == ["stem.py"]
 
 
 def test_coefficients_yield_each_term_on_its_parity_mask():

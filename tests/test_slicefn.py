@@ -2,10 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from qwirt.quaternion import Quaternion, ONE, I, J, K
-from qwirt.stem import bit
+from qwirt.stem import StemElement, bit
 from qwirt.slicefn import (SliceFunction, variable, conj_variable, constant,
                            monomial, format_slice, to_monomials)
 from qwirt.sampling import random_slice_point, random_unit
@@ -43,6 +44,35 @@ def test_stem_parity_enforced():
         stem_of(1, {((0,), (1,)): {0: ONE}})  # odd beta exponent off subset
     with pytest.raises(ValueError):
         stem_of(1, {((1,), (0,)): {bit(1): ONE}})  # even exponent on subset
+    for mask in (-1, 2):  # no subset of {1}
+        with pytest.raises(ValueError):
+            stem_of(1, {((0,), (1,)): {mask: ONE}})
+
+
+def test_from_json_refuses_a_term_with_two_components():
+    one = {"mask": 1, "quaternion": ["1", "0", "0", "0"]}
+    term = {"alpha_exps": [0], "beta_exps": [1], "components": [one, one]}
+    with pytest.raises(ValueError, match="exactly one component"):
+        SliceFunction.from_json({"n": 1, "terms": [term]})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(1, 3))
+def test_flat_product_matches_the_element_algebra(seed, n):
+    # the reference: every term lifted to a StemElement on its parity mask,
+    # multiplied and summed in the coefficient algebra
+    rng = random.Random(seed)
+    f = helpers.random_slice_polynomial(rng, n)
+    g = helpers.random_slice_polynomial(rng, n)
+    want = {}
+    for k1, h, q1 in f.stem.coefficients():
+        for k2, k, q2 in g.stem.coefficients():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            prod = StemElement.basis(n, h, q1) * StemElement.basis(n, k, q2)
+            want[key] = want[key] + prod if key in want else prod
+    want = {key: e.components for key, e in want.items() if not e.is_zero()}
+    got = {key: {mask: q} for key, mask, q in (f * g).stem.coefficients()}
+    assert got == want
 
 
 def test_degree_cap():
