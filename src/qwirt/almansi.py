@@ -32,6 +32,11 @@ FLAVOR_SPHERICAL = "spherical"
 FLAVOR_FUETER = "fueter"
 FLAVOR_DIRAC = "dirac"
 
+# Highest level of a numeric reconstruction check, as MAX_NUMERIC_INDEX caps
+# the Wirtinger index: each level nests one more difference, and at level 6
+# the nested error of x1*...*x6 already exceeds the default tolerance.
+MAX_NUMERIC_LEVEL = 5
+
 
 @dataclass(frozen=True)
 class ComponentFamily:
@@ -243,12 +248,15 @@ def check_reconstruction(field, flavor, level, points=None, *, samples=20,
                          seed=0, tol=1e-4):
     """Worst deviation of the ``flavor`` family's reconstruction from the
     field over sampled admissible points; ``flavor`` is ``fueter`` or
-    ``dirac``."""
+    ``dirac``, at a level of at most ``MAX_NUMERIC_LEVEL``."""
     components = {FLAVOR_FUETER: fueter_components,
                   FLAVOR_DIRAC: dirac_components}.get(flavor)
     if components is None:
         raise ValueError("numeric reconstruction needs flavor %r or %r, got %r"
                          % (FLAVOR_FUETER, FLAVOR_DIRAC, flavor))
+    if level > MAX_NUMERIC_LEVEL:
+        raise ValueError("numeric reconstruction is capped at level %d"
+                         % MAX_NUMERIC_LEVEL)
     points = _sample_points(points, samples, seed, field.n)
 
     def residual(p):

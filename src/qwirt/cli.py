@@ -135,7 +135,10 @@ def _resolve_numeric(args):
         return
     env = os.environ.get("QWIRT_SEED")
     if "seed" in vars(args) and args.seed is None and env:
-        args.seed = int(env)
+        try:
+            args.seed = int(env)
+        except ValueError:
+            raise ValueError("QWIRT_SEED must be an integer, not %r" % env) from None
 
 
 def _given(args, keywords):

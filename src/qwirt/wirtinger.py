@@ -36,10 +36,12 @@ def wirtinger_conj_derivative(f, m):
     return f.slice_partial_conj(m)
 
 
-def _wirtinger_pair(field, m, point):
-    """The index-m operator and its conjugate from one Dirac family."""
-    if not 1 <= m <= field.n:
-        raise ValueError("operator index %d out of range 1..%d" % (m, field.n))
+def _check_index(n, m):
+    """Refuse a numeric operator index outside 1..n or over the cap.  An
+    index of 3 or more warns once, at the line that called the public entry
+    point calling this, so every entry point checks before any work."""
+    if not 1 <= m <= n:
+        raise ValueError("operator index %d out of range 1..%d" % (m, n))
     if m > MAX_NUMERIC_INDEX:
         raise ValueError("numeric Wirtinger operators are capped at index %d"
                          % MAX_NUMERIC_INDEX)
@@ -47,6 +49,11 @@ def _wirtinger_pair(field, m, point):
         warnings.warn("numeric Wirtinger operator of index %d nests %d finite "
                       "differences; double precision may be marginal" % (m, m),
                       RuntimeWarning, stacklevel=3)
+
+
+def _wirtinger_pair(field, m, point):
+    """The index-m operator and its conjugate from one Dirac family; the
+    caller has checked m with ``_check_index``."""
     if m == 1:
         return _global_derivative_pair(field, 1, point)
     family = dirac_components(field, m - 1)
@@ -61,11 +68,13 @@ def _wirtinger_pair(field, m, point):
 
 def wirtinger_derivative_numeric(field, m, point):
     """Numeric realization of the index-m Wirtinger operator at a point."""
+    _check_index(field.n, m)
     return _wirtinger_pair(field, m, point)[0]
 
 
 def wirtinger_conj_derivative_numeric(field, m, point):
     """Numeric realization of the conjugate index-m operator at a point."""
+    _check_index(field.n, m)
     return _wirtinger_pair(field, m, point)[1]
 
 
@@ -107,10 +116,11 @@ def check_regularity_numeric(field, points=None, *, samples=10, seed=0,
     only yields the verdict ``inconclusive``: the kernel characterization is
     claimed for (locally strongly) slice inputs.
     """
-    points = _sample_points(points, samples, seed, field.n)
     indices = range(1, min(field.n, MAX_NUMERIC_INDEX) + 1)
+    _check_index(field.n, indices[-1])
+    points = _sample_points(points, samples, seed, field.n)
     residuals = sweep(points, lambda p: (
-        ("thetabar_%d" % m, abs(wirtinger_conj_derivative_numeric(field, m, p)))
+        ("thetabar_%d" % m, abs(_wirtinger_pair(field, m, p)[1]))
         for m in indices))
     tolerances = {"thetabar_%d" % m: tol if tol is not None else default_tolerance(m)
                   for m in indices}
@@ -203,6 +213,7 @@ def crosscheck(f, m, points=None, *, samples=10, seed=0, tol=None,
                step=DEFAULT_STEP, band=DEFAULT_BAND):
     """Agreement of the two realizations on a slice polynomial lifted with
     the given finite-difference step and exclusion band."""
+    _check_index(f.n, m)
     points = _sample_points(points, samples, seed, f.n)
     tolerance = tol if tol is not None else default_tolerance(m)
     residuals = sweep(points, _pair_residuals(

@@ -155,6 +155,23 @@ def test_env_seed_fallback(capsys, monkeypatch):
     assert json.loads(out2)["seed"] == 8
 
 
+def test_malformed_env_seed_names_itself(capsys, monkeypatch):
+    monkeypatch.setenv("QWIRT_SEED", "abc")
+    code, report = run_json(capsys, "check-slice", "x1", "--samples", "1")
+    assert code == 2
+    assert report["error"]["type"] == "value"
+    assert "QWIRT_SEED" in report["error"]["message"]
+    assert "'abc'" in report["error"]["message"]
+
+
+def test_numeric_almansi_level_over_the_cap_exits_2(capsys):
+    code, report = run_json(capsys, "almansi", "--flavor", "gamma", "--level",
+                            "6", "x1*x2*x3*x4*x5*x6", "--samples", "1")
+    assert code == 2
+    assert report["error"] == {"type": "value", "message":
+                               "numeric reconstruction is capped at level 5"}
+
+
 def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
     built = []
     build = cli.build_parser

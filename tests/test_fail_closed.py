@@ -216,6 +216,22 @@ def test_regularity_check_refuses_no_operators():
     assert not calls
 
 
+@pytest.mark.parametrize("flavor", ["fueter", "dirac"])
+def test_numeric_reconstruction_level_over_the_cap_is_refused(flavor):
+    # level 6 failed x1*...*x6 at residual 3.2e-3 against 1e-4 in 14 s,
+    # on a polynomial the exact engine reconstructs
+    f = variable(6, 1)
+    for m in range(2, 7):
+        f = f * variable(6, m)
+    field = lift(f)
+    calls = []
+    inner = field.func
+    field.func = lambda p: calls.append(p) or inner(p)
+    with pytest.raises(ValueError, match="capped at level 5"):
+        check_reconstruction(field, flavor, 6, samples=1)
+    assert not calls
+
+
 def test_crosscheck_refuses_operator_index_zero(capsys):
     # --m 0 used to be read as "no --m" and check m=1 and m=2, exit 0
     code, report = run_json(capsys, "crosscheck", "--m", "0", "--samples", "1",

@@ -92,6 +92,23 @@ def test_numeric_index_cap_and_warning():
         wirtinger_derivative_numeric(four, 4, points(4, 1)[0])
 
 
+@pytest.mark.parametrize("entry", [
+    lambda f, field, p: wirtinger_derivative_numeric(field, 3, p),
+    lambda f, field, p: wirtinger_conj_derivative_numeric(field, 3, p),
+    lambda f, field, p: check_regularity_numeric(field, samples=2),
+    lambda f, field, p: crosscheck(f, 3, samples=2),
+], ids=["theta", "thetabar", "check_regularity_numeric", "crosscheck"])
+def test_index_3_warns_once_at_the_caller(entry):
+    f = variable(3, 1) * variable(3, 2) * conj_variable(3, 3)
+    field = lift(f)
+    p = points(3, 1)[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entry(f, field, p)
+    assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, __file__)]
+    assert "nests 3 finite differences" in str(caught[0].message)
+
+
 def test_check_regularity_symbolic():
     report = check_regularity_symbolic(variable(2, 1) ** 2 * variable(2, 2))
     assert report["verdict"] == "regular" and not report["failures"]
