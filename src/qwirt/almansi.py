@@ -32,9 +32,8 @@ FLAVOR_SPHERICAL = "spherical"
 FLAVOR_FUETER = "fueter"
 FLAVOR_DIRAC = "dirac"
 
-# Highest level of a numeric reconstruction check, as MAX_NUMERIC_INDEX caps
-# the Wirtinger index: each level nests one more difference, and at level 6
-# the nested error of x1*...*x6 already exceeds the default tolerance.
+# Caps the numeric levels as MAX_NUMERIC_INDEX caps the Wirtinger index: at
+# level 6 the nested error of x1*...*x6 exceeds the default tolerance.
 MAX_NUMERIC_LEVEL = 5
 
 

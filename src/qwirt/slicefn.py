@@ -1,21 +1,20 @@
 """Exact slice polynomials of several quaternionic variables.
 
-A slice polynomial is stored through its inducing stem polynomial, whose
-coefficients lie in the 2^n-component algebra of ``stem``.  With n variables
-each term is keyed by a 2n-tuple
+A slice polynomial is stored through its inducing stem polynomial: a sparse
+map from exponent vectors to quaternions.  With n variables the key is a
+2n-tuple
 
     (a_1, ..., a_n, b_1, ..., b_n)
 
 recording the exponents of the real pair (alpha_m, beta_m) attached to each
 quaternionic variable x_m = alpha_m + J_m*beta_m.  The parity condition ties
-exponents to subsets: a term may carry a coefficient on subset K only when
-the beta_m exponent is odd exactly for m in K.  So every term lies on one
-subset, the parity mask of its key, and a stem is stored as a sparse map
-from keys to single quaternions.  Parity is what makes evaluation
-independent of the choice of unit on the real axis.
+exponents to subsets: a term carries its coefficient on the subset K of the
+m whose beta_m exponent is odd, its parity mask, so one quaternion per key
+holds it.  Parity is what makes evaluation independent of the choice of
+unit on the real axis.
 
-Example: the variable x_1 (n=1) is  {(1,0): 1, (0,1): 1}, read as
-e{} * 1 + e{1} * beta_1, and its square is  {(2,0): 1, (0,2): -1, (1,1): 2}.
+Example: the variable x_1 (n=1) is  {(1,0): 1, (0,1): 1} (on e{}, e{1}),
+its square is  {(2,0): 1, (0,2): -1, (1,1): 2} (on e{}, e{}, e{1}).
 
 All products are slice products (pointwise products of stems); a pointwise
 product of slice functions is generally not a slice function and is not
@@ -45,23 +44,16 @@ def _check_degree_cap(degrees):
                              % (MAX_DEGREE_PER_VARIABLE, m))
 
 
-def _parity(key, n):
-    """The subset a term of exponent key lies on: the variables whose beta
-    exponent is odd."""
-    mask = 0
-    for m in range(n):
-        if key[n + m] % 2:
-            mask |= 1 << m
-    return mask
+def _parity(betas):
+    """The subset mask a term with these beta exponents lies on: the
+    variables whose exponent is odd."""
+    return sum(1 << m for m, b in enumerate(betas) if b % 2)
 
 
 class StemPolynomial:
     """Sparse polynomial in (alpha_1..alpha_n, beta_1..beta_n) with
     coefficients in the 2^n-component algebra, satisfying the stem parity
-    condition.
-
-    ``terms`` maps each exponent key to the quaternion on its parity mask.
-    """
+    condition: ``terms`` maps each key to the quaternion on its parity mask."""
 
     __slots__ = ("n", "terms")
 
@@ -80,12 +72,9 @@ class StemPolynomial:
                 clean[key] = coeff
         self.terms = clean
         if validate:
-            self._validate()
-
-    def _validate(self):
-        if any(min(key) < 0 for key in self.terms):
-            raise ValueError("negative exponent in stem term")
-        _check_degree_cap(self.degrees())
+            if any(min(key) < 0 for key in clean):
+                raise ValueError("negative exponent in stem term")
+            _check_degree_cap(self.degrees())
 
     def degrees(self):
         """Per-variable degrees: the largest a_m + b_m over the terms."""
@@ -103,9 +92,8 @@ class StemPolynomial:
     def coefficients(self):
         """Yield ``(key, mask, coeff)`` for every nonzero coefficient: the
         exponent key, the subset mask and the quaternion on that subset."""
-        n = self.n
         for key, coeff in self.terms.items():
-            yield key, _parity(key, n), coeff
+            yield key, _parity(key[self.n:]), coeff
 
     def _check_compatible(self, other):
         if not isinstance(other, StemPolynomial):
@@ -138,10 +126,10 @@ class StemPolynomial:
         self._check_compatible(other)
         _check_degree_cap([a + b for a, b in zip(self.degrees(), other.degrees())])
         n = self.n
-        right = [(k2, _parity(k2, n), q2) for k2, q2 in other.terms.items()]
+        right = [(k2, _parity(k2[n:]), q2) for k2, q2 in other.terms.items()]
         terms = {}
         for k1, q1 in self.terms.items():
-            h = _parity(k1, n)
+            h = _parity(k1[n:])
             for k2, k, q2 in right:
                 key = tuple(map(operator.add, k1, k2))
                 prod = q1 * q2
@@ -180,40 +168,32 @@ class StemPolynomial:
             terms[new_key] = q if cur is None else cur + q
         return StemPolynomial(self.n, terms, validate=False)
 
-    def partial_alpha(self, m):
-        apos = m - 1
+    def _lower_exponent(self, pos, factor):
+        """Lower the exponent at ``pos`` of every term where it is positive,
+        multiplying the coefficient by ``factor(exponent)``."""
         terms = {}
         for key, q in self.terms.items():
-            a = key[apos]
-            if a == 0:
+            e = key[pos]
+            if e == 0:
                 continue
-            new_key = key[:apos] + (a - 1,) + key[apos + 1:]
-            add = q * a
+            new_key = key[:pos] + (e - 1,) + key[pos + 1:]
+            add = q * factor(e)
             cur = terms.get(new_key)
             terms[new_key] = add if cur is None else cur + add
         return StemPolynomial(self.n, terms, validate=False)
+
+    def partial_alpha(self, m):
+        return self._lower_exponent(m - 1, lambda a: a)
 
     def structure_beta_partial(self, m):
         """The beta_m partial followed by the complex structure of m.
 
         The bare beta_m partial breaks parity; composing with the structure
-        restores it, so only the composite is exposed.  The structure moves
-        a term off subset K when m is in K, with a sign, and onto K + {m}
-        otherwise, so it negates exactly the terms of odd b.
+        restores it, so only the composite is exposed.  The structure takes a
+        term off subset K with a sign when m is in K (odd b), onto K + {m}
+        otherwise.
         """
-        bpos = self.n + m - 1
-        terms = {}
-        for key, q in self.terms.items():
-            b = key[bpos]
-            if b == 0:
-                continue
-            new_key = key[:bpos] + (b - 1,) + key[bpos + 1:]
-            add = q * b
-            if b % 2:
-                add = -add
-            cur = terms.get(new_key)
-            terms[new_key] = add if cur is None else cur + add
-        return StemPolynomial(self.n, terms, validate=False)
+        return self._lower_exponent(self.n + m - 1, lambda b: -b if b % 2 else b)
 
     def cr_partial(self, m, conj):
         """Cauchy-Riemann partial of the stem w.r.t. variable m."""
@@ -225,7 +205,7 @@ class StemPolynomial:
     def conjugate_components(self):
         """Flip the sign of every term on an odd-size subset."""
         n = self.n
-        return StemPolynomial(n, {key: -q if sum(key[n:]) % 2 else q
+        return StemPolynomial(n, {key: -q if _parity(key[n:]).bit_count() % 2 else q
                                   for key, q in self.terms.items()},
                               validate=False)
 
@@ -427,13 +407,11 @@ class SliceFunction:
                    for m in range(1, self.n + 1))
 
     def depends_only_on(self, first):
-        """True when no exponent or subset touches a variable below ``first``."""
-        lower = (1 << (first - 1)) - 1
-        for key, mask, _ in self.stem.coefficients():
-            if mask & lower or any(key[m - 1] or key[self.n + m - 1]
-                                   for m in range(1, first)):
-                return False
-        return True
+        """True when no exponent touches a variable below ``first``; parity
+        then keeps every subset clear of those variables too."""
+        n = self.n
+        return not any(key[m] or key[n + m]
+                       for key in self.stem.terms for m in range(first - 1))
 
     def _check_var(self, m):
         if not 1 <= m <= self.n:
@@ -448,7 +426,7 @@ class SliceFunction:
             q = self.stem.terms[key]
             terms.append({"alpha_exps": list(key[:n]),
                           "beta_exps": list(key[n:]),
-                          "components": [{"mask": _parity(key, n),
+                          "components": [{"mask": _parity(key[n:]),
                                           "quaternion": [str(c) for c in q.components()]}]})
         return {"n": n, "terms": terms}
 
@@ -458,21 +436,17 @@ class SliceFunction:
         parity mask of its exponents."""
         n = data["n"]
         terms = {}
-        masks = []
         for t in data["terms"]:
             key = tuple(t["alpha_exps"]) + tuple(t["beta_exps"])
             if len(t["components"]) != 1:
                 raise ValueError("stem term %r must list exactly one component"
                                  % (key,))
             (c,) = t["components"]
-            terms[key] = Quaternion(*[Fraction(s) for s in c["quaternion"]])
-            masks.append((key, c["mask"]))
-        stem = StemPolynomial(n, terms)
-        for key, mask in masks:
-            if mask != _parity(key, n):
+            if c["mask"] != _parity(t["beta_exps"]):
                 raise ValueError("stem parity violated: term %r carries mask %r"
-                                 % (key, mask))
-        return cls(stem)
+                                 % (key, c["mask"]))
+            terms[key] = Quaternion(*[Fraction(s) for s in c["quaternion"]])
+        return cls(StemPolynomial(n, terms))
 
     def __repr__(self):
         return "SliceFunction(%s)" % format_slice(self)

@@ -45,10 +45,9 @@ class StemElement:
     """A sparse element of the 2^n-dimensional coefficient algebra.
 
     ``components`` maps subset masks to quaternion coefficients; absent
-    masks are zero.  Instances are treated as immutable.  This is the
-    reference implementation of the algebra: a stem term lies on one subset,
-    its parity mask, so ``slicefn.StemPolynomial`` stores one quaternion per
-    term and takes the sign of each product from ``basis_product``.
+    masks are zero.  Instances are treated as immutable.  The reference
+    algebra: a stem term lies on its parity mask alone, so ``StemPolynomial``
+    stores one quaternion per term and signs products by ``basis_product``.
     """
 
     __slots__ = ("n", "components")

@@ -37,9 +37,8 @@ def wirtinger_conj_derivative(f, m):
 
 
 def _check_index(n, m):
-    """Refuse a numeric operator index outside 1..n or over the cap.  An
-    index of 3 or more warns once, at the line that called the public entry
-    point calling this, so every entry point checks before any work."""
+    """Refuse an index outside 1..n or over the cap; from 3 on, warn once at
+    the caller of the public entry point that checks, before any work."""
     if not 1 <= m <= n:
         raise ValueError("operator index %d out of range 1..%d" % (m, n))
     if m > MAX_NUMERIC_INDEX:
@@ -52,8 +51,7 @@ def _check_index(n, m):
 
 
 def _wirtinger_pair(field, m, point):
-    """The index-m operator and its conjugate from one Dirac family; the
-    caller has checked m with ``_check_index``."""
+    """The index-m operator and its conjugate from one Dirac family."""
     if m == 1:
         return _global_derivative_pair(field, 1, point)
     family = dirac_components(field, m - 1)
