@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from qwirt.quaternion import Quaternion, ONE, I, J, K
 from qwirt.stem import StemElement, bit
-from qwirt.slicefn import (SliceFunction, variable, conj_variable, constant,
-                           monomial, format_slice, to_monomials)
+from qwirt.slicefn import (SliceFunction, StemPolynomial, variable,
+                           conj_variable, constant, monomial, format_slice,
+                           to_monomials)
 from qwirt.sampling import random_slice_point, random_unit
 
 
@@ -54,6 +55,11 @@ def test_from_json_refuses_a_term_with_two_components():
     term = {"alpha_exps": [0], "beta_exps": [1], "components": [one, one]}
     with pytest.raises(ValueError, match="exactly one component"):
         SliceFunction.from_json({"n": 1, "terms": [term]})
+
+
+def test_stem_terms_are_quaternions():
+    with pytest.raises(TypeError, match="must be quaternions"):
+        StemPolynomial(1, {(0, 1): StemElement.basis(1, bit(1))})
 
 
 @settings(max_examples=40, deadline=None)
