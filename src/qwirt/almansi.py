@@ -198,7 +198,7 @@ def check_uniqueness(f, candidate):
         raise ValueError("uniqueness checking needs a symbolic family")
     window = (1 << candidate.level) - 1
     for mask, entry in candidate.entries.items():
-        if any(cmask & window for _, cmask, _ in entry.stem.coefficients()):
+        if any(cmask & window for _, cmask, _ in entry.coefficients()):
             raise ValueError("candidate entry %r is not constant on the "
                              "first %d spheres" % (mask_indices(mask),
                                                    candidate.level))

@@ -29,14 +29,19 @@ def _sample_points(points, samples, seed, n):
     """The given points, or ``samples`` seeded random admissible points.
 
     An empty point set is refused: a verdict over no points shows nothing.
+    So is a given point without exactly n coordinates.
     """
     if points is None:
         if samples < 1:
             raise ValueError("samples must be at least 1, got %d" % samples)
         rng = random.Random(seed)
-        points = [random_slice_point(rng, n) for _ in range(samples)]
+        return [random_slice_point(rng, n) for _ in range(samples)]
     if not points:
         raise ValueError("no sample points given")
+    for i, p in enumerate(points):
+        if len(p) != n:
+            raise ValueError("sample point %d has %d coordinates, expected %d"
+                             % (i, len(p), n))
     return points
 
 

@@ -46,8 +46,9 @@ class StemElement:
 
     ``components`` maps subset masks to quaternion coefficients; absent
     masks are zero.  Instances are treated as immutable.  The reference
-    algebra: a stem term lies on its parity mask alone, so ``StemPolynomial``
-    stores one quaternion per term and signs products by ``basis_product``.
+    algebra: a stem term lies on its parity mask alone, so a slice
+    polynomial (``SliceFunction``, also named ``StemPolynomial``) stores one
+    quaternion per term and signs products by ``basis_product``.
     """
 
     __slots__ = ("n", "components")

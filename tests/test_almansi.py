@@ -59,7 +59,7 @@ def test_spherical_entries_clear_of_leading_subsets():
             window = (1 << m) - 1
             for entry in fam.entries.values():
                 assert all(not mask & window
-                           for _, mask, _ in entry.stem.coefficients())
+                           for _, mask, _ in entry.coefficients())
 
 
 def test_symbolic_reconstruction_exact():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwirt.almansi import check_reconstruction, check_zonal, dirac_components
 from qwirt.cli import main
+from qwirt.expr import parse_slice
 from qwirt.numeric import NumericField, lift, running_worst
 from qwirt.quaternion import Quaternion
 from qwirt.sampling import random_slice_point
@@ -252,4 +253,66 @@ def test_zonal_check_refuses_no_rotations(rotations):
     point = random_slice_point(random.Random(4), 2)
     with pytest.raises(ValueError, match="rotations"):
         check_zonal(family, point, rotations=rotations)
+    assert not calls
+
+
+# -- requests refused before any evaluation -----------------------------------
+
+
+def _counted_lift(text, n=None):
+    field = lift(parse_slice(text, n))
+    calls = []
+    inner = field.func
+    field.func = lambda p: calls.append(p) or inner(p)
+    return field, calls
+
+
+def test_numeric_regularity_of_four_variables_is_refused():
+    # it checked thetabar_1..3 only and said regular, while the symbolic
+    # check of the same input finds thetabar_4 = 1
+    field, calls = _counted_lift("x1*x2*x3*~x4")
+    with pytest.raises(ValueError, match="capped at index 3"):
+        check_regularity_numeric(field, samples=2, slice_established=True)
+    assert not calls
+
+
+def test_check_regular_numeric_of_four_variables_exits_2(capsys):
+    code, report = run_json(capsys, "check-regular", "--numeric",
+                            "x1*x2*x3*~x4", "--samples", "2")
+    assert code == 2
+    assert report["error"] == {"type": "value", "message":
+                               "numeric Wirtinger operators are capped at index 3"}
+
+
+def test_strong_sliceness_of_four_variables_is_refused():
+    # level 4 of this slice polynomial read 1.7e-2 against the tolerance 1e-2
+    field, calls = _counted_lift("x1+x2+x3+x4")
+    with pytest.raises(ValueError, match="capped at 3 variables"):
+        check_strong_sliceness(field, samples=1)
+    assert not calls
+
+
+def test_check_slice_of_four_variables_exits_2(capsys):
+    code, report = run_json(capsys, "check-slice", "x1+x2+x3+x4", "--samples", "1")
+    assert code == 2
+    assert report["error"] == {"type": "value", "message":
+                               "strong sliceness check is capped at 3 variables"}
+
+
+@pytest.mark.parametrize("n, coords", [(1, 2), (2, 1)],
+                         ids=["extra-coordinate", "missing-coordinate"])
+def test_given_points_of_the_wrong_length_are_refused(n, coords):
+    # an extra coordinate used to be ignored, a missing one raised IndexError
+    field, calls = _counted_lift("x1^2", n)
+    f = parse_slice("x1^2", n)
+    point = random_slice_point(random.Random(5), coords)
+    message = "has %d coordinates, expected %d" % (coords, n)
+    for check in (check_regularity_numeric, check_strong_sliceness):
+        with pytest.raises(ValueError, match=message):
+            check(field, [point])
+    for check in (crosscheck, check_independence):
+        with pytest.raises(ValueError, match=message):
+            check(f, 1, [point])
+    with pytest.raises(ValueError, match=message):
+        check_reconstruction(field, "dirac", 1, [point])
     assert not calls

@@ -118,12 +118,12 @@ def test_slicefn_does_not_use_the_element_algebra():
 
 def test_coefficients_yield_each_term_on_its_parity_mask():
     f = parse_slice("x1*~x2+x2^3*(1/2i)+x1^2")
-    listed = list(f.stem.coefficients())
-    assert len(listed) == len(f.stem.terms)
+    listed = list(f.coefficients())
+    assert len(listed) == len(f.terms)
     n = f.n
     for key, mask, coeff in listed:
         parity = sum(1 << m for m in range(n) if key[n + m] % 2)
         assert mask == parity
         assert not coeff.is_zero()
     # one coefficient per exponent key, in the stem's term order
-    assert [key for key, _, _ in listed] == list(f.stem.terms)
+    assert [key for key, _, _ in listed] == list(f.terms)

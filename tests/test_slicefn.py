@@ -71,13 +71,13 @@ def test_flat_product_matches_the_element_algebra(seed, n):
     f = helpers.random_slice_polynomial(rng, n)
     g = helpers.random_slice_polynomial(rng, n)
     want = {}
-    for k1, h, q1 in f.stem.coefficients():
-        for k2, k, q2 in g.stem.coefficients():
+    for k1, h, q1 in f.coefficients():
+        for k2, k, q2 in g.coefficients():
             key = tuple(a + b for a, b in zip(k1, k2))
             prod = StemElement.basis(n, h, q1) * StemElement.basis(n, k, q2)
             want[key] = want[key] + prod if key in want else prod
     want = {key: e.components for key, e in want.items() if not e.is_zero()}
-    got = {key: {mask: q} for key, mask, q in (f * g).stem.coefficients()}
+    got = {key: {mask: q} for key, mask, q in (f * g).coefficients()}
     assert got == want
 
 
@@ -382,7 +382,7 @@ def test_component_recovery_from_sign_flipped_evaluations():
                     total = units[h].inverse() * total
             recovered = total * (1.0 / (1 << n))
             component = Quaternion(0.0, 0.0, 0.0, 0.0)
-            for key, cmask, coeff in f.stem.coefficients():
+            for key, cmask, coeff in f.coefficients():
                 if cmask != mask:
                     continue
                 scalar = 1.0

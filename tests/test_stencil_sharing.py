@@ -159,7 +159,7 @@ def _reference_lift(f, point):
         return cache[mask]
 
     total = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for key, mask, coeff in f.stem.coefficients():
+    for key, mask, coeff in f.coefficients():
         scalar = 1.0
         for m in range(n):
             if key[m]:

@@ -1,0 +1,64 @@
+"""The benchmark's tracer counts slice products on the one exact class and
+puts every method it patches back.  ``perfbench/tracing.py`` is loaded from
+its file and not changed."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from qwirt.expr import parse_slice
+from qwirt.quaternion import ONE
+from qwirt.slicefn import SliceFunction, StemPolynomial, constant
+
+PATCHED = ("__mul__", "__pow__", "evaluate")
+
+
+def _tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def _traced(run):
+    tracer = _tracer()
+    tracer.install()
+    try:
+        run()
+    finally:
+        tracer.uninstall()
+    return tracer.counts
+
+
+@pytest.fixture
+def pair():
+    return (parse_slice("x1*~x2+x2^2*(1/2i)+x1"),
+            parse_slice("x1*(j)+~x2+1/3", 2))
+
+
+def test_one_product_counts_once(pair):
+    f, g = pair
+    counts = _traced(lambda: f * g)
+    assert counts["slicefn.mul.calls"] == 1
+    assert counts["slicefn.stem_mul.terms_out"] == len((f * g).terms)
+
+
+def test_a_cube_counts_the_power_and_its_three_products(pair):
+    f, _ = pair
+    counts = _traced(lambda: f ** 3)
+    # square and multiply: 1 * f, then f * f, then (1 * f) * (f * f)
+    first, square = constant(f.n, ONE) * f, f * f
+    products = (first, square, first * square)
+    assert counts["slicefn.mul.calls"] == 1 + len(products)
+    assert counts["slicefn.stem_mul.terms_out"] == sum(len(p.terms) for p in products)
+
+
+def test_uninstall_restores_the_patched_methods(pair):
+    # StemPolynomial names the same class, so __mul__ is patched twice
+    assert StemPolynomial is SliceFunction
+    originals = {attr: SliceFunction.__dict__[attr] for attr in PATCHED}
+    f, g = pair
+    _traced(lambda: f * g)
+    assert {attr: SliceFunction.__dict__[attr] for attr in PATCHED} == originals

@@ -245,7 +245,7 @@ def _exact_nullspace(columns):
 
 def _stem_coordinates(f):
     out = {}
-    for key, mask, coeff in f.stem.coefficients():
+    for key, mask, coeff in f.coefficients():
         assert coeff.x == 0 and coeff.y == 0 and coeff.z == 0
         out[(key, mask)] = Fraction(coeff.w)
     return out
