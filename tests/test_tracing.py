@@ -1,5 +1,6 @@
 """The benchmark's tracer counts slice products on the one exact class and
-puts every method it patches back.  ``perfbench/tracing.py`` is loaded from
+every base evaluation of a lifted field, and puts every method it patches
+back.  ``perfbench/tracing.py`` is loaded from
 its file and not changed."""
 
 import importlib.util
@@ -62,3 +63,24 @@ def test_uninstall_restores_the_patched_methods(pair):
     f, g = pair
     _traced(lambda: f * g)
     assert {attr: SliceFunction.__dict__[attr] for attr in PATCHED} == originals
+
+
+def test_the_tracer_sees_every_base_evaluation():
+    # the tracer rebinds names on the qwirt modules, not the ones imported
+    # here, so the functions are looked up on the package after install
+    import qwirt
+
+    tracer = _tracer()
+    tracer.install()
+    try:
+        f = qwirt.parse_slice("x1*~x2")
+        p = (qwirt.parse_quaternion("1/2+i-1/3j"),
+             qwirt.parse_quaternion("-1/4+1/2j+k"))
+        tracer.begin_job(1)
+        qwirt.wirtinger_conj_derivative_numeric(qwirt.lift(f), 2, p)
+        tracer.end_job()
+    finally:
+        tracer.uninstall()
+    # the index-2 operator reaches 48 stencil points, each evaluated once
+    assert tracer.counts["numeric.base_eval.calls"] == 48
+    assert tracer.counts["numeric.base_eval.distinct"] == 48
