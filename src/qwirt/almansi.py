@@ -20,12 +20,13 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from functools import reduce
 
-from .quaternion import Quaternion
+from .quaternion import Quaternion, hamilton
 from .stem import bit, mask_indices
 from .slicefn import SliceFunction, constant, variable, conj_variable
 from .numeric import (fueter_derivative_field, spherical_dirac_field,
                       multiply_by_variable, div_by_twice_im, negate_field,
-                      running_worst, sweep, report_tail)
+                      running_worst, sweep, report_tail, flat_point,
+                      quaternion_point, _add)
 from .sampling import respin_units, _sample_points
 
 FLAVOR_SPHERICAL = "spherical"
@@ -67,10 +68,14 @@ class ComponentFamily:
         return sorted(self.entries)
 
     def entry_value(self, mask, point):
+        return Quaternion(*self.flat_value(mask, flat_point(point)))
+
+    def flat_value(self, mask, point):
+        """The entry's value at a flat point, as a component 4-tuple."""
         entry = self.entries[mask]
         if isinstance(entry, SliceFunction):
-            return entry.evaluate(point)
-        return entry(point)
+            return entry.evaluate(quaternion_point(point)).components()
+        return entry.flat(point)
 
     def replace_entry(self, mask, entry):
         entries = dict(self.entries)
@@ -119,7 +124,7 @@ def _numeric_levels(flavor, derivative, field, level):
     caller's field: sibling entries share its stencil evaluations, and the
     caller's field keeps no state."""
     return _component_levels(
-        flavor, field.derived(field, cost=0, step=field.step), level,
+        flavor, field.derived(field.flat, cost=0, step=field.step), level,
         lambda m: lambda g: multiply_by_variable(g, m), derivative)
 
 
@@ -144,10 +149,13 @@ def dirac_components(field, level):
 
 
 def _neg_conj_value(point, indices):
-    """Ordered pointwise product of -conj(x_k) over ascending indices."""
-    prod = Quaternion(1.0, 0.0, 0.0, 0.0)
+    """Ordered pointwise product of -conj(x_k) over ascending indices, at a
+    flat point."""
+    prod = (1.0, 0.0, 0.0, 0.0)
     for k in indices:
-        prod = prod * (-point[k - 1].to_float().conjugate())
+        k = 4 * (k - 1)
+        prod = hamilton(prod, (-float(point[k]), float(point[k + 1]),
+                               float(point[k + 2]), float(point[k + 3])))
     return prod
 
 
@@ -162,11 +170,12 @@ def reconstruct(family, point):
     negated conjugate coordinates over the complement of its subset inside
     {1..level}.
     """
-    total = Quaternion(0.0, 0.0, 0.0, 0.0)
+    point = flat_point(point)
+    total = (0.0, 0.0, 0.0, 0.0)
     for mask in family.masks():
         mult = _neg_conj_value(point, complement_indices(mask, family.level))
-        total = total + mult * family.entry_value(mask, point)
-    return total
+        total = _add(total, hamilton(mult, family.flat_value(mask, point)))
+    return Quaternion(*total)
 
 
 def _neg_conj_monomial(n, indices):

@@ -10,11 +10,23 @@ derived field uses a larger outer step to balance truncation against
 cancellation.  Left multiplications by Im(x_m)^-1 and by the units i, j, k
 are applied exactly in the displayed order; with noncommuting values the
 order is load-bearing.
+
+The operators run on flat points and tuple values.  A point is the one
+flat tuple of its 4n components, as given, which is also the key of every
+memo, so a displacement is one index add; a component becomes a float only
+where an operator calls ``float()`` on it.  A value is a 4-tuple of
+components.  Products go through ``quaternion.hamilton``, the product
+``Quaternion.__mul__`` uses, and sums, negations and scalings follow the
+component order of ``Quaternion`` arithmetic, so every value is bit for bit
+the one quaternion arithmetic gives.  ``Quaternion`` appears only at the
+boundary: a field's ``func`` is called with a tuple of quaternions, and the
+public operators take points of quaternions and return a quaternion, each a
+wrapper around the one flat form that the checkers call.
 """
 
 from functools import reduce
 
-from .quaternion import Quaternion, I, J, K, coordinate, replace_coordinate
+from .quaternion import Quaternion, I, J, K, hamilton
 
 DEFAULT_STEP = 1e-3
 # Outer step for differentiating an already-derived field.  Cancellation of
@@ -25,6 +37,11 @@ NESTED_STEP = 2e-3
 DEFAULT_BAND = 0.1
 DEFAULT_SMOOTHNESS = 16
 
+# The units as int component tuples: their products through ``hamilton`` are
+# those of ``Quaternion.__mul__``, signs of zero included.
+_I, _J, _K = I.components(), J.components(), K.components()
+_ZERO = (0.0, 0.0, 0.0, 0.0)
+
 
 class NearRealAxisError(ValueError):
     """A point fell inside the exclusion band around a real axis."""
@@ -34,15 +51,29 @@ class DepthExhaustedError(RuntimeError):
     """The declared smoothness budget cannot absorb another derivative."""
 
 
+def flat_point(point):
+    """The components of a point of H^n as one flat 4n-tuple, as given."""
+    return tuple([c for q in point for c in (q.w, q.x, q.y, q.z)])
+
+
+def quaternion_point(flat):
+    """The point of H^n whose components a flat 4n-tuple lists."""
+    return tuple([Quaternion(*flat[k:k + 4]) for k in range(0, len(flat), 4)])
+
+
 class NumericField:
     """A black-box function H^n -> H with a finite-difference configuration.
 
-    The function must be pure: its value depends on the point alone.  A field
-    built by the caller keeps no state.  Every field built by an operator of
-    this package comes from ``derived``, which memoizes values by the exact
-    components of the point for as long as that derived field lives (one
-    component family, or one call of a checker), so nested stencils evaluate
-    each point once.
+    ``func`` maps a tuple of n quaternions to a quaternion and must be pure:
+    its value depends on the point alone.  The operators of this module run
+    on ``flat``, the same function of a flat 4n-tuple of point components
+    with a 4-tuple of value components, and turn points and values into
+    quaternions only where they are handed in or out.  A field built by the
+    caller keeps no state, and ``flat`` calls its ``func`` once per point it
+    is asked for.  Every field built by an operator comes from ``derived``,
+    which memoizes values by the flat point for as long as that derived
+    field lives (one component family, or one call of a checker), so nested
+    stencils evaluate each point once.
     """
 
     __slots__ = ("func", "n", "smoothness", "step", "band")
@@ -60,30 +91,46 @@ class NumericField:
     def __call__(self, point):
         return self.func(point)
 
+    def flat(self, point):
+        """The value at a flat point as a component 4-tuple, from ``func``."""
+        return self.func(quaternion_point(point)).components()
+
     def spend(self, depth=1):
         if self.smoothness < depth:
             raise DepthExhaustedError(
                 "operator needs %d derivative(s), smoothness budget is %d"
                 % (depth, self.smoothness))
 
-    def derived(self, func, cost=1, step=NESTED_STEP):
-        """A field of ``func`` that spends ``cost`` of this field's budget.
+    def derived(self, flat, cost=1, step=NESTED_STEP):
+        """A field of ``flat``, a function of flat points with 4-tuple
+        values, that spends ``cost`` of this field's budget.
 
-        Values are memoized by the point's components; a raised exception
+        Values are memoized by the flat point; a raised exception
         (``NearRealAxisError``, say) is never stored.
         """
+        return _DerivedField(flat, self.n, self.smoothness - cost, step, self.band)
+
+
+class _DerivedField(NumericField):
+    """A field an operator built: ``flat`` is the memo of a function of flat
+    points, and ``func`` reads it at points of quaternions."""
+
+    __slots__ = ("flat",)
+
+    def __init__(self, flat, n, smoothness, step, band):
         values = {}
 
         def memo(point):
-            # one flat tuple per point: a tuple per coordinate would double
-            # the memory of the keys
-            key = tuple([c for q in point for c in (q.w, q.x, q.y, q.z)])
-            value = values.get(key)
+            value = values.get(point)
             if value is None:
-                value = values[key] = func(point)
+                value = values[point] = flat(point)
             return value
 
-        return NumericField(memo, self.n, self.smoothness - cost, step, self.band)
+        def func(point):
+            return Quaternion(*memo(flat_point(point)))
+
+        super().__init__(func, n, smoothness, step, band)
+        self.flat = memo
 
 
 def running_worst(worst, residual):
@@ -121,65 +168,151 @@ def _check_var(field, m):
 
 
 def _check_off_axis(field, m, point):
-    q = point[m - 1]
-    if float(q.im_norm_sq()) < field.band * field.band:
+    k = 4 * m - 3
+    x, y, z = point[k:k + 3]
+    if float(x * x + y * y + z * z) < field.band * field.band:
         raise NearRealAxisError(
             "|Im(x_%d)| < %g at the requested point" % (m, field.band))
 
 
-def _displace(point, m, i, h):
-    q = replace_coordinate(point[m - 1], i, coordinate(point[m - 1], i) + h)
-    return point[:m - 1] + (q,) + point[m:]
+# -- values as component 4-tuples, in the operation order of Quaternion ----------
 
 
-def coordinate_partial(field, m, i, point, step=None):
-    """Central difference for the partial in the i-th real coordinate of x_m."""
+def _add(p, q):
+    return (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3])
+
+
+def _sub(p, q):
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3])
+
+
+def _scale(p, s):
+    return (p[0] * s, p[1] * s, p[2] * s, p[3] * s)
+
+
+def _coordinates(point, m):
+    """The float components of x_m."""
+    k = 4 * (m - 1)
+    return (float(point[k]), float(point[k + 1]), float(point[k + 2]),
+            float(point[k + 3]))
+
+
+def _inverse_twice_im(point, m, twice):
+    """(Im(x_m) * 2.0)^-1 when ``twice`` is 2.0, Im(x_m)^-1 when it is 1.0,
+    as ``Quaternion.inverse`` computes it: the conjugate times one over the
+    squared norm, real part 0.0."""
+    _, x, y, z = _coordinates(point, m)
+    x, y, z = x * twice, y * twice, z * twice
+    n2 = x * x + y * y + z * z
+    if n2 == 0:
+        raise ZeroDivisionError("zero quaternion has no inverse")
+    r = 1.0 / n2
+    return (0.0 * r, -x * r, -y * r, -z * r)
+
+
+# -- operators on flat points --------------------------------------------------------
+
+
+def _partial(field, m, i, point, step=None):
     _check_var(field, m)
     if not 0 <= i <= 3:
         raise ValueError("coordinate index must be in 0..3")
     field.spend()
     h = field.step if step is None else step
-    plus = field(_displace(point, m, i, h))
-    minus = field(_displace(point, m, i, -h))
-    return (plus - minus) / (2.0 * h)
+    k = 4 * (m - 1) + i
+    head, x, tail = point[:k], point[k], point[k + 1:]
+    plus = field.flat(head + (x + h,) + tail)
+    minus = field.flat(head + (x + -h,) + tail)
+    return _scale(_sub(plus, minus), 1.0 / (2.0 * h))
+
+
+def _euler(field, m, point):
+    _check_var(field, m)
+    total = _ZERO
+    coords = _coordinates(point, m)
+    for i in (1, 2, 3):
+        total = _add(total, _scale(_partial(field, m, i, point), coords[i]))
+    return total
+
+
+def _global_pair(field, m, point):
+    _check_var(field, m)
+    _check_off_axis(field, m, point)
+    d0 = _partial(field, m, 0, point)
+    euler = hamilton(_inverse_twice_im(point, m, 1.0), _euler(field, m, point))
+    return _scale(_add(d0, euler), 0.5), _scale(_sub(d0, euler), 0.5)
+
+
+def _tangential(field, m, i, j, point):
+    if not (1 <= i <= 3 and 1 <= j <= 3):
+        raise ValueError("tangential indices must be in 1..3")
+    _check_var(field, m)
+    coords = _coordinates(point, m)
+    return _sub(_scale(_partial(field, m, j, point), coords[i]),
+                _scale(_partial(field, m, i, point), coords[j]))
+
+
+def _spherical_dirac(field, m, point):
+    _check_var(field, m)
+    _, x1, x2, x3 = _coordinates(point, m)
+    d1, d2, d3 = (_partial(field, m, h, point) for h in (1, 2, 3))
+    l23 = _sub(_scale(d3, x2), _scale(d2, x3))
+    l13 = _sub(_scale(d3, x1), _scale(d1, x3))
+    l12 = _sub(_scale(d2, x1), _scale(d1, x2))
+    w, x, y, z = hamilton(_I, l23)
+    return _sub(_add((-w, -x, -y, -z), hamilton(_J, l13)), hamilton(_K, l12))
+
+
+def _fueter(field, m, point):
+    _check_var(field, m)
+    d0, d1, d2, d3 = (_partial(field, m, i, point) for i in range(4))
+    total = _add(_add(_add(d0, hamilton(_I, d1)), hamilton(_J, d2)),
+                 hamilton(_K, d3))
+    return _scale(total, 0.5)
+
+
+def _laplacian(field, m, point, step=None):
+    _check_var(field, m)
+    field.spend(2)
+    h = field.step if step is None else step
+    center = field.flat(point)
+    twice = _scale(center, 2.0)
+    total = _ZERO
+    for i in range(4):
+        k = 4 * (m - 1) + i
+        head, x, tail = point[:k], point[k], point[k + 1:]
+        plus = field.flat(head + (x + h,) + tail)
+        minus = field.flat(head + (x + -h,) + tail)
+        total = _sub(_add(_add(total, plus), minus), twice)
+    return _scale(total, 1.0 / (h * h))
+
+
+# -- the public operators: points of quaternions in, a quaternion out ----------------
+
+
+def coordinate_partial(field, m, i, point, step=None):
+    """Central difference for the partial in the i-th real coordinate of x_m."""
+    return Quaternion(*_partial(field, m, i, flat_point(point), step))
 
 
 def euler_operator(field, m, point):
     """Sum of x_{m_i} d/dx_{m_i} over the three imaginary coordinates."""
-    total = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for i in (1, 2, 3):
-        total = total + coordinate_partial(field, m, i, point) * float(coordinate(point[m - 1], i))
-    return total
-
-
-def _global_derivative_pair(field, m, point):
-    """The global derivative and its conjugate in x_m from one stencil."""
-    _check_var(field, m)
-    _check_off_axis(field, m, point)
-    d0 = coordinate_partial(field, m, 0, point)
-    im_inv = point[m - 1].im().to_float().inverse()
-    euler = im_inv * euler_operator(field, m, point)
-    return (d0 + euler) * 0.5, (d0 - euler) * 0.5
+    return Quaternion(*_euler(field, m, flat_point(point)))
 
 
 def global_derivative(field, m, point):
     """(d/dx_{m_0} + Im(x_m)^-1 * Euler)/2; undefined inside the band."""
-    return _global_derivative_pair(field, m, point)[0]
+    return Quaternion(*_global_pair(field, m, flat_point(point))[0])
 
 
 def global_conj_derivative(field, m, point):
     """(d/dx_{m_0} - Im(x_m)^-1 * Euler)/2; undefined inside the band."""
-    return _global_derivative_pair(field, m, point)[1]
+    return Quaternion(*_global_pair(field, m, flat_point(point))[1])
 
 
 def tangential_derivative(field, m, i, j, point):
     """x_{m_i} d/dx_{m_j} - x_{m_j} d/dx_{m_i}, tangential to the spheres."""
-    if not (1 <= i <= 3 and 1 <= j <= 3):
-        raise ValueError("tangential indices must be in 1..3")
-    xi = float(coordinate(point[m - 1], i))
-    xj = float(coordinate(point[m - 1], j))
-    return (coordinate_partial(field, m, j, point) * xi
-            - coordinate_partial(field, m, i, point) * xj)
+    return Quaternion(*_tangential(field, m, i, j, flat_point(point)))
 
 
 def spherical_dirac(field, m, point):
@@ -187,36 +320,17 @@ def spherical_dirac(field, m, point):
 
     The three tangential derivatives share one set of coordinate partials.
     """
-    x1, x2, x3 = (float(coordinate(point[m - 1], h)) for h in (1, 2, 3))
-    d1, d2, d3 = (coordinate_partial(field, m, h, point) for h in (1, 2, 3))
-    l23 = d3 * x2 - d2 * x3
-    l13 = d3 * x1 - d1 * x3
-    l12 = d2 * x1 - d1 * x2
-    return -(I * l23) + J * l13 - K * l12
+    return Quaternion(*_spherical_dirac(field, m, flat_point(point)))
 
 
 def fueter_derivative(field, m, point):
     """The Cauchy-Riemann-Fueter operator (d0 + i d1 + j d2 + k d3)/2 in x_m."""
-    _check_var(field, m)
-    d0 = coordinate_partial(field, m, 0, point)
-    d1 = coordinate_partial(field, m, 1, point)
-    d2 = coordinate_partial(field, m, 2, point)
-    d3 = coordinate_partial(field, m, 3, point)
-    return (d0 + I * d1 + J * d2 + K * d3) * 0.5
+    return Quaternion(*_fueter(field, m, flat_point(point)))
 
 
 def laplacian(field, m, point, step=None):
     """Four-coordinate Laplacian in x_m by second central differences."""
-    _check_var(field, m)
-    field.spend(2)
-    h = field.step if step is None else step
-    center = field(point)
-    total = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for i in range(4):
-        plus = field(_displace(point, m, i, h))
-        minus = field(_displace(point, m, i, -h))
-        total = total + plus + minus - center * 2.0
-    return total / (h * h)
+    return Quaternion(*_laplacian(field, m, flat_point(point), step))
 
 
 # -- derived fields -------------------------------------------------------------
@@ -224,16 +338,20 @@ def laplacian(field, m, point, step=None):
 
 def spherical_dirac_field(field, m):
     field.spend()
-    return field.derived(lambda p: spherical_dirac(field, m, p))
+    return field.derived(lambda p: _spherical_dirac(field, m, p))
 
 
 def fueter_derivative_field(field, m):
     field.spend()
-    return field.derived(lambda p: fueter_derivative(field, m, p))
+    return field.derived(lambda p: _fueter(field, m, p))
 
 
 def negate_field(field):
-    return field.derived(lambda p: -field(p), cost=0, step=field.step)
+    def func(point):
+        w, x, y, z = field.flat(point)
+        return (-w, -x, -y, -z)
+
+    return field.derived(func, cost=0, step=field.step)
 
 
 def multiply_by_variable(field, m, conj=False):
@@ -241,9 +359,11 @@ def multiply_by_variable(field, m, conj=False):
     the derivative budget is untouched."""
     _check_var(field, m)
     if conj:
-        func = lambda p: p[m - 1].to_float().conjugate() * field(p)
+        def func(point):
+            w, x, y, z = _coordinates(point, m)
+            return hamilton((w, -x, -y, -z), field.flat(point))
     else:
-        func = lambda p: p[m - 1].to_float() * field(p)
+        func = lambda p: hamilton(_coordinates(p, m), field.flat(p))
     return field.derived(func, cost=0, step=field.step)
 
 
@@ -253,7 +373,7 @@ def div_by_twice_im(field, m):
 
     def func(point):
         _check_off_axis(field, m, point)
-        return (point[m - 1].im().to_float() * 2.0).inverse() * field(point)
+        return hamilton(_inverse_twice_im(point, m, 2.0), field.flat(point))
 
     return field.derived(func, cost=0, step=field.step)
 

@@ -13,8 +13,8 @@ exercised by the cross-check suite.
 import warnings
 from functools import reduce
 
-from .quaternion import Quaternion
-from .numeric import _global_derivative_pair, lift, tangential_derivative, \
+from .quaternion import Quaternion, hamilton
+from .numeric import _global_pair, _tangential, _add, lift, flat_point, \
     running_worst, sweep, report_tail, DEFAULT_STEP, DEFAULT_BAND
 from .almansi import dirac_components, dirac_levels, complement_indices, \
     _neg_conj_value
@@ -57,29 +57,30 @@ def _check_index(n, m):
 
 
 def _wirtinger_pair(field, m, point):
-    """The index-m operator and its conjugate from one Dirac family."""
+    """The index-m operator and its conjugate from one Dirac family, at a
+    flat point, as component 4-tuples."""
     if m == 1:
-        return _global_derivative_pair(field, 1, point)
+        return _global_pair(field, 1, point)
     family = dirac_components(field, m - 1)
-    theta = thetabar = Quaternion(0.0, 0.0, 0.0, 0.0)
+    theta = thetabar = (0.0, 0.0, 0.0, 0.0)
     for mask in family.masks():
         mult = _neg_conj_value(point, complement_indices(mask, m - 1))
-        plain, conj = _global_derivative_pair(family.entries[mask], m, point)
-        theta = theta + mult * plain
-        thetabar = thetabar + mult * conj
+        plain, conj = _global_pair(family.entries[mask], m, point)
+        theta = _add(theta, hamilton(mult, plain))
+        thetabar = _add(thetabar, hamilton(mult, conj))
     return theta, thetabar
 
 
 def wirtinger_derivative_numeric(field, m, point):
     """Numeric realization of the index-m Wirtinger operator at a point."""
     _check_index(field.n, m)
-    return _wirtinger_pair(field, m, point)[0]
+    return Quaternion(*_wirtinger_pair(field, m, flat_point(point))[0])
 
 
 def wirtinger_conj_derivative_numeric(field, m, point):
     """Numeric realization of the conjugate index-m operator at a point."""
     _check_index(field.n, m)
-    return _wirtinger_pair(field, m, point)[1]
+    return Quaternion(*_wirtinger_pair(field, m, flat_point(point))[1])
 
 
 def default_tolerance(m):
@@ -124,9 +125,13 @@ def check_regularity_numeric(field, points=None, *, samples=10, seed=0,
     _check_index(field.n, field.n)
     indices = range(1, field.n + 1)
     points = _sample_points(points, samples, seed, field.n)
-    residuals = sweep(points, lambda p: (
-        ("thetabar_%d" % m, abs(_wirtinger_pair(field, m, p)[1]))
-        for m in indices))
+
+    def thetabar(p):
+        p = flat_point(p)
+        for m in indices:
+            yield "thetabar_%d" % m, abs(Quaternion(*_wirtinger_pair(field, m, p)[1]))
+
+    residuals = sweep(points, thetabar)
     tolerances = {"thetabar_%d" % m: tol if tol is not None else default_tolerance(m)
                   for m in indices}
     failures = [key for key, worst in residuals.items()
@@ -161,14 +166,15 @@ def check_strong_sliceness(field, points=None, *, samples=5, seed=0, tol=1e-2):
 
     def tangential(p):
         # one recursion per point: its memos hold this point's stencils only
+        p = flat_point(p)
         for family in dirac_levels(field, field.n):
             m = family.level
             for mask in family.masks():
                 entry = family.entries[mask]
                 for h in range(1, m + 1):
                     for i, j in ((1, 2), (1, 3), (2, 3)):
-                        yield ((m, h, i, j, mask),
-                               abs(tangential_derivative(entry, h, i, j, p)))
+                        yield ((m, h, i, j, mask), abs(Quaternion(
+                            *_tangential(entry, h, i, j, p))))
 
     residuals = sweep(points, tangential)
     records = [{"m": m, "h": h, "i": i, "j": j, "mask": mask, "residual": residual}
@@ -189,14 +195,15 @@ def check_conjugation_identity(f, m):
 
 def _pair_residuals(f, m, pair, field):
     """The residuals at a point of the numeric operator pair
-    ``pair(field, m, p)`` against the exact theta_m and thetabar_m of f."""
+    ``pair(field, m, p)``, which takes flat points, against the exact
+    theta_m and thetabar_m of f."""
     plain = wirtinger_derivative(f, m)
     conj = wirtinger_conj_derivative(f, m)
 
     def residuals(p):
-        theta, thetabar = pair(field, m, p)
-        yield "theta_%d" % m, abs(theta - plain.evaluate(p))
-        yield "thetabar_%d" % m, abs(thetabar - conj.evaluate(p))
+        theta, thetabar = pair(field, m, flat_point(p))
+        yield "theta_%d" % m, abs(Quaternion(*theta) - plain.evaluate(p))
+        yield "thetabar_%d" % m, abs(Quaternion(*thetabar) - conj.evaluate(p))
 
     return residuals
 
@@ -213,7 +220,7 @@ def check_independence(f, first, points=None, *, samples=10, seed=0,
         if not (wirtinger_derivative(f, h).is_zero()
                 and wirtinger_conj_derivative(f, h).is_zero()):
             return False
-    residuals = _pair_residuals(f, first, _global_derivative_pair, lift(f))
+    residuals = _pair_residuals(f, first, _global_pair, lift(f))
     # stops at the first residual over the tolerance
     return all(residual < tol for p in points for _, residual in residuals(p))
 

@@ -121,7 +121,7 @@ def test_derived_field_memoizes_values_but_not_exceptions():
         return Quaternion(2.0)
 
     base = NumericField(value, 1, 4)
-    view = base.derived(base, cost=0, step=base.step)
+    view = base.derived(base.flat, cost=0, step=base.step)
     p = (Quaternion(0.5, 1.0),)
     with pytest.raises(NearRealAxisError):
         view(p)
