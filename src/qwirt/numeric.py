@@ -24,6 +24,7 @@ public operators take points of quaternions and return a quaternion, each a
 wrapper around the one flat form that the checkers call.
 """
 
+import math
 from functools import reduce
 
 from .quaternion import Quaternion, I, J, K, hamilton
@@ -74,6 +75,9 @@ class NumericField:
     which memoizes values by the flat point for as long as that derived
     field lives (one component family, or one call of a checker), so nested
     stencils evaluate each point once.
+
+    The step must be finite and positive, and the band finite and
+    non-negative.
     """
 
     __slots__ = ("func", "n", "smoothness", "step", "band")
@@ -82,6 +86,12 @@ class NumericField:
                  step=DEFAULT_STEP, band=DEFAULT_BAND):
         if not n >= 1:
             raise ValueError("a field needs at least one variable, got n=%d" % n)
+        if not (math.isfinite(step) and step > 0):
+            raise ValueError("finite-difference step must be finite and > 0, "
+                             "got %r" % step)
+        if not (math.isfinite(band) and band >= 0):
+            raise ValueError("exclusion band must be finite and >= 0, got %r"
+                             % band)
         self.func = func
         self.n = n
         self.smoothness = smoothness

@@ -5,6 +5,7 @@ numeric suite the command line runs."""
 import json
 import math
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -16,7 +17,7 @@ from qwirt.expr import parse_slice
 from qwirt.numeric import NumericField, lift, running_worst
 from qwirt.quaternion import Quaternion
 from qwirt.sampling import random_slice_point
-from qwirt.slicefn import variable
+from qwirt.slicefn import SliceFunction, variable
 from qwirt.wirtinger import (check_independence, check_regularity_numeric,
                              check_strong_sliceness, crosscheck)
 
@@ -31,33 +32,40 @@ def run_json(capsys, *argv):
 # -- non-finite residuals ---------------------------------------------------------
 
 
+def _refused_step(report):
+    return report["error"]["type"] == "value" and "step" in report["error"]["message"]
+
+
+# A NaN step used to run every stencil and fail the verdict; it is now
+# refused before any evaluation, which fails closed too.
+
+
 def test_check_regular_nan_step_is_not_regular(capsys):
     code, report = run_json(capsys, "check-regular", "--numeric", "--fd-step",
                             "nan", "--n", "2", "~x1")
-    assert code == 1
-    assert report["verdict"] == "not-regular"
-    assert report["failures"] == ["thetabar_1", "thetabar_2"]
+    assert code == 2
+    assert _refused_step(report)
 
 
 def test_check_slice_nan_step_fails(capsys):
     code, report = run_json(capsys, "check-slice", "--fd-step", "nan",
                             "--samples", "1", "--n", "2", "x1*x2")
-    assert code == 1
-    assert report["verdict"] is False
+    assert code == 2
+    assert _refused_step(report)
 
 
 def test_almansi_nan_step_fails(capsys):
     code, report = run_json(capsys, "almansi", "--flavor", "gamma", "--level",
                             "1", "--fd-step", "nan", "--samples", "2", "x1*x2")
-    assert code == 1
-    assert math.isnan(report["reconstruction_residuals"]["max_residual"])
+    assert code == 2
+    assert _refused_step(report)
 
 
 def test_crosscheck_honours_fd_step(capsys):
     code, report = run_json(capsys, "crosscheck", "--fd-step", "nan",
                             "--samples", "2", "x1*x2")
-    assert code == 1
-    assert report["verdict"] is False
+    assert code == 2
+    assert _refused_step(report)
 
 
 def test_crosscheck_honours_fd_delta(capsys):
@@ -70,7 +78,8 @@ def test_crosscheck_honours_fd_delta(capsys):
 
 def test_crosscheck_honours_step_and_band():
     f = variable(2, 1) * variable(2, 2)
-    assert not crosscheck(f, 1, samples=2, step=math.nan)["verdict"]
+    with pytest.raises(ValueError, match="step"):
+        crosscheck(f, 1, samples=2, step=math.nan)
     with pytest.raises(ValueError):
         crosscheck(f, 1, samples=2, band=5.0)
     assert crosscheck(f, 1, samples=2)["verdict"]
@@ -257,6 +266,62 @@ def test_zonal_check_refuses_no_rotations(rotations):
 
 
 # -- requests refused before any evaluation -----------------------------------
+
+
+def _count_base_evaluations(monkeypatch):
+    """Record every evaluation of a compiled stem: every lifted field and
+    every exact evaluation runs one."""
+    calls = []
+    evaluator = SliceFunction.evaluator
+
+    def counted(f):
+        inner = evaluator(f)
+        return lambda point: calls.append(point) or inner(point)
+
+    monkeypatch.setattr(SliceFunction, "evaluator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("flag, at, names", [
+    ("--fd-step=nan", "1+i", "step"),
+    ("--fd-step=inf", "1+i", "step"),
+    ("--fd-step=0", "1+i", "step"),
+    ("--fd-step=-0.001", "1+i", "step"),
+    ("--fd-delta=nan", "1+1/100i", "band"),
+    ("--fd-delta=inf", "1+1/100i", "band"),
+    ("--fd-delta=-1", "1+1/100i", "band"),
+])
+def test_bad_stencil_flags_are_refused_before_any_evaluation(flag, at, names,
+                                                             capsys, monkeypatch):
+    # a NaN or infinite step printed nan+nani+nanj+nank and exited 0, a zero
+    # step failed mid-stencil with division-by-zero, a NaN band switched the
+    # band off and a negative band acted as its absolute value
+    calls = _count_base_evaluations(monkeypatch)
+    code, report = run_json(capsys, "theta", "--numeric", "--m", "1", flag,
+                            "--at", at, "x1^2")
+    assert code == 2
+    assert report["error"]["type"] == "value"
+    assert names in report["error"]["message"]
+    assert not calls
+
+
+@pytest.mark.parametrize("keyword, value", [
+    ("step", math.nan), ("step", math.inf), ("step", 0.0), ("step", -1e-3),
+    ("band", math.nan), ("band", math.inf), ("band", -math.inf), ("band", -1.0),
+])
+def test_bad_stencil_parameters_are_refused(keyword, value):
+    calls = []
+    with pytest.raises(ValueError, match=keyword):
+        NumericField(lambda p: calls.append(p) or Quaternion(1.0), 1,
+                     **{keyword: value})
+    with pytest.raises(ValueError, match=keyword):
+        lift(variable(1, 1), **{keyword: value})
+    assert not calls
+
+
+def test_zero_band_and_exact_step_are_accepted():
+    field = NumericField(lambda p: p[0], 1, step=Fraction(1, 100), band=0)
+    assert (field.step, field.band) == (Fraction(1, 100), 0)
 
 
 def _counted_lift(text, n=None):
