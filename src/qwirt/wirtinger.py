@@ -196,14 +196,15 @@ def check_conjugation_identity(f, m):
 def _pair_residuals(f, m, pair, field):
     """The residuals at a point of the numeric operator pair
     ``pair(field, m, p)``, which takes flat points, against the exact
-    theta_m and thetabar_m of f."""
-    plain = wirtinger_derivative(f, m)
-    conj = wirtinger_conj_derivative(f, m)
+    theta_m and thetabar_m of f.  Each exact operator is compiled once; the
+    points were checked to have n coordinates."""
+    plain = wirtinger_derivative(f, m).evaluator()
+    conj = wirtinger_conj_derivative(f, m).evaluator()
 
     def residuals(p):
         theta, thetabar = pair(field, m, flat_point(p))
-        yield "theta_%d" % m, abs(Quaternion(*theta) - plain.evaluate(p))
-        yield "thetabar_%d" % m, abs(Quaternion(*thetabar) - conj.evaluate(p))
+        yield "theta_%d" % m, abs(Quaternion(*theta) - plain(p))
+        yield "thetabar_%d" % m, abs(Quaternion(*thetabar) - conj(p))
 
     return residuals
 

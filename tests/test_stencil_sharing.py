@@ -14,6 +14,7 @@ import helpers
 from qwirt.cli import main
 from qwirt.numeric import (NumericField, NearRealAxisError, lift,
                            spherical_dirac_field, div_by_twice_im)
+from qwirt import slicefn
 from qwirt.quaternion import Quaternion
 from qwirt.sampling import random_slice_point
 from qwirt.slicefn import variable, conj_variable
@@ -64,6 +65,18 @@ def test_crosscheck_builds_one_family_for_both_operators(monkeypatch):
     # theta_2 and thetabar_2 share each sample's 48 stencil points
     assert counter.distinct == 96
     assert counter.calls == counter.distinct
+
+
+def test_crosscheck_compiles_each_stem_once(monkeypatch):
+    # one compilation for the lift and one per exact operator; each sample
+    # point used to compile both exact operators again
+    compiled = []
+    compile_stem = slicefn._compile_stem
+    monkeypatch.setattr(slicefn, "_compile_stem",
+                        lambda f: compiled.append(f) or compile_stem(f))
+    f = variable(2, 1) * conj_variable(2, 2) + variable(2, 1) ** 2 * variable(2, 2)
+    crosscheck(f, 2, samples=3, seed=2)
+    assert len(compiled) == 3
 
 
 def test_strong_sliceness_shares_stencils_and_keeps_no_cache():
