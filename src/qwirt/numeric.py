@@ -207,12 +207,12 @@ def _coordinates(point, m):
             float(point[k + 3]))
 
 
-def _inverse_twice_im(point, m, twice):
-    """(Im(x_m) * 2.0)^-1 when ``twice`` is 2.0, Im(x_m)^-1 when it is 1.0,
-    as ``Quaternion.inverse`` computes it: the conjugate times one over the
-    squared norm, real part 0.0."""
+def _inverse_im(point, m, scale):
+    """(Im(x_m) * scale)^-1 as ``Quaternion.inverse`` computes it: the
+    conjugate times one over the squared norm, real part 0.0.  A scale of
+    1.0 changes no bit."""
     _, x, y, z = _coordinates(point, m)
-    x, y, z = x * twice, y * twice, z * twice
+    x, y, z = x * scale, y * scale, z * scale
     n2 = x * x + y * y + z * z
     if n2 == 0:
         raise ZeroDivisionError("zero quaternion has no inverse")
@@ -223,6 +223,10 @@ def _inverse_twice_im(point, m, twice):
 # -- operators on flat points --------------------------------------------------------
 
 
+def _displace(point, k, h):
+    return point[:k] + (point[k] + h,) + point[k + 1:]
+
+
 def _partial(field, m, i, point, step=None):
     _check_var(field, m)
     if not 0 <= i <= 3:
@@ -230,9 +234,8 @@ def _partial(field, m, i, point, step=None):
     field.spend()
     h = field.step if step is None else step
     k = 4 * (m - 1) + i
-    head, x, tail = point[:k], point[k], point[k + 1:]
-    plus = field.flat(head + (x + h,) + tail)
-    minus = field.flat(head + (x + -h,) + tail)
+    plus = field.flat(_displace(point, k, h))
+    minus = field.flat(_displace(point, k, -h))
     return _scale(_sub(plus, minus), 1.0 / (2.0 * h))
 
 
@@ -249,7 +252,7 @@ def _global_pair(field, m, point):
     _check_var(field, m)
     _check_off_axis(field, m, point)
     d0 = _partial(field, m, 0, point)
-    euler = hamilton(_inverse_twice_im(point, m, 1.0), _euler(field, m, point))
+    euler = hamilton(_inverse_im(point, m, 1.0), _euler(field, m, point))
     return _scale(_add(d0, euler), 0.5), _scale(_sub(d0, euler), 0.5)
 
 
@@ -288,11 +291,9 @@ def _laplacian(field, m, point, step=None):
     center = field.flat(point)
     twice = _scale(center, 2.0)
     total = _ZERO
-    for i in range(4):
-        k = 4 * (m - 1) + i
-        head, x, tail = point[:k], point[k], point[k + 1:]
-        plus = field.flat(head + (x + h,) + tail)
-        minus = field.flat(head + (x + -h,) + tail)
+    for k in range(4 * (m - 1), 4 * m):
+        plus = field.flat(_displace(point, k, h))
+        minus = field.flat(_displace(point, k, -h))
         total = _sub(_add(_add(total, plus), minus), twice)
     return _scale(total, 1.0 / (h * h))
 
@@ -373,7 +374,8 @@ def multiply_by_variable(field, m, conj=False):
             w, x, y, z = _coordinates(point, m)
             return hamilton((w, -x, -y, -z), field.flat(point))
     else:
-        func = lambda p: hamilton(_coordinates(p, m), field.flat(p))
+        def func(point):
+            return hamilton(_coordinates(point, m), field.flat(point))
     return field.derived(func, cost=0, step=field.step)
 
 
@@ -383,7 +385,7 @@ def div_by_twice_im(field, m):
 
     def func(point):
         _check_off_axis(field, m, point)
-        return hamilton(_inverse_twice_im(point, m, 2.0), field.flat(point))
+        return hamilton(_inverse_im(point, m, 2.0), field.flat(point))
 
     return field.derived(func, cost=0, step=field.step)
 
