@@ -222,12 +222,6 @@ def coordinate(q, i):
     return q.components()[i]
 
 
-def replace_coordinate(q, i, value):
-    comps = list(q.components())
-    comps[i] = value
-    return Quaternion(*comps)
-
-
 def _format_component(value, suffix):
     if isinstance(value, float) and value.is_integer():
         value = int(value)

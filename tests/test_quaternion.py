@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qwirt import quaternion
 from qwirt.quaternion import (Quaternion, RealArgumentError, parse_quaternion,
-                              format_quaternion, coordinate, replace_coordinate,
+                              format_quaternion, coordinate,
                               hamilton, ONE, I, J, K)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -106,7 +106,6 @@ def test_split_slice_real_axis():
 def test_coordinate_helpers():
     q = Quaternion(1, 2, 3, 4)
     assert [coordinate(q, i) for i in range(4)] == [1, 2, 3, 4]
-    assert replace_coordinate(q, 2, 7) == Quaternion(1, 2, 7, 4)
 
 
 def test_parse_examples():
