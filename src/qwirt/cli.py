@@ -297,6 +297,7 @@ _ERROR_TYPES = (
     (DepthExhaustedError, "depth-exhausted"),
     (RealArgumentError, "real-argument"),
     (ZeroDivisionError, "division-by-zero"),
+    (OverflowError, "overflow"),
     (ValueError, "value"),
 )
 

@@ -19,15 +19,23 @@ components.  Products go through ``quaternion.hamilton``, the product
 ``Quaternion.__mul__`` uses, and sums, negations and scalings follow the
 component order of ``Quaternion`` arithmetic, so every value is bit for bit
 the one quaternion arithmetic gives.  ``Quaternion`` appears only at the
-boundary: a field's ``func`` is called with a tuple of quaternions, and the
-public operators take points of quaternions and return a quaternion, each a
-wrapper around the one flat form that the checkers call.
+boundary: the public operators take points of quaternions and return a
+quaternion, each a wrapper around the one flat form that the checkers call.
+
+A field's base evaluations go through ``NumericField.flat``.  When the
+field's ``func`` carries a ``flat`` attribute, as the compiled stem of
+``lift(f)`` does, that function of flat points is called and no quaternion
+is built; otherwise ``func`` is called with a tuple of quaternions.  A
+wrapper put in place of ``func`` to count or trace evaluations has no
+``flat``, so the field loses its flat form and every evaluation stays
+observable through the wrapper (``functools.wraps`` would copy ``flat``
+onto it, and the wrapper would be bypassed).
 """
 
 import math
 from functools import reduce
 
-from .quaternion import Quaternion, I, J, K, hamilton
+from .quaternion import Quaternion, I, J, K, hamilton, flat_point
 
 DEFAULT_STEP = 1e-3
 # Outer step for differentiating an already-derived field.  Cancellation of
@@ -52,11 +60,6 @@ class DepthExhaustedError(RuntimeError):
     """The declared smoothness budget cannot absorb another derivative."""
 
 
-def flat_point(point):
-    """The components of a point of H^n as one flat 4n-tuple, as given."""
-    return tuple([c for q in point for c in (q.w, q.x, q.y, q.z)])
-
-
 def quaternion_point(flat):
     """The point of H^n whose components a flat 4n-tuple lists."""
     return tuple([Quaternion(*flat[k:k + 4]) for k in range(0, len(flat), 4)])
@@ -66,12 +69,15 @@ class NumericField:
     """A black-box function H^n -> H with a finite-difference configuration.
 
     ``func`` maps a tuple of n quaternions to a quaternion and must be pure:
-    its value depends on the point alone.  The operators of this module run
-    on ``flat``, the same function of a flat 4n-tuple of point components
-    with a 4-tuple of value components, and turn points and values into
-    quaternions only where they are handed in or out.  A field built by the
-    caller keeps no state, and ``flat`` calls its ``func`` once per point it
-    is asked for.  Every field built by an operator comes from ``derived``,
+    its value depends on the point alone.  It may carry a ``flat``
+    attribute, the same function of a flat 4n-tuple of point components
+    with a 4-tuple of value components, as ``lift(f).func`` does.  The
+    operators of this module run on the field's ``flat``, which calls
+    ``func.flat`` when there is one and otherwise ``func`` at the point's
+    quaternions, once per point it is asked for.  Replacing ``func`` by a
+    wrapper without ``flat`` (a counter, a tracer) drops the flat form, so
+    the wrapper sees every evaluation.  A field built by the caller keeps
+    no state.  Every field built by an operator comes from ``derived``,
     which memoizes values by the flat point for as long as that derived
     field lives (one component family, or one call of a checker), so nested
     stencils evaluate each point once.
@@ -102,8 +108,13 @@ class NumericField:
         return self.func(point)
 
     def flat(self, point):
-        """The value at a flat point as a component 4-tuple, from ``func``."""
-        return self.func(quaternion_point(point)).components()
+        """The value at a flat point as a component 4-tuple: ``func.flat``
+        when ``func`` has one, else ``func`` at the point's quaternions."""
+        func = self.func
+        flat = getattr(func, "flat", None)
+        if flat is not None:
+            return flat(point)
+        return func(quaternion_point(point)).components()
 
     def spend(self, depth=1):
         if self.smoothness < depth:
@@ -393,7 +404,8 @@ def div_by_twice_im(field, m):
 def lift(f, smoothness=DEFAULT_SMOOTHNESS, step=DEFAULT_STEP, band=DEFAULT_BAND):
     """Wrap an exact slice function as a numeric field.
 
-    The field evaluates through ``f.evaluator()``, the compiled stem that
-    ``SliceFunction.evaluate`` runs too.
+    The field's ``func`` is ``f.evaluator()``, the compiled stem that
+    ``SliceFunction.evaluate`` runs too; the operators call its flat
+    kernel, ``func.flat``.
     """
     return NumericField(f.evaluator(), f.n, smoothness, step, band)

@@ -25,12 +25,15 @@ class RealArgumentError(ValueError):
 def hamilton(p, q):
     """Hamilton's product of two component 4-tuples ``(w, x, y, z)``.
 
-    ``Quaternion.__mul__`` and the compiled stem evaluator of ``slicefn``
-    both call this, so the two share one operation order and agree bit for
-    bit.  When the factors are exact and hold a ``Fraction``, ``__mul__``
-    passes the integer numerators of each factor over its common
-    denominator, so the 16 products and 12 sums here are int operations and
-    only the four results are reduced to lowest terms.
+    ``Quaternion.__mul__`` and the numeric operators call this.  The
+    compiled stem kernel of ``slicefn`` (``_compile_stem``) restates the
+    formula inline, term for term in this operation order, to fold the
+    product of a unit product and a coefficient into its sums;
+    ``test_lift_matches_quaternion_arithmetic_bit_for_bit`` in
+    ``tests/test_stencil_sharing.py`` pins the two to the same bits.  When the factors are exact and hold a
+    ``Fraction``, ``__mul__`` passes the integer numerators of each factor
+    over its common denominator, so the 16 products and 12 sums here are
+    int operations and only the four results are reduced to lowest terms.
     """
     a, b, c, d = p
     e, f, g, h = q
@@ -179,16 +182,11 @@ class Quaternion:
     def split_slice(self):
         """Decompose q = alpha + J*beta with beta = |Im(q)| >= 0.
 
-        Returns floats (alpha, beta, J).  On the real axis beta is 0 and J
-        defaults to i; slice-function evaluation is independent of that
-        choice by the stem parity condition.
+        Returns floats (alpha, beta, J), as ``split_slice_components``
+        computes them.
         """
-        n2 = float(self.x) ** 2 + float(self.y) ** 2 + float(self.z) ** 2
-        if n2 == 0.0:
-            return float(self.w), 0.0, Quaternion(0.0, 1.0, 0.0, 0.0)
-        b = math.sqrt(n2)
-        return float(self.w), b, Quaternion(0.0, float(self.x) / b,
-                                            float(self.y) / b, float(self.z) / b)
+        alpha, beta, unit = split_slice_components(self.w, self.x, self.y, self.z)
+        return alpha, beta, Quaternion(*unit)
 
     # -- comparisons, display ----------------------------------------------
 
@@ -215,6 +213,28 @@ I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)
 K = Quaternion(0, 0, 0, 1)
 UNITS = (ONE, I, J, K)
+
+
+def split_slice_components(w, x, y, z):
+    """Decompose w + x*i + y*j + z*k = alpha + J*beta with beta >= 0, on
+    components: floats ``(alpha, beta, J)`` with J a component 4-tuple.
+
+    On the real axis beta is 0 and J defaults to i; slice-function
+    evaluation is independent of that choice by the stem parity condition.
+    The squares are ``** 2``, which raises ``OverflowError`` where a square
+    leaves the float range instead of giving inf, a zero unit and a wrong
+    value.
+    """
+    n2 = float(x) ** 2 + float(y) ** 2 + float(z) ** 2
+    if n2 == 0.0:
+        return float(w), 0.0, (0.0, 1.0, 0.0, 0.0)
+    b = math.sqrt(n2)
+    return float(w), b, (0.0, float(x) / b, float(y) / b, float(z) / b)
+
+
+def flat_point(point):
+    """The components of a point of H^n as one flat 4n-tuple, as given."""
+    return tuple([c for q in point for c in (q.w, q.x, q.y, q.z)])
 
 
 def coordinate(q, i):

@@ -28,7 +28,8 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .quaternion import Quaternion, ONE, format_quaternion, hamilton
+from .quaternion import (Quaternion, ONE, format_quaternion, hamilton,
+                         flat_point, split_slice_components)
 from .stem import MAX_VARS, basis_product
 
 MAX_DEGREE_PER_VARIABLE = 32
@@ -52,52 +53,59 @@ def _parity(betas):
 
 
 def _compile_stem(f):
-    """Compile f's stem into a float evaluator of ``(alphas, betas, units)``.
+    """Compile f's stem into a float kernel ``kernel(values, units)``.
 
-    ``units[m-1]`` is the imaginary unit J_m.  Coefficients become float
-    4-tuples, and a plan orders the products of the units over every subset
-    the stem uses: each is the lowest unit times the product over the
-    remaining ones, formed in ascending mask order so the remainder exists.
-    The loop runs on float 4-tuples: the unit product acts from the left on
-    each component value through ``hamilton``, the product
-    ``Quaternion.__mul__`` uses, and sums follow ``__add__``, so the value is
-    bit for bit the one quaternion arithmetic gives.
+    ``values`` lists alpha_1, beta_1, ..., alpha_n, beta_n and ``units[m-1]``
+    is the imaginary unit J_m as a component 4-tuple; the kernel returns
+    the value as a component 4-tuple.  Coefficients become float 4-tuples,
+    and each term keeps only its factors ``(value index, exponent)`` with a
+    nonzero exponent, alpha_m before beta_m in ascending m.  A plan orders
+    the products of the units over every subset the stem uses: each is the
+    lowest unit times the product over the remaining ones, formed in
+    ascending mask order so the remainder exists.
+
+    The unit product acts from the left on each term's coefficient by
+    ``hamilton``'s formula, restated inline in its operation order and
+    folded into the sums, which follow ``Quaternion.__add__``; so the value
+    is bit for bit the one quaternion arithmetic gives.
     """
     n = f.n
-    compiled = []
+    terms = []
     plan = set()
     for key, mask, coeff in f.coefficients():
-        compiled.append((key[:n], key[n:], mask, coeff.to_float().components()))
+        factors = tuple((2 * m + side, key[side * n + m])
+                        for m in range(n) for side in (0, 1)
+                        if key[side * n + m])
+        terms.append((factors, mask, coeff.to_float().components()))
         while mask & (mask - 1):
             low = mask & -mask
             plan.add((mask, low, mask & ~low))
             mask &= ~low
     plan = sorted(plan)
+    size = 1 << n
 
-    def evaluate_parts(alphas, betas, units):
-        prods = {0: (1.0, 0.0, 0.0, 0.0)}
-        for h in range(n):
-            prods[1 << h] = units[h].components()
+    def kernel(values, units):
+        prods = [None] * size
+        prods[0] = (1.0, 0.0, 0.0, 0.0)
+        for m in range(n):
+            prods[1 << m] = units[m]
         for mask, low, rest in plan:
             prods[mask] = hamilton(prods[low], prods[rest])
         tw = tx = ty = tz = 0.0
-        for aexps, bexps, mask, coeff in compiled:
+        for factors, mask, (e, f, g, h) in terms:
             scalar = 1.0
-            for m in range(n):
-                if aexps[m]:
-                    scalar *= alphas[m] ** aexps[m]
-                if bexps[m]:
-                    scalar *= betas[m] ** bexps[m]
+            for i, k in factors:
+                scalar *= values[i] ** k
             if scalar == 0.0:
                 continue
-            pw, px, py, pz = hamilton(prods[mask], coeff)
-            tw = tw + pw * scalar
-            tx = tx + px * scalar
-            ty = ty + py * scalar
-            tz = tz + pz * scalar
-        return Quaternion(tw, tx, ty, tz)
+            a, b, c, d = prods[mask]
+            tw = tw + (a * e - b * f - c * g - d * h) * scalar
+            tx = tx + (a * f + b * e + c * h - d * g) * scalar
+            ty = ty + (a * g - b * h + c * e + d * f) * scalar
+            tz = tz + (a * h + b * g - c * f + d * e) * scalar
+        return (tw, tx, ty, tz)
 
-    return evaluate_parts
+    return kernel
 
 
 class SliceFunction:
@@ -230,20 +238,37 @@ class SliceFunction:
 
     def evaluate_parts(self, alphas, betas, units):
         """Evaluate at given real parts, imaginary radii and units J_m."""
-        return _compile_stem(self)(alphas, betas, units)
+        values = [v for pair in zip(alphas, betas) for v in pair]
+        return Quaternion(*_compile_stem(self)(
+            values, [u.components() for u in units]))
 
     def evaluator(self):
         """The stem compiled once into a function of points of H^n.
 
-        Each coordinate is split by ``Quaternion.split_slice``; the point's
-        length is not checked.
+        The function takes a sequence of quaternions and returns a
+        quaternion.  Its ``flat`` attribute is the same evaluation on the
+        flat 4n-tuple of point components, returning a component 4-tuple,
+        and the function runs it.  Each coordinate is split by
+        ``split_slice_components``; the point's length is not checked.
         """
-        parts = _compile_stem(self)
+        kernel = _compile_stem(self)
+        n = self.n
+
+        def flat(point):
+            values = []
+            units = []
+            for k in range(0, 4 * n, 4):
+                alpha, beta, unit = split_slice_components(
+                    point[k], point[k + 1], point[k + 2], point[k + 3])
+                values.append(alpha)
+                values.append(beta)
+                units.append(unit)
+            return kernel(values, units)
 
         def evaluate(point):
-            alphas, betas, units = zip(*[q.split_slice() for q in point])
-            return parts(alphas, betas, units)
+            return Quaternion(*flat(flat_point(point)))
 
+        evaluate.flat = flat
         return evaluate
 
     def spherical_value(self, m):

@@ -381,3 +381,27 @@ def test_given_points_of_the_wrong_length_are_refused(n, coords):
     with pytest.raises(ValueError, match=message):
         check_reconstruction(field, "dirac", 1, [point])
     assert not calls
+
+
+# -- float overflow ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--at", "1" + "0" * 200 + "i", "x1"),
+    ("theta", "--numeric", "--m", "1", "--at", "1+1" + "0" * 200 + "i", "x1"),
+], ids=["eval", "theta-numeric"])
+def test_float_overflow_is_a_typed_error(capsys, argv):
+    # squaring the imaginary part leaves the float range; this used to end
+    # in an uncaught OverflowError and exit 1, the code of a failed verdict
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["error"]["type"] == "overflow"
+
+
+def test_the_flat_split_raises_on_overflow():
+    # x*x would give inf, a zero unit and a silently wrong value
+    field = lift(variable(1, 1))
+    with pytest.raises(OverflowError):
+        field.func.flat((1.0, 1e200, 0.0, 0.0))
+    with pytest.raises(OverflowError):
+        Quaternion(1, 10 ** 200).split_slice()

@@ -5,6 +5,7 @@ arithmetic bit for bit."""
 
 import gc
 import random
+from fractions import Fraction
 import tracemalloc
 import warnings
 
@@ -15,7 +16,7 @@ from qwirt.cli import main
 from qwirt.numeric import (NumericField, NearRealAxisError, lift,
                            spherical_dirac_field, div_by_twice_im)
 from qwirt import slicefn
-from qwirt.quaternion import Quaternion
+from qwirt.quaternion import Quaternion, flat_point
 from qwirt.sampling import random_slice_point
 from qwirt.slicefn import variable, conj_variable
 from qwirt.wirtinger import (wirtinger_conj_derivative_numeric,
@@ -198,3 +199,60 @@ def test_lift_matches_quaternion_arithmetic_bit_for_bit(n):
             want = [c.hex() for c in _reference_lift(f, p).components()]
             for value in (field(p), f.evaluate(p)):
                 assert [c.hex() for c in value.components()] == want
+
+
+def _kernel_test_points(rng, n):
+    """Float points, exact points, a point with one coordinate on a real
+    axis (beta = 0, default unit i) and points with components -0.0."""
+    pts = [random_slice_point(rng, n) for _ in range(3)]
+    pts.append(tuple(Quaternion(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                rng.randint(-3, 3), Fraction(1, 3))
+                     for _ in range(n)))
+    on_axis = list(random_slice_point(rng, n))
+    on_axis[rng.randrange(n)] = Quaternion(0.75, 0.0, 0.0, 0.0)
+    pts.append(tuple(on_axis))
+    pts.append(tuple(Quaternion(-0.0, -0.0, 0.5, -0.0) for _ in range(n)))
+    pts.append(tuple(Quaternion(1.25, -0.0, -0.0, -0.0) for _ in range(n)))
+    return pts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flat_kernel_matches_the_quaternion_adapter_bit_for_bit(n):
+    # lift(f).func.flat is the compiled kernel on flat points; wrapping
+    # field.func in a lambda drops it, so field.flat goes through the
+    # quaternion adapter, as it does for the tracer and the test counters
+    rng = random.Random(70 + n)
+    for _ in range(6):
+        f = helpers.random_slice_polynomial(rng, n, max_total_degree=4,
+                                            max_terms=4)
+        kernel = lift(f)
+        adapter = lift(f)
+        inner = adapter.func
+        adapter.func = lambda point: inner(point)
+        for p in _kernel_test_points(rng, n):
+            point = flat_point(p)
+            want = [c.hex() for c in f.evaluate(p).components()]
+            assert [c.hex() for c in kernel.func.flat(point)] == want
+            assert [c.hex() for c in kernel.flat(point)] == want
+            assert [c.hex() for c in adapter.flat(point)] == want
+            assert [c.hex() for c in _reference_lift(f, p).components()] == want
+
+
+def test_no_quaternion_is_built_per_base_evaluation(monkeypatch):
+    f = variable(2, 1) * conj_variable(2, 2)
+    counted = lift(f)
+    counter = Counter(counted)
+    wirtinger_conj_derivative_numeric(counted, 2, (Quaternion(0.5, 1.0, -0.25, 0.0),
+                                                   Quaternion(-0.25, 0.0, 0.5, 1.0)))
+    assert counter.calls == 48
+    field = lift(f)
+    built = []
+    init = Quaternion.__init__
+    monkeypatch.setattr(Quaternion, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    p = (Quaternion(0.5, 1.0, -0.25, 0.0), Quaternion(-0.25, 0.0, 0.5, 1.0))
+    wirtinger_conj_derivative_numeric(field, 2, p)
+    # the two coordinates of the boundary point and the result; the 48
+    # base evaluations build none
+    assert len(built) == 3
