@@ -30,10 +30,12 @@ def hamilton(p, q):
     formula inline, term for term in this operation order, to fold the
     product of a unit product and a coefficient into its sums;
     ``test_lift_matches_quaternion_arithmetic_bit_for_bit`` in
-    ``tests/test_stencil_sharing.py`` pins the two to the same bits.  When the factors are exact and hold a
-    ``Fraction``, ``__mul__`` passes the integer numerators of each factor
-    over its common denominator, so the 16 products and 12 sums here are
-    int operations and only the four results are reduced to lowest terms.
+    ``tests/test_stencil_sharing.py`` pins the two to the same bits.
+
+    When the factors are exact and hold a ``Fraction``, ``__mul__`` passes
+    the integer numerators of each factor over its common denominator, so
+    the 16 products and 12 sums here are int operations and only the four
+    results are reduced to lowest terms.
     """
     a, b, c, d = p
     e, f, g, h = q

@@ -241,18 +241,19 @@ def test_flat_kernel_matches_the_quaternion_adapter_bit_for_bit(n):
 
 def test_no_quaternion_is_built_per_base_evaluation(monkeypatch):
     f = variable(2, 1) * conj_variable(2, 2)
+    coords = ((0.5, 1.0, -0.25, 0.0), (-0.25, 0.0, 0.5, 1.0))
     counted = lift(f)
     counter = Counter(counted)
-    wirtinger_conj_derivative_numeric(counted, 2, (Quaternion(0.5, 1.0, -0.25, 0.0),
-                                                   Quaternion(-0.25, 0.0, 0.5, 1.0)))
+    wirtinger_conj_derivative_numeric(counted, 2,
+                                      tuple(Quaternion(*c) for c in coords))
     assert counter.calls == 48
     field = lift(f)
     built = []
     init = Quaternion.__init__
     monkeypatch.setattr(Quaternion, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
-    p = (Quaternion(0.5, 1.0, -0.25, 0.0), Quaternion(-0.25, 0.0, 0.5, 1.0))
-    wirtinger_conj_derivative_numeric(field, 2, p)
+    wirtinger_conj_derivative_numeric(field, 2,
+                                      tuple(Quaternion(*c) for c in coords))
     # the two coordinates of the boundary point and the result; the 48
     # base evaluations build none
     assert len(built) == 3
