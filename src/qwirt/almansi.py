@@ -25,8 +25,7 @@ from .stem import bit, mask_indices
 from .slicefn import SliceFunction, constant, variable, conj_variable
 from .numeric import (fueter_derivative_field, spherical_dirac_field,
                       multiply_by_variable, div_by_twice_im, negate_field,
-                      running_worst, sweep, report_tail, flat_point,
-                      quaternion_point, _add)
+                      running_worst, sweep, report_tail, flat_point, _add)
 from .sampling import respin_units, _sample_points
 
 FLAVOR_SPHERICAL = "spherical"
@@ -44,13 +43,16 @@ class ComponentFamily:
 
     Numeric entries memoize every point they are evaluated at for as long
     as the family lives, so a sweep over many points builds one family per
-    point.
+    point.  A symbolic entry is compiled once, the first time the family
+    evaluates it.
     """
 
     flavor: str
     level: int
     n: int
     entries: dict = dataclass_field(repr=False)
+    _compiled: dict = dataclass_field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.entries) != 1 << self.level:
@@ -73,9 +75,15 @@ class ComponentFamily:
     def flat_value(self, mask, point):
         """The entry's value at a flat point, as a component 4-tuple."""
         entry = self.entries[mask]
-        if isinstance(entry, SliceFunction):
-            return entry.evaluate(quaternion_point(point)).components()
-        return entry.flat(point)
+        if not isinstance(entry, SliceFunction):
+            return entry.flat(point)
+        if len(point) != 4 * self.n:
+            raise ValueError("point has %d coordinates, expected %d"
+                             % (len(point) // 4, self.n))
+        flat = self._compiled.get(mask)
+        if flat is None:
+            flat = self._compiled[mask] = entry.evaluator().flat
+        return flat(point)
 
     def replace_entry(self, mask, entry):
         entries = dict(self.entries)

@@ -25,12 +25,17 @@ class RealArgumentError(ValueError):
 def hamilton(p, q):
     """Hamilton's product of two component 4-tuples ``(w, x, y, z)``.
 
-    ``Quaternion.__mul__`` and the numeric operators call this.  The
-    compiled stem kernel of ``slicefn`` (``_compile_stem``) restates the
-    formula inline, term for term in this operation order, to fold the
-    product of a unit product and a coefficient into its sums;
-    ``test_lift_matches_quaternion_arithmetic_bit_for_bit`` in
-    ``tests/test_stencil_sharing.py`` pins the two to the same bits.
+    ``Quaternion.__mul__`` and the numeric operators call this.  Two loops
+    of ``slicefn`` restate the formula inline, term for term in this
+    operation order:
+    - the compiled stem kernel (``_compile_stem``), to fold the product of
+      a unit product and a coefficient into its sums;
+      ``test_lift_matches_quaternion_arithmetic_bit_for_bit`` in
+      ``tests/test_stencil_sharing.py`` pins the two to the same bits;
+    - the stem product (``SliceFunction.__mul__``), on each pair of terms,
+      as integer numerators when the stems hold a ``Fraction``;
+      ``test_product_matches_quaternion_arithmetic`` in
+      ``tests/test_slicefn.py`` pins it to ``Quaternion`` products.
 
     When the factors are exact and hold a ``Fraction``, ``__mul__`` passes
     the integer numerators of each factor over its common denominator, so

@@ -5,6 +5,7 @@ numeric suite the command line runs."""
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 
@@ -17,6 +18,7 @@ from qwirt.expr import parse_slice
 from qwirt.numeric import NumericField, lift, running_worst
 from qwirt.quaternion import Quaternion
 from qwirt.sampling import random_slice_point
+from qwirt import slicefn
 from qwirt.slicefn import SliceFunction, variable
 from qwirt.wirtinger import (check_independence, check_regularity_numeric,
                              check_strong_sliceness, crosscheck)
@@ -405,3 +407,35 @@ def test_the_flat_split_raises_on_overflow():
         field.func.flat((1.0, 1e200, 0.0, 0.0))
     with pytest.raises(OverflowError):
         Quaternion(1, 10 ** 200).split_slice()
+
+
+# -- the stem-term cap ----------------------------------------------------------------
+
+
+def test_a_power_over_the_stem_term_cap_is_refused(capsys):
+    # (x1+~x2+...+x6)^10 squares its 1,365-term fourth power; under the
+    # degree cap of 32 alone it did not finish in 90 s
+    start = time.perf_counter()
+    code, report = run_json(capsys, "theta", "--m", "1",
+                            "(x1+~x2+x3+x4+x5+x6)^10")
+    assert time.perf_counter() - start < 10.0
+    assert code == 2
+    assert report["error"]["type"] == "value"
+    assert "stem term cap 1048576 exceeded" in report["error"]["message"]
+
+
+def test_a_product_over_the_stem_term_cap_forms_no_pair(monkeypatch):
+    fourth = parse_slice("(x1+~x2+x3+x4+x5+x6)^4")
+    assert len(fourth.terms) ** 2 > slicefn.MAX_STEM_TERMS
+    signs = []
+    sign = slicefn.basis_product
+    monkeypatch.setattr(slicefn, "basis_product",
+                        lambda h, k: signs.append((h, k)) or sign(h, k))
+    with pytest.raises(ValueError, match="a product of 1365 by 1365 terms"):
+        fourth * fourth
+    assert signs == []
+
+
+def test_the_largest_power_under_the_stem_term_cap_lowers():
+    # its largest product takes 715 * 715 pairs
+    assert len(parse_slice("(x1+~x2+x3+x4+x5)^8").terms) == 24310

@@ -1,12 +1,15 @@
+import itertools
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
 from qwirt.quaternion import Quaternion, ONE, I, J, K
-from qwirt.stem import StemElement, bit
+from qwirt.stem import StemElement, basis_product, bit
 from qwirt.slicefn import (SliceFunction, StemPolynomial, variable,
                            conj_variable, constant, monomial, format_slice,
                            to_monomials)
@@ -22,6 +25,153 @@ def stem_of(n, entries):
                              for mask, q in comps.items()]}
              for (aexps, bexps), comps in entries.items()]
     return SliceFunction.from_json({"n": n, "terms": terms})
+
+
+# -- references for the lattice loops -------------------------------------------
+
+
+def reference_product(f, g):
+    """The slice product as quaternion arithmetic: one ``Quaternion``
+    product per pair of terms, negated by the basis sign and summed in term
+    order."""
+    n = f.n
+    terms = {}
+    for k1, h, q1 in f.coefficients():
+        for k2, k, q2 in g.coefficients():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            prod = q1 * q2
+            if basis_product(h, k)[0] < 0:
+                prod = -prod
+            cur = terms.get(key)
+            terms[key] = prod if cur is None else cur + prod
+    return SliceFunction(n, terms, validate=False)
+
+
+def reference_expansion(a, b):
+    """alpha^a * beta^b * e^(b mod 2) over z^l conj(z)^h, with Fraction
+    coefficients."""
+    out = {}
+    base = Fraction((-1) ** (b // 2), 2 ** (a + b))
+    for s in range(a + 1):
+        for t in range(b + 1):
+            lh = (s + t, a + b - s - t)
+            c = base * math.comb(a, s) * math.comb(b, t) * (-1) ** (b - t)
+            out[lh] = out.get(lh, Fraction(0)) + c
+    return [(lh, c) for lh, c in out.items() if c]
+
+
+def reference_monomials(f):
+    """``to_monomials`` by the tensor product of the per-variable
+    expansions of every term."""
+    n = f.n
+    out = {}
+    for key, _, coeff in f.coefficients():
+        expansions = [reference_expansion(key[m], key[n + m]) for m in range(n)]
+        for combo in itertools.product(*expansions):
+            scalar = Fraction(1)
+            for _, c in combo:
+                scalar *= c
+            lh = (tuple(p[0][0] for p in combo), tuple(p[0][1] for p in combo))
+            add = coeff * scalar
+            cur = out.get(lh)
+            out[lh] = add if cur is None else cur + add
+    return {lh: q for lh, q in out.items() if not q.is_zero()}
+
+
+_SMALL_INT = st.integers(-3, 3)
+_RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+_LARGE = st.builds(Fraction, st.integers(-10**15, 10**15), st.integers(1, 10**12))
+_FLOAT = st.one_of(st.integers(-2**20, 2**20).map(lambda k: k / 3**7),
+                   st.just(-0.0))
+# Small ints and few exponents make pairs of terms meet on one key often, so
+# sums cancel to zero; the Fraction kinds mix in ints.
+COMPONENTS = {"int": _SMALL_INT,
+              "mixed": st.one_of(_SMALL_INT, _RATIONAL),
+              "large": st.one_of(_SMALL_INT, _LARGE),
+              "float": st.one_of(_SMALL_INT, _RATIONAL, _FLOAT)}
+
+
+@st.composite
+def stems(draw, n, kind):
+    comp = COMPONENTS[kind]
+    keys = st.tuples(*[st.integers(0, 2)] * (2 * n))
+    coeffs = st.builds(Quaternion, comp, comp, comp, comp)
+    return SliceFunction(n, draw(st.dictionaries(keys, coeffs, min_size=1,
+                                                 max_size=5)))
+
+
+def component_strings(f):
+    return {key: [str(c) for c in q.components()] for key, q in f.terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4), st.sampled_from(sorted(COMPONENTS)),
+       st.sampled_from(sorted(COMPONENTS)))
+def test_product_matches_quaternion_arithmetic(data, n, kind_f, kind_g):
+    f = data.draw(stems(n, kind_f))
+    g = data.draw(stems(n, kind_g))
+    got, want = f * g, reference_product(f, g)
+    assert got.terms == want.terms
+    assert component_strings(got) == component_strings(want)
+    if any(type(c) is float for h in (f, g) for q in h.terms.values()
+           for c in q.components()):
+        # the same bits, signs of zero included, and the same types
+        assert {k: repr(q) for k, q in got.terms.items()} == \
+            {k: repr(q) for k, q in want.terms.items()}
+    if kind_f == kind_g == "int":
+        assert all(type(c) is int for q in got.terms.values()
+                   for c in q.components())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4), st.sampled_from(sorted(COMPONENTS)))
+def test_to_monomials_matches_the_tensor_expansion(data, n, kind):
+    f = data.draw(stems(n, kind))
+    got, want = to_monomials(f), reference_monomials(f)
+    if kind != "float":
+        assert got == want
+        assert {lh: [str(c) for c in q.components()] for lh, q in got.items()} \
+            == {lh: [str(c) for c in q.components()] for lh, q in want.items()}
+        return
+    # summed in another order: within 1e-12 of the largest coefficient
+    scale = max((abs(float(c)) for q in f.terms.values()
+                 for c in q.components()), default=0.0)
+    zero = Quaternion(0)
+    for lh in got.keys() | want.keys():
+        err = abs(got.get(lh, zero) - want.get(lh, zero))
+        assert err <= 1e-12 * scale
+
+
+def test_cancelling_terms_vanish():
+    # x1 * ~x1 = alpha^2 + beta^2: the alpha*beta pairs cancel in the
+    # product, and the x1^2 and ~x1^2 parts cancel in the monomials
+    f = variable(1, 1) * conj_variable(1, 1)
+    assert f == reference_product(variable(1, 1), conj_variable(1, 1))
+    assert set(f.terms) == {(2, 0), (0, 2)}
+    assert all(type(c) is int for q in f.terms.values() for c in q.components())
+    assert to_monomials(f) == {((1,), (1,)): Quaternion(Fraction(1))}
+    # the same on the lattice, over the denominator 6
+    a = variable(1, 1) * constant(1, Quaternion(Fraction(1, 2)))
+    b = conj_variable(1, 1) * constant(1, Quaternion(Fraction(-2, 3)))
+    assert (a * b).terms == {(2, 0): Quaternion(Fraction(-1, 3)),
+                             (0, 2): Quaternion(Fraction(-1, 3))}
+
+
+def test_the_lattice_loops_build_no_quaternion_products(monkeypatch):
+    # a product of two Fraction stems and the monomial conversion run on
+    # integer numerators: no Quaternion arithmetic inside either loop
+    rng = random.Random(16)
+    f = helpers.random_slice_polynomial(rng, 3)
+    g = helpers.random_slice_polynomial(rng, 3)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        inner = getattr(Quaternion, name)
+        monkeypatch.setattr(Quaternion, name, lambda a, b, inner=inner, name=name:
+                            calls.append(name) or inner(a, b))
+    product = f * g
+    to_monomials(product)
+    assert calls == []
+    assert len(product.terms) > 1
 
 
 def test_monomial_generator_stems():

@@ -12,6 +12,7 @@ import warnings
 import pytest
 
 import helpers
+from qwirt.almansi import check_zonal, reconstruct, spherical_components
 from qwirt.cli import main
 from qwirt.numeric import (NumericField, NearRealAxisError, lift,
                            spherical_dirac_field, div_by_twice_im)
@@ -78,6 +79,28 @@ def test_crosscheck_compiles_each_stem_once(monkeypatch):
     f = variable(2, 1) * conj_variable(2, 2) + variable(2, 1) ** 2 * variable(2, 2)
     crosscheck(f, 2, samples=3, seed=2)
     assert len(compiled) == 3
+
+
+def test_a_family_compiles_each_symbolic_entry_once(monkeypatch):
+    # each entry used to be compiled again at every evaluation: 40 times
+    # for ten reconstructions at one point
+    f = variable(2, 1) ** 2 * conj_variable(2, 2) + variable(2, 1) * variable(2, 2) ** 2
+    family = spherical_components(f, 2)
+    point = random_slice_point(random.Random(17), 2)
+    want = [family.entries[mask].evaluate(point) for mask in family.masks()]
+    compiled = []
+    compile_stem = slicefn._compile_stem
+    monkeypatch.setattr(slicefn, "_compile_stem",
+                        lambda g: compiled.append(g) or compile_stem(g))
+    values = [reconstruct(family, point) for _ in range(10)]
+    assert len(compiled) == 4
+    got = [family.entry_value(mask, point) for mask in family.masks()]
+    assert [q.components() for q in got] == [q.components() for q in want]
+    assert len({v.components() for v in values}) == 1
+    # a fresh family compiles its entries once, not once per rotation
+    compiled.clear()
+    check_zonal(spherical_components(f, 2), point, rotations=8, seed=1)
+    assert len(compiled) == 4
 
 
 def test_strong_sliceness_shares_stencils_and_keeps_no_cache():
