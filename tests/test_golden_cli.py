@@ -57,6 +57,10 @@ RUNS = (
     ("almansi", "--flavor", "gamma", "--level", "3", "x1*x2*~x3+x2^2",
      "--samples", "2", "--seed", "11"),
     ("eval", "x1^40", "--at", "i"),
+    ("theta", "--m", "3", "--n", "3",
+     "(~x1*(1/3+2/5i-7/11k)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i+2/3j))^3"),
+    ("thetabar", "--m", "2", "--n", "3",
+     "(~x1*(1/3+2/5i-7/11k)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i+2/3j))^3"),
 )
 
 
