@@ -13,9 +13,6 @@ from fractions import Fraction
 
 _EXACT_TYPES = (int, Fraction)
 _SCALAR_TYPES = (int, float, Fraction)
-# Component types of a product that runs on integer numerators; exact types
-# only, so a subclass (bool, a float subclass) takes the plain path.
-_NUMERATOR_TYPES = frozenset(_EXACT_TYPES)
 
 
 class RealArgumentError(ValueError):
@@ -36,11 +33,6 @@ def hamilton(p, q):
       as integer numerators when the stems hold a ``Fraction``;
       ``test_product_matches_quaternion_arithmetic`` in
       ``tests/test_slicefn.py`` pins it to ``Quaternion`` products.
-
-    When the factors are exact and hold a ``Fraction``, ``__mul__`` passes
-    the integer numerators of each factor over its common denominator, so
-    the 16 products and 12 sums here are int operations and only the four
-    results are reduced to lowest terms.
     """
     a, b, c, d = p
     e, f, g, h = q
@@ -50,22 +42,13 @@ def hamilton(p, q):
             a * h + b * g - c * f + d * e)
 
 
-def _over_common_denominator(comps):
-    """Integer numerators of exact components over their least common
-    denominator, and that denominator."""
-    d = math.lcm(*[c.denominator for c in comps])
-    return [c.numerator * (d // c.denominator) for c in comps], d
-
-
 class Quaternion:
     """A quaternion w + x*i + y*j + z*k.
 
-    The product of two exact quaternions, every component an ``int`` or a
-    ``Fraction`` and at least one a ``Fraction``, has the ``Fraction``
-    components of Hamilton's product over ``Fraction``, computed on integer
-    numerators.  Any other product (all ``int``, or a float anywhere) calls
-    ``hamilton`` on the components as they are, so component types are
-    those of the plain product in every case.
+    The product of two quaternions calls ``hamilton`` on the components as
+    they are.  Each result component uses all eight operand components, so
+    one ``Fraction`` component makes every component of an exact product a
+    ``Fraction``, and one float component makes every component a float.
     """
 
     __slots__ = ("w", "x", "y", "z")
@@ -137,15 +120,8 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            p = (self.w, self.x, self.y, self.z)
-            q = (other.w, other.x, other.y, other.z)
-            kinds = set(map(type, p + q))
-            if Fraction not in kinds or not kinds <= _NUMERATOR_TYPES:
-                return Quaternion(*hamilton(p, q))
-            p, dp = _over_common_denominator(p)
-            q, dq = _over_common_denominator(q)
-            d = dp * dq
-            return Quaternion(*[Fraction(v, d) for v in hamilton(p, q)])
+            return Quaternion(*hamilton((self.w, self.x, self.y, self.z),
+                                        (other.w, other.x, other.y, other.z)))
         if isinstance(other, _SCALAR_TYPES):
             return Quaternion(self.w * other, self.x * other,
                               self.y * other, self.z * other)

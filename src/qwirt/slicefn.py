@@ -27,8 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .quaternion import (Quaternion, ONE, format_quaternion, hamilton,
-                         flat_point, split_slice_components,
-                         _NUMERATOR_TYPES, _over_common_denominator)
+                         flat_point, split_slice_components)
 from .stem import MAX_VARS, basis_product
 
 MAX_DEGREE_PER_VARIABLE = 32
@@ -38,6 +37,10 @@ MAX_DEGREE_PER_VARIABLE = 32
 MAX_STEM_TERMS = 1 << 20
 
 _HALF = Fraction(1, 2)
+# Component types of the stems that the exact loops run on integer
+# numerators; exact types only, so a subclass (bool, a float subclass) takes
+# the plain path.
+_NUMERATOR_TYPES = frozenset((int, Fraction))
 
 
 def _check_degree_cap(degrees):
@@ -66,9 +69,9 @@ def _rows(f):
 def _over_one_denominator(rows):
     """The rows with the integer numerators of their components over the
     least common denominator of all of them, and that denominator."""
-    comps, d = _over_common_denominator([c for _, _, q in rows for c in q])
-    return [(key, mask, tuple(comps[i:i + 4]))
-            for i, (key, mask, _) in zip(range(0, len(comps), 4), rows)], d
+    d = math.lcm(*[c.denominator for _, _, q in rows for c in q])
+    return [(key, mask, tuple([c.numerator * (d // c.denominator) for c in q]))
+            for key, mask, q in rows], d
 
 
 def _compile_stem(f):
@@ -377,20 +380,6 @@ class SliceFunction:
         return not any(mask & hb and mask & lower
                        for _, mask, _ in self.coefficients())
 
-    def _lower_exponent(self, pos, factor):
-        """Lower the exponent at ``pos`` of every term where it is positive,
-        multiplying the coefficient by ``factor(exponent)``."""
-        terms = {}
-        for key, q in self.terms.items():
-            e = key[pos]
-            if e == 0:
-                continue
-            new_key = key[:pos] + (e - 1,) + key[pos + 1:]
-            add = q * factor(e)
-            cur = terms.get(new_key)
-            terms[new_key] = add if cur is None else cur + add
-        return SliceFunction(self.n, terms, validate=False)
-
     def _cr_partial(self, m, conj):
         """Cauchy-Riemann partial w.r.t. variable m: half the alpha_m
         partial minus (``conj``: plus) the beta_m partial followed by the
@@ -399,12 +388,27 @@ class SliceFunction:
         The bare beta_m partial breaks parity; composing with the structure
         restores it.  The structure takes a term off subset K with a sign
         when m is in K (odd b), onto K + {m} otherwise.
+
+        One dict collects both partials: the alpha_m pass first, then the
+        beta_m pass, each lowering one exponent, which maps keys one to one.
+        That order fixes the order of the result's terms, in which the
+        compiled float kernel sums them.
         """
         self._check_var(m)
-        da = self._lower_exponent(m - 1, lambda a: a)
-        jdb = self._lower_exponent(self.n + m - 1, lambda b: -b if b % 2 else b)
-        combined = da + jdb if conj else da - jdb
-        return SliceFunction(self.n, {k: q * _HALF for k, q in combined.terms.items()},
+        n = self.n
+        sign = 1 if conj else -1
+        terms = {}
+        for pos in (m - 1, n + m - 1):
+            for key, q in self.terms.items():
+                e = key[pos]
+                if e == 0:
+                    continue
+                factor = e if pos < n else sign * (-e if e % 2 else e)
+                new_key = key[:pos] + (e - 1,) + key[pos + 1:]
+                add = q * factor
+                cur = terms.get(new_key)
+                terms[new_key] = add if cur is None else cur + add
+        return SliceFunction(n, {k: q * _HALF for k, q in terms.items()},
                              validate=False)
 
     def slice_partial(self, m):

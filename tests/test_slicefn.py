@@ -47,6 +47,26 @@ def reference_product(f, g):
     return SliceFunction(n, terms, validate=False)
 
 
+def reference_partial(f, m, conj):
+    """The slice partial as separate stems: the alpha_m partial, the beta_m
+    partial followed by the complex structure of m, their sum (``conj``) or
+    difference, halved."""
+    n = f.n
+
+    def lowered(pos, factor):
+        return SliceFunction(n, {key[:pos] + (key[pos] - 1,) + key[pos + 1:]:
+                                 q * factor(key[pos])
+                                 for key, q in f.terms.items() if key[pos]},
+                             validate=False)
+
+    da = lowered(m - 1, lambda a: a)
+    jdb = lowered(n + m - 1, lambda b: -b if b % 2 else b)
+    combined = da + jdb if conj else da - jdb
+    return SliceFunction(n, {key: q * Fraction(1, 2)
+                             for key, q in combined.terms.items()},
+                         validate=False)
+
+
 def reference_expansion(a, b):
     """alpha^a * beta^b * e^(b mod 2) over z^l conj(z)^h, with Fraction
     coefficients."""
@@ -121,6 +141,21 @@ def test_product_matches_quaternion_arithmetic(data, n, kind_f, kind_g):
     if kind_f == kind_g == "int":
         assert all(type(c) is int for q in got.terms.values()
                    for c in q.components())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 3), st.sampled_from(sorted(COMPONENTS)))
+def test_partials_match_the_separate_stem_pipeline(data, n, kind):
+    # the same terms in the same order, which the float kernel sums in, with
+    # the same component types and bits
+    f = data.draw(stems(n, kind))
+    for m in range(1, n + 1):
+        for got, conj in ((f.slice_partial(m), False),
+                          (f.slice_partial_conj(m), True)):
+            want = reference_partial(f, m, conj)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert [repr(q) for q in got.terms.values()] == \
+                [repr(q) for q in want.terms.values()]
 
 
 @settings(max_examples=150, deadline=None)
