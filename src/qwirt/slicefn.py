@@ -158,6 +158,8 @@ class SliceFunction:
                 clean[key] = coeff
         self.terms = clean
         if validate:
+            if any(type(e) is not int for key in clean for e in key):
+                raise ValueError("stem exponents must be ints")
             if any(min(key) < 0 for key in clean):
                 raise ValueError("negative exponent in stem term")
             _check_degree_cap(self.degrees())
@@ -458,12 +460,19 @@ class SliceFunction:
 
     @classmethod
     def from_json(cls, data):
-        """Inverse of ``to_json``.  Each term lists one component, on the
-        parity mask of its exponents."""
+        """Inverse of ``to_json``.  Each term lists n alpha and n beta
+        exponents, appears once, and lists one component, on the parity mask
+        of its exponents."""
         n = data["n"]
         terms = {}
         for t in data["terms"]:
+            if len(t["alpha_exps"]) != n or len(t["beta_exps"]) != n:
+                raise ValueError("stem term lists %d alpha and %d beta exponents,"
+                                 " expected %d of each" % (len(t["alpha_exps"]),
+                                                           len(t["beta_exps"]), n))
             key = tuple(t["alpha_exps"]) + tuple(t["beta_exps"])
+            if key in terms:
+                raise ValueError("stem term %r is listed twice" % (key,))
             if len(t["components"]) != 1:
                 raise ValueError("stem term %r must list exactly one component"
                                  % (key,))

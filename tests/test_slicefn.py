@@ -242,6 +242,28 @@ def test_from_json_refuses_a_term_with_two_components():
         SliceFunction.from_json({"n": 1, "terms": [term]})
 
 
+_ONE_ON_EMPTY = [{"mask": 0, "quaternion": ["1", "0", "0", "0"]}]
+
+
+def test_from_json_refuses_exponent_lists_of_the_wrong_length():
+    # concatenated, these are a key of length 2n: beta_1^1 on mask 1
+    term = {"alpha_exps": [0, 0, 1], "beta_exps": [0], "components": _ONE_ON_EMPTY}
+    with pytest.raises(ValueError, match="expected 2 of each"):
+        SliceFunction.from_json({"n": 2, "terms": [term]})
+
+
+def test_from_json_refuses_a_term_listed_twice():
+    term = {"alpha_exps": [1, 0], "beta_exps": [0, 0], "components": _ONE_ON_EMPTY}
+    with pytest.raises(ValueError, match="listed twice"):
+        SliceFunction.from_json({"n": 2, "terms": [term, dict(term)]})
+
+
+def test_from_json_refuses_non_int_exponents():
+    term = {"alpha_exps": [1.5], "beta_exps": [0], "components": _ONE_ON_EMPTY}
+    with pytest.raises(ValueError, match="must be ints"):
+        SliceFunction.from_json({"n": 1, "terms": [term]})
+
+
 def test_stem_terms_are_quaternions():
     with pytest.raises(TypeError, match="must be quaternions"):
         StemPolynomial(1, {(0, 1): StemElement.basis(1, bit(1))})
