@@ -394,7 +394,7 @@ class SliceFunction:
         One dict collects both partials: the alpha_m pass first, then the
         beta_m pass, each lowering one exponent, which maps keys one to one.
         That order fixes the order of the result's terms, in which the
-        compiled float kernel sums them.
+        compiled float kernel sums them.  Terms that cancel are not halved.
         """
         self._check_var(m)
         n = self.n
@@ -410,8 +410,8 @@ class SliceFunction:
                 add = q * factor
                 cur = terms.get(new_key)
                 terms[new_key] = add if cur is None else cur + add
-        return SliceFunction(n, {k: q * _HALF for k, q in terms.items()},
-                             validate=False)
+        return SliceFunction(n, {k: q * _HALF for k, q in terms.items()
+                                 if not q.is_zero()}, validate=False)
 
     def slice_partial(self, m):
         """Slice partial derivative w.r.t. x_m."""
@@ -466,18 +466,19 @@ class SliceFunction:
         n = data["n"]
         terms = {}
         for t in data["terms"]:
-            if len(t["alpha_exps"]) != n or len(t["beta_exps"]) != n:
-                raise ValueError("stem term lists %d alpha and %d beta exponents,"
-                                 " expected %d of each" % (len(t["alpha_exps"]),
-                                                           len(t["beta_exps"]), n))
-            key = tuple(t["alpha_exps"]) + tuple(t["beta_exps"])
+            alphas, betas = t["alpha_exps"], t["beta_exps"]
+            if len(alphas) != n or len(betas) != n:
+                raise ValueError("stem term lists %d alpha and %d beta "
+                                 "exponents, expected %d of each"
+                                 % (len(alphas), len(betas), n))
+            key = tuple(alphas) + tuple(betas)
             if key in terms:
                 raise ValueError("stem term %r is listed twice" % (key,))
             if len(t["components"]) != 1:
                 raise ValueError("stem term %r must list exactly one component"
                                  % (key,))
             (c,) = t["components"]
-            if c["mask"] != _parity(t["beta_exps"]):
+            if c["mask"] != _parity(betas):
                 raise ValueError("stem parity violated: term %r carries mask %r"
                                  % (key, c["mask"]))
             terms[key] = Quaternion(*[Fraction(s) for s in c["quaternion"]])
