@@ -6,8 +6,9 @@ The numeric one evaluates the defining differential expression verbatim on
 any smooth field: the order-(m-1) Dirac family is built first, each entry is
 differentiated with the global derivative pair in x_m, and the results are
 summed with the ordered negated-conjugate-coordinate products on the left.
-Both operators of a pair come from one family and one stencil per entry.  On lifted slice polynomials the two realizations agree, which is
-exercised by the cross-check suite.
+Both operators of a pair come from one family and one stencil per entry.
+On lifted slice polynomials the two realizations agree, which is exercised
+by the cross-check suite.
 """
 
 import warnings

@@ -246,7 +246,8 @@ _ONE_ON_EMPTY = [{"mask": 0, "quaternion": ["1", "0", "0", "0"]}]
 
 
 def test_from_json_refuses_exponent_lists_of_the_wrong_length():
-    # concatenated, these are a key of length 2n: beta_1^1 on mask 1
+    # concatenated, these make a key of length 2n, beta_1^1, whose parity
+    # mask is 1; the mask 0 listed matches the parity of beta_exps as given
     term = {"alpha_exps": [0, 0, 1], "beta_exps": [0], "components": _ONE_ON_EMPTY}
     with pytest.raises(ValueError, match="expected 2 of each"):
         SliceFunction.from_json({"n": 2, "terms": [term]})
