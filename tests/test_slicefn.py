@@ -243,26 +243,21 @@ def test_from_json_refuses_a_term_with_two_components():
 
 
 _ONE_ON_EMPTY = [{"mask": 0, "quaternion": ["1", "0", "0", "0"]}]
+_X1_TERM = {"alpha_exps": [1, 0], "beta_exps": [0, 0], "components": _ONE_ON_EMPTY}
 
 
-def test_from_json_refuses_exponent_lists_of_the_wrong_length():
+@pytest.mark.parametrize("n, terms, match", [
     # concatenated, these make a key of length 2n, beta_1^1, whose parity
     # mask is 1; the mask 0 listed matches the parity of beta_exps as given
-    term = {"alpha_exps": [0, 0, 1], "beta_exps": [0], "components": _ONE_ON_EMPTY}
-    with pytest.raises(ValueError, match="expected 2 of each"):
-        SliceFunction.from_json({"n": 2, "terms": [term]})
-
-
-def test_from_json_refuses_a_term_listed_twice():
-    term = {"alpha_exps": [1, 0], "beta_exps": [0, 0], "components": _ONE_ON_EMPTY}
-    with pytest.raises(ValueError, match="listed twice"):
-        SliceFunction.from_json({"n": 2, "terms": [term, dict(term)]})
-
-
-def test_from_json_refuses_non_int_exponents():
-    term = {"alpha_exps": [1.5], "beta_exps": [0], "components": _ONE_ON_EMPTY}
-    with pytest.raises(ValueError, match="must be ints"):
-        SliceFunction.from_json({"n": 1, "terms": [term]})
+    (2, [{"alpha_exps": [0, 0, 1], "beta_exps": [0], "components": _ONE_ON_EMPTY}],
+     "expected 2 of each"),
+    (2, [_X1_TERM, dict(_X1_TERM)], "listed twice"),
+    (1, [{"alpha_exps": [1.5], "beta_exps": [0], "components": _ONE_ON_EMPTY}],
+     "must be ints"),
+], ids=["wrong-length", "listed-twice", "non-int"])
+def test_from_json_refuses_malformed_terms(n, terms, match):
+    with pytest.raises(ValueError, match=match):
+        SliceFunction.from_json({"n": n, "terms": terms})
 
 
 def test_stem_terms_are_quaternions():
