@@ -61,6 +61,18 @@ RUNS = (
      "(~x1*(1/3+2/5i-7/11k)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i+2/3j))^3"),
     ("thetabar", "--m", "2", "--n", "3",
      "(~x1*(1/3+2/5i-7/11k)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i+2/3j))^3"),
+    # powers: the value sums the fourth power's terms in the float kernel,
+    # so it pins their order
+    ("eval", "--n", "3", "--at", "1/2+i;-1/3+1/2j-k;1/5+1/2i+2/3k",
+     "(~x1*(1/3+2/5i)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i))^4"),
+    ("theta", "--m", "1", "--n", "3",
+     "(~x1*(1/3+2/5i)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i))^4"),
+    # the theta above cancels to 0 (the power holds ~x1, not x1); this one
+    # does not
+    ("thetabar", "--m", "1", "--n", "3",
+     "(~x1*(1/3+2/5i)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i))^4"),
+    ("eval", "(x1*(1/2-i)+~x2*(2/3k))^0", "--at", "1+i;-1/2+j"),
+    ("eval", "(x1*(1/2-i)+~x2*(2/3k))^1", "--at", "1+i;-1/2+j"),
 )
 
 
