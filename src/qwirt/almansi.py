@@ -25,7 +25,8 @@ from .stem import bit, mask_indices
 from .slicefn import SliceFunction, constant, variable, conj_variable
 from .numeric import (fueter_derivative_field, spherical_dirac_field,
                       multiply_by_variable, div_by_twice_im, negate_field,
-                      running_worst, sweep, report_tail, flat_point, _add)
+                      running_worst, sweep, report_tail, check_tolerance,
+                      flat_point, _add)
 from .sampling import respin_units, _sample_points
 
 FLAVOR_SPHERICAL = "spherical"
@@ -273,6 +274,7 @@ def check_reconstruction(field, flavor, level, points=None, *, samples=20,
     if level > MAX_NUMERIC_LEVEL:
         raise ValueError("numeric reconstruction is capped at level %d"
                          % MAX_NUMERIC_LEVEL)
+    check_tolerance(tol)
     points = _sample_points(points, samples, seed, field.n)
 
     def residual(p):

@@ -175,6 +175,14 @@ def sweep(points, residuals):
     return worst
 
 
+def check_tolerance(tol):
+    """Refuse a residual tolerance that is not finite and > 0: every finite
+    residual passes an infinite one, and none passes zero or less."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("residual tolerance must be finite and > 0, got %r"
+                         % tol)
+
+
 def report_tail(residuals, tol, points, seed):
     """The closing keys of a suite report: the worst of ``residuals``, the
     tolerance, the sample count and seed, and whether the worst passed."""

@@ -74,6 +74,66 @@ def _over_one_denominator(rows):
             for key, mask, q in rows], d
 
 
+def _check_term_cap(a, b):
+    """Refuse a stem product of ``a`` by ``b`` terms over the pair cap."""
+    if a * b > MAX_STEM_TERMS:
+        raise ValueError("stem term cap %d exceeded: a product of %d by "
+                         "%d terms" % (MAX_STEM_TERMS, a, b))
+
+
+def _packed(rows):
+    """The rows with each key packed into an int, one byte per exponent,
+    so that adding keys is one int addition: no exponent of a product
+    exceeds the degree cap, so no byte carries into the next."""
+    return [(int.from_bytes(bytes(k), "little"), m, q) for k, m, q in rows]
+
+
+def _stem_product(left, right):
+    """The sums of the products of every pair of terms of two stems, given
+    as rows ``(packed key, mask, components)``: a dict from each packed key
+    of the product, in order of first appearance, to its four components.
+
+    ``hamilton``'s formula is restated inline in its operation order, the
+    ``basis_product`` sign negates the product, and products sum in term
+    order, as ``Quaternion`` arithmetic does.  Sums that cancel to zero are
+    kept.
+    """
+    # per mask of a left term, which right terms its product negates
+    negates = {m1: [basis_product(m1, m2)[0] < 0 for _, m2, _ in right]
+               for _, m1, _ in left}
+    sums = {}
+    for k1, m1, (a, b, c, d) in left:
+        for (k2, _, (e, f, g, h)), negate in zip(right, negates[m1]):
+            w = a * e - b * f - c * g - d * h
+            x = a * f + b * e + c * h - d * g
+            y = a * g - b * h + c * e + d * f
+            z = a * h + b * g - c * f + d * e
+            if negate:
+                w, x, y, z = -w, -x, -y, -z
+            key = k1 + k2
+            cur = sums.get(key)
+            if cur is None:
+                sums[key] = [w, x, y, z]
+            else:
+                cur[0] += w
+                cur[1] += x
+                cur[2] += y
+                cur[3] += z
+    return sums
+
+
+def _unpacked(n, sums, den):
+    """The slice function of ``(packed key, components)`` pairs, each
+    component a numerator over ``den``, or as it is when ``den`` is None."""
+    size = 2 * n
+    terms = {}
+    for key, comps in sums:
+        if den is not None:
+            comps = [Fraction(v, den) for v in comps]
+        terms[tuple(key.to_bytes(size, "little"))] = Quaternion(*comps)
+    return SliceFunction(n, terms, validate=False)
+
+
 def _compile_stem(f):
     """Compile f's stem into a float kernel ``kernel(values, units)``.
 
@@ -215,19 +275,14 @@ class SliceFunction:
 
         When both stems are exact and one holds a ``Fraction``, each goes
         over one common denominator, the pairs of terms multiply and sum on
-        integer numerators, and each component of the result is one
-        ``Fraction``.  Otherwise the components multiply as stored: all-int
-        stems give ints, and a float gives the bits of quaternion
-        arithmetic.  ``hamilton``'s formula is restated inline in its
-        operation order, the ``basis_product`` sign negates the product,
-        and products sum in term order, as ``Quaternion`` arithmetic does.
+        integer numerators (``_stem_product``), and each component of the
+        result is one ``Fraction``.  Otherwise the components multiply as
+        stored: all-int stems give ints, and a float gives the bits of
+        quaternion arithmetic.
         """
         self._check_compatible(other)
         _check_degree_cap([a + b for a, b in zip(self.degrees(), other.degrees())])
-        if len(self.terms) * len(other.terms) > MAX_STEM_TERMS:
-            raise ValueError("stem term cap %d exceeded: a product of %d by "
-                             "%d terms" % (MAX_STEM_TERMS, len(self.terms),
-                                           len(other.terms)))
+        _check_term_cap(len(self.terms), len(other.terms))
         left, kinds_a = _rows(self)
         right, kinds_b = _rows(other)
         kinds = kinds_a | kinds_b
@@ -239,55 +294,55 @@ class SliceFunction:
                 left, da = _over_one_denominator(left)
             if Fraction in kinds_b:
                 right, db = _over_one_denominator(right)
-        # Each key packs into an int, one byte per exponent, so that adding
-        # keys is one int addition: no exponent of the product exceeds the
-        # degree cap, so no byte carries into the next.
-        left = [(int.from_bytes(bytes(k), "little"), m, q) for k, m, q in left]
-        right = [(int.from_bytes(bytes(k), "little"), m, q) for k, m, q in right]
-        # per mask of a left term, which right terms its product negates
-        negates = {m1: [basis_product(m1, m2)[0] < 0 for _, m2, _ in right]
-                   for _, m1, _ in left}
-        sums = {}
-        for k1, m1, (a, b, c, d) in left:
-            for (k2, _, (e, f, g, h)), negate in zip(right, negates[m1]):
-                w = a * e - b * f - c * g - d * h
-                x = a * f + b * e + c * h - d * g
-                y = a * g - b * h + c * e + d * f
-                z = a * h + b * g - c * f + d * e
-                if negate:
-                    w, x, y, z = -w, -x, -y, -z
-                key = k1 + k2
-                cur = sums.get(key)
-                if cur is None:
-                    sums[key] = [w, x, y, z]
-                else:
-                    cur[0] += w
-                    cur[1] += x
-                    cur[2] += y
-                    cur[3] += z
-        den = da * db
-        size = 2 * self.n
-        terms = {}
-        for key, comps in sums.items():
-            if lattice:
-                comps = [Fraction(v, den) for v in comps]
-            terms[tuple(key.to_bytes(size, "little"))] = Quaternion(*comps)
-        return SliceFunction(self.n, terms, validate=False)
+        sums = _stem_product(_packed(left), _packed(right))
+        return _unpacked(self.n, sums.items(), da * db if lattice else None)
 
     def __pow__(self, k):
+        """The k-th slice power by square and multiply from the lowest bit
+        of k.  The lowest set bit takes f as it is, so no ``1 * f`` product
+        is formed.
+
+        A stem that holds a ``Fraction`` goes over its common denominator d
+        once, the products of the chain run on integer numerators, and each
+        component of the result is one ``Fraction`` over d^k.  Otherwise the
+        components multiply as stored, as in ``*``.  Each product checks the
+        term cap and drops the sums that cancel to zero, as ``*`` does, so
+        the terms and their order are those of the chain of ``*`` products.
+        """
         if not isinstance(k, int) or k < 0:
             raise ValueError("powers must be natural numbers")
         # no intermediate power exceeds the k-th, whose degrees are k times ours
         _check_degree_cap([k * d for d in self.degrees()])
-        result = constant(self.n, ONE)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        n = self.n
+        if not k:
+            return constant(n, ONE)
+        base, kinds = _rows(self)
+        lattice = Fraction in kinds and kinds <= _NUMERATOR_TYPES
+        d = 1
+        if lattice:
+            base, d = _over_one_denominator(base)
+        base = _packed(base)
+        # a packed key's parity mask, looked up by the low bits of its beta
+        # bytes: bit 8m of those is bit m of the mask
+        shift, odd = 8 * n, int.from_bytes(b"\x01" * n, "little")
+        masks = {sum(1 << 8 * m for m in range(n) if s >> m & 1): s
+                 for s in range(1 << n)}
+
+        def product(a, b):
+            _check_term_cap(len(a), len(b))
+            return [(key, masks[key >> shift & odd], comps)
+                    for key, comps in _stem_product(a, b).items() if any(comps)]
+
+        result = None
+        bits = k
+        while bits:
+            if bits & 1:
+                result = base if result is None else product(result, base)
+            bits >>= 1
+            if bits:
+                base = product(base, base)
+        return _unpacked(n, [(key, comps) for key, _, comps in result],
+                         d ** k if lattice else None)
 
     def __eq__(self, other):
         if not isinstance(other, SliceFunction):
@@ -462,7 +517,7 @@ class SliceFunction:
     def from_json(cls, data):
         """Inverse of ``to_json``.  Each term lists n alpha and n beta
         exponents, appears once, and lists one component, on the parity mask
-        of its exponents."""
+        of its exponents, with four quaternion components."""
         n = data["n"]
         terms = {}
         for t in data["terms"]:
@@ -481,6 +536,9 @@ class SliceFunction:
             if c["mask"] != _parity(betas):
                 raise ValueError("stem parity violated: term %r carries mask %r"
                                  % (key, c["mask"]))
+            if len(c["quaternion"]) != 4:
+                raise ValueError("stem term %r lists %d quaternion components, "
+                                 "expected 4" % (key, len(c["quaternion"])))
             terms[key] = Quaternion(*[Fraction(s) for s in c["quaternion"]])
         return cls(n, terms)
 

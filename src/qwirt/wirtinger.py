@@ -16,7 +16,8 @@ from functools import reduce
 
 from .quaternion import Quaternion, hamilton
 from .numeric import _global_pair, _tangential, _add, lift, flat_point, \
-    running_worst, sweep, report_tail, DEFAULT_STEP, DEFAULT_BAND
+    running_worst, sweep, report_tail, check_tolerance, DEFAULT_STEP, \
+    DEFAULT_BAND
 from .almansi import dirac_components, dirac_levels, complement_indices, \
     _neg_conj_value
 from .sampling import _sample_points
@@ -124,6 +125,8 @@ def check_regularity_numeric(field, points=None, *, samples=10, seed=0,
     """
     # the verdict needs every index up to n, so n over the cap is refused
     _check_index(field.n, field.n)
+    if tol is not None:
+        check_tolerance(tol)
     indices = range(1, field.n + 1)
     points = _sample_points(points, samples, seed, field.n)
 
@@ -163,6 +166,7 @@ def check_strong_sliceness(field, points=None, *, samples=5, seed=0, tol=1e-2):
     if field.n > MAX_SLICENESS_VARS:
         raise ValueError("strong sliceness check is capped at %d variables"
                          % MAX_SLICENESS_VARS)
+    check_tolerance(tol)
     points = _sample_points(points, samples, seed, field.n)
 
     def tangential(p):
@@ -217,6 +221,7 @@ def check_independence(f, first, points=None, *, samples=10, seed=0,
     derivatives of the raw field (checked numerically on the lift)."""
     if not f.depends_only_on(first):
         raise ValueError("function depends on a variable below %d" % first)
+    check_tolerance(tol)
     points = _sample_points(points, samples, seed, f.n)
     for h in range(1, first):
         if not (wirtinger_derivative(f, h).is_zero()
@@ -232,8 +237,9 @@ def crosscheck(f, m, points=None, *, samples=10, seed=0, tol=None,
     """Agreement of the two realizations on a slice polynomial lifted with
     the given finite-difference step and exclusion band."""
     _check_index(f.n, m)
-    points = _sample_points(points, samples, seed, f.n)
     tolerance = tol if tol is not None else default_tolerance(m)
+    check_tolerance(tolerance)
+    points = _sample_points(points, samples, seed, f.n)
     residuals = sweep(points, _pair_residuals(
         f, m, _wirtinger_pair, lift(f, step=step, band=band)))
     return {"operator": "theta_%d/thetabar_%d" % (m, m),

@@ -321,6 +321,46 @@ def test_bad_stencil_parameters_are_refused(keyword, value):
     assert not calls
 
 
+BAD_TOLERANCES = ("inf", "nan", "0", "-1e-3")
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+@pytest.mark.parametrize("argv", [
+    ("check-regular", "--numeric", "--samples", "1", "x1*~x1"),
+    ("check-slice", "--samples", "1", "x1*x2"),
+    ("crosscheck", "--samples", "1", "x1*~x2"),
+    ("almansi", "--flavor", "a", "--level", "1", "--samples", "1", "x1*x2"),
+    ("almansi", "--flavor", "gamma", "--level", "1", "--samples", "1", "x1*x2"),
+], ids=["check-regular", "check-slice", "crosscheck", "almansi-a",
+        "almansi-gamma"])
+def test_bad_tolerance_flags_are_refused_before_any_evaluation(argv, tol, capsys,
+                                                               monkeypatch):
+    # check-regular --numeric --tol inf said "regular" for x1*~x1 with
+    # thetabar_1 at 1.73 and exited 0
+    calls = _count_base_evaluations(monkeypatch)
+    code, report = run_json(capsys, *argv, "--tol=" + tol)
+    assert code == 2
+    assert report["error"]["type"] == "value"
+    assert "tolerance" in report["error"]["message"]
+    assert not calls
+
+
+@pytest.mark.parametrize("tol", [float(t) for t in BAD_TOLERANCES])
+@pytest.mark.parametrize("check", [
+    lambda f, tol: check_regularity_numeric(lift(f), samples=1, tol=tol),
+    lambda f, tol: check_strong_sliceness(lift(f), samples=1, tol=tol),
+    lambda f, tol: crosscheck(f, 1, samples=1, tol=tol),
+    lambda f, tol: check_independence(f, 1, samples=1, tol=tol),
+    lambda f, tol: check_reconstruction(lift(f), "dirac", 1, samples=1, tol=tol),
+], ids=["check_regularity_numeric", "check_strong_sliceness", "crosscheck",
+        "check_independence", "check_reconstruction"])
+def test_bad_tolerances_are_refused_before_any_evaluation(check, tol, monkeypatch):
+    calls = _count_base_evaluations(monkeypatch)
+    with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+        check(parse_slice("x1*~x2"), tol)
+    assert not calls
+
+
 def test_zero_band_and_exact_step_are_accepted():
     field = NumericField(lambda p: p[0], 1, step=Fraction(1, 100), band=0)
     assert (field.step, field.band) == (Fraction(1, 100), 0)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from qwirt import slicefn
+from qwirt.expr import parse_slice
 from qwirt.quaternion import Quaternion, ONE, I, J, K
 from qwirt.stem import StemElement, basis_product, bit
 from qwirt.slicefn import (SliceFunction, StemPolynomial, variable,
@@ -143,6 +145,33 @@ def test_product_matches_quaternion_arithmetic(data, n, kind_f, kind_g):
                    for c in q.components())
 
 
+def square_and_multiply_chain(f):
+    """f^0 .. f^6 as the ``*`` products that square and multiply forms from
+    the lowest bit of the exponent."""
+    square = f * f
+    fourth = square * square
+    return [constant(f.n, ONE), f, square, f * square, fourth, f * fourth,
+            square * fourth]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 3), st.sampled_from(sorted(COMPONENTS)))
+def test_powers_match_the_chain_of_products(data, n, kind):
+    # the same terms in the same order, which the float kernel sums in, with
+    # the same bits and component types
+    f = data.draw(stems(n, kind))
+    exact = all(type(c) is not float for q in f.terms.values()
+                for c in q.components())
+    for k, want in enumerate(square_and_multiply_chain(f)):
+        if k == 1 and exact:
+            # an exact stem goes over Fractions as every product does; a
+            # float stem keeps its components as they are
+            want = constant(n, ONE) * f
+        got = f ** k
+        assert [(key, repr(q)) for key, q in got.terms.items()] == \
+            [(key, repr(q)) for key, q in want.terms.items()]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(1, 3), st.sampled_from(sorted(COMPONENTS)))
 def test_partials_match_the_separate_stem_pipeline(data, n, kind):
@@ -254,7 +283,15 @@ _X1_TERM = {"alpha_exps": [1, 0], "beta_exps": [0, 0], "components": _ONE_ON_EMP
     (2, [_X1_TERM, dict(_X1_TERM)], "listed twice"),
     (1, [{"alpha_exps": [1.5], "beta_exps": [0], "components": _ONE_ON_EMPTY}],
      "must be ints"),
-], ids=["wrong-length", "listed-twice", "non-int"])
+    # three components were padded with a 0; five raised a bare TypeError
+    (1, [{"alpha_exps": [1], "beta_exps": [0],
+          "components": [{"mask": 0, "quaternion": ["1", "2", "3"]}]}],
+     r"stem term \(1, 0\) lists 3 quaternion components, expected 4"),
+    (1, [{"alpha_exps": [1], "beta_exps": [0],
+          "components": [{"mask": 0, "quaternion": ["1", "2", "3", "4", "5"]}]}],
+     r"stem term \(1, 0\) lists 5 quaternion components, expected 4"),
+], ids=["wrong-length", "listed-twice", "non-int", "three-components",
+        "five-components"])
 def test_from_json_refuses_malformed_terms(n, terms, match):
     with pytest.raises(ValueError, match=match):
         SliceFunction.from_json({"n": n, "terms": terms})
@@ -287,6 +324,25 @@ def test_flat_product_matches_the_element_algebra(seed, n):
 def test_degree_cap():
     with pytest.raises(ValueError):
         variable(1, 1) ** 33
+
+
+@pytest.mark.parametrize("k, refused", [(3, "f * f^2"), (4, "f^2 * f^2")])
+def test_a_power_is_refused_before_the_product_over_the_term_cap(
+        monkeypatch, k, refused):
+    f = parse_slice("~x1*(1/3+2/5i)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i)", 3)
+    square = f * f
+    # f * f stays under the cap; the next product of the chain does not
+    monkeypatch.setattr(slicefn, "MAX_STEM_TERMS", len(f.terms) ** 2)
+    products = []
+    inner = slicefn._stem_product
+    monkeypatch.setattr(slicefn, "_stem_product",
+                        lambda a, b: products.append((len(a), len(b)))
+                        or inner(a, b))
+    sizes = {"f * f^2": (len(f.terms), len(square.terms)),
+             "f^2 * f^2": (len(square.terms), len(square.terms))}[refused]
+    with pytest.raises(ValueError, match="a product of %d by %d terms" % sizes):
+        f ** k
+    assert products == [(len(f.terms), len(f.terms))]
 
 
 def test_slice_product_examples():
