@@ -29,8 +29,9 @@ def hamilton(p, q):
       a unit product and a coefficient into its sums;
       ``test_lift_matches_quaternion_arithmetic_bit_for_bit`` in
       ``tests/test_stencil_sharing.py`` pins the two to the same bits;
-    - the stem product (``SliceFunction.__mul__``), on each pair of terms,
-      as integer numerators when the stems hold a ``Fraction``;
+    - the stem product (``slicefn._stem_product``, behind
+      ``SliceFunction.__mul__`` and ``__pow__``), on each pair of terms, as
+      integer numerators when the stems hold a ``Fraction``;
       ``test_product_matches_quaternion_arithmetic`` in
       ``tests/test_slicefn.py`` pins it to ``Quaternion`` products.
     """
