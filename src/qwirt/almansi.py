@@ -214,9 +214,10 @@ def check_uniqueness(f, candidate):
     """
     if not candidate.symbolic:
         raise ValueError("uniqueness checking needs a symbolic family")
-    window = (1 << candidate.level) - 1
+    betas, level = candidate.n, candidate.level
     for mask, entry in candidate.entries.items():
-        if any(cmask & window for _, cmask, _ in entry.coefficients()):
+        # a term meets a subset of {1..level} when a beta exponent there is odd
+        if any(b % 2 for key in entry.terms for b in key[betas:betas + level]):
             raise ValueError("candidate entry %r is not constant on the "
                              "first %d spheres" % (mask_indices(mask),
                                                    candidate.level))

@@ -8,6 +8,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -190,14 +191,38 @@ def _emit(report, fmt):
                 writer.writerow([key, report[key]])
         sys.stdout.write(out.getvalue())
     else:
-        print(json.dumps(report, indent=2, default=str))
+        try:
+            text = json.dumps(report, indent=2, default=str, allow_nan=False)
+        except ValueError:
+            text = json.dumps(_strict(report), indent=2, default=str)
+        print(text)
+
+
+def _strict(value):
+    """The report with each non-finite float as its string: "inf", "-inf"
+    or "nan", as strict JSON has no such numbers."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
+def _format_value(value):
+    """A computed quaternion's literal; a non-finite one is an overflow."""
+    text = format_quaternion(value)
+    if not all(map(math.isfinite, value.components())):
+        raise OverflowError("non-finite value %s" % text)
+    return text
 
 
 def _cmd_eval(args):
     f, n = _load(args)
     point = _parse_point(args.at, n)
     value = f.evaluate(point)
-    _emit({"value": format_quaternion(value)}, args.format)
+    _emit({"value": _format_value(value)}, args.format)
     return EXIT_OK
 
 
@@ -213,7 +238,7 @@ def _cmd_wirtinger(args, conj):
               else wirtinger.wirtinger_derivative_numeric)
         value = op(field, args.m, point)
         report = {"operator": name, "m": args.m, "realization": "numeric",
-                  "value": format_quaternion(value)}
+                  "value": _format_value(value)}
     else:
         g = (wirtinger.wirtinger_conj_derivative(f, args.m) if conj
              else wirtinger.wirtinger_derivative(f, args.m))

@@ -23,17 +23,13 @@ def hamilton(p, q):
     """Hamilton's product of two component 4-tuples ``(w, x, y, z)``.
 
     ``Quaternion.__mul__`` and the numeric operators call this.  Two loops
-    of ``slicefn`` restate the formula inline, term for term in this
-    operation order:
-    - the compiled stem kernel (``_compile_stem``), to fold the product of
-      a unit product and a coefficient into its sums;
-      ``test_lift_matches_quaternion_arithmetic_bit_for_bit`` in
-      ``tests/test_stencil_sharing.py`` pins the two to the same bits;
-    - the stem product (``slicefn._stem_product``, behind
-      ``SliceFunction.__mul__`` and ``__pow__``), on each pair of terms, as
-      integer numerators when the stems hold a ``Fraction``;
-      ``test_product_matches_quaternion_arithmetic`` in
-      ``tests/test_slicefn.py`` pins it to ``Quaternion`` products.
+    of ``slicefn`` restate it inline in this operation order:
+    - the compiled stem kernel (``_compile_stem``), which folds a unit
+      product times a coefficient into its sums; pinned to the same bits by
+      ``test_lift_matches_quaternion_arithmetic_bit_for_bit``;
+    - the stem product (``_stem_product``, behind ``*`` and ``**``), on the
+      int numerators of each pair of terms; pinned to ``Quaternion``
+      products by ``test_product_matches_quaternion_arithmetic``.
     """
     a, b, c, d = p
     e, f, g, h = q

@@ -2,29 +2,26 @@
 
 A slice polynomial is induced by exactly one stem polynomial, so
 ``SliceFunction`` stores its stem and nothing else: a sparse map from
-exponent vectors to quaternions.  With n variables the key is a
-2n-tuple
+exponent keys (a_1, ..., a_n, b_1, ..., b_n), the exponents of the real
+pairs (alpha_m, beta_m) of x_m = alpha_m + J_m*beta_m, to quaternions.  A
+term lies on the subset of the m whose b_m is odd, its parity mask; parity
+makes evaluation independent of the choice of unit on the real axis.
 
-    (a_1, ..., a_n, b_1, ..., b_n)
+The coefficients are stored exactly on the integer lattice: one positive int
+denominator ``den`` per stem and, per key, the int numerators of the four
+components, in lowest terms.  ``Quaternion``s and ``Fraction``s are built
+only at the boundary: ``coefficients()``, JSON and ``to_monomials``.
 
-recording the exponents of the real pair (alpha_m, beta_m) attached to each
-quaternionic variable x_m = alpha_m + J_m*beta_m.  The parity condition ties
-exponents to subsets: a term carries its coefficient on the subset K of the
-m whose beta_m exponent is odd, its parity mask, so one quaternion per key
-holds it.  Parity is what makes evaluation independent of the choice of
-unit on the real axis.
-
-Example: the variable x_1 (n=1) is  {(1,0): 1, (0,1): 1} (on e{}, e{1}),
-its square is  {(2,0): 1, (0,2): -1, (1,1): 2} (on e{}, e{}, e{1}).
-
-All products are slice products (pointwise products of stems); a pointwise
-product of slice functions is generally not a slice function and is not
-offered here.
+Example: x_1 (n=1) is {(1,0): 1, (0,1): 1} (on e{}, e{1}); its square is
+{(2,0): 1, (0,2): -1, (1,1): 2} (on e{}, e{}, e{1}).  Every product is a
+slice product (the pointwise product of the stems), not a pointwise product
+of the functions, which is generally not a slice function.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .quaternion import (Quaternion, ONE, format_quaternion, hamilton,
                          flat_point, split_slice_components)
@@ -35,12 +32,6 @@ MAX_DEGREE_PER_VARIABLE = 32
 # its output terms.  (x1+~x2+x3+x4+x5)^8 needs 715 * 715 = 511,225 pairs;
 # (x1+~x2+x3+x4+x5+x6)^10 needs 1,365 * 1,365 = 1,863,225 and is refused.
 MAX_STEM_TERMS = 1 << 20
-
-_HALF = Fraction(1, 2)
-# Component types of the stems that the exact loops run on integer
-# numerators; exact types only, so a subclass (bool, a float subclass) takes
-# the plain path.
-_NUMERATOR_TYPES = frozenset((int, Fraction))
 
 
 def _check_degree_cap(degrees):
@@ -58,22 +49,6 @@ def _parity(betas):
     return sum(1 << m for m, b in enumerate(betas) if b % 2)
 
 
-def _rows(f):
-    """f's terms as ``(key, mask, components)`` rows, and the set of the
-    components' types."""
-    n = f.n
-    rows = [(key, _parity(key[n:]), q.components()) for key, q in f.terms.items()]
-    return rows, {type(c) for _, _, comps in rows for c in comps}
-
-
-def _over_one_denominator(rows):
-    """The rows with the integer numerators of their components over the
-    least common denominator of all of them, and that denominator."""
-    d = math.lcm(*[c.denominator for _, _, q in rows for c in q])
-    return [(key, mask, tuple([c.numerator * (d // c.denominator) for c in q]))
-            for key, mask, q in rows], d
-
-
 def _check_term_cap(a, b):
     """Refuse a stem product of ``a`` by ``b`` terms over the pair cap."""
     if a * b > MAX_STEM_TERMS:
@@ -81,26 +56,38 @@ def _check_term_cap(a, b):
                          "%d terms" % (MAX_STEM_TERMS, a, b))
 
 
-def _packed(rows):
-    """The rows with each key packed into an int, one byte per exponent,
-    so that adding keys is one int addition: no exponent of a product
-    exceeds the degree cap, so no byte carries into the next."""
-    return [(int.from_bytes(bytes(k), "little"), m, q) for k, m, q in rows]
+@lru_cache(maxsize=None)
+def _packing(n):
+    """How a packed key of n variables gives its parity mask: the shift to
+    its beta bytes, the int of their low bits, and the mask of each pattern
+    of those bits (bit 8m of the pattern is bit m of the mask)."""
+    masks = {sum(1 << 8 * m for m in range(n) if s >> m & 1): s
+             for s in range(1 << n)}
+    return 8 * n, int.from_bytes(b"\x01" * n, "little"), masks
+
+
+def _packed(f):
+    """f's terms as rows ``(packed key, mask, numerators)``, a key packed
+    one byte per exponent into an int, so adding keys is one int addition:
+    under the degree cap no byte carries into the next."""
+    shift, odd, masks = _packing(f.n)
+    rows = []
+    for key, comps in f.terms.items():
+        packed = int.from_bytes(bytes(key), "little")
+        rows.append((packed, masks[packed >> shift & odd], comps))
+    return rows
 
 
 def _stem_product(left, right):
     """The sums of the products of every pair of terms of two stems, given
-    as rows ``(packed key, mask, components)``: a dict from each packed key
-    of the product, in order of first appearance, to its four components.
-
+    as rows ``(packed key, mask, numerators)``: a dict from each packed key
+    of the product, in order of first appearance, to its four numerators.
     ``hamilton``'s formula is restated inline in its operation order, the
-    ``basis_product`` sign negates the product, and products sum in term
-    order, as ``Quaternion`` arithmetic does.  Sums that cancel to zero are
-    kept.
+    ``basis_product`` sign negates, and sums that cancel to zero are kept.
     """
-    # per mask of a left term, which right terms its product negates
+    # per mask of the left terms, which right terms its product negates
     negates = {m1: [basis_product(m1, m2)[0] < 0 for _, m2, _ in right]
-               for _, m1, _ in left}
+               for m1 in {m1 for _, m1, _ in left}}
     sums = {}
     for k1, m1, (a, b, c, d) in left:
         for (k2, _, (e, f, g, h)), negate in zip(right, negates[m1]):
@@ -122,43 +109,73 @@ def _stem_product(left, right):
     return sums
 
 
-def _unpacked(n, sums, den):
-    """The slice function of ``(packed key, components)`` pairs, each
-    component a numerator over ``den``, or as it is when ``den`` is None."""
+def _unpacked(n, sums):
+    """The terms of ``(packed key, numerators)`` pairs, in their order,
+    without those whose numerators are all zero."""
     size = 2 * n
+    return {tuple(key.to_bytes(size, "little")): tuple(comps)
+            for key, comps in sums if any(comps)}
+
+
+def _stem(n, den, terms, degrees=None):
+    """The slice function of numerators ``terms`` over ``den``, in lowest
+    terms and none all zero, and of the ``degrees`` when known."""
+    f = object.__new__(SliceFunction)
+    f.n, f.den, f.terms, f._degrees = n, den, terms, degrees
+    return f
+
+
+def _lowest(n, den, terms, degrees=None):
+    """``_stem`` after one gcd pass divides out the common factor of
+    ``den`` and every numerator."""
+    if den != 1:
+        g = math.gcd(den, *[v for comps in terms.values() for v in comps])
+        if g != 1:
+            den //= g
+            terms = {key: (w // g, x // g, y // g, z // g)
+                     for key, (w, x, y, z) in terms.items()}
+    return _stem(n, den, terms, degrees)
+
+
+def _summed(n, den, rows):
+    """``_lowest`` of the sums of ``(key, numerators)`` rows over ``den``,
+    in order of first appearance, without the sums that cancel."""
     terms = {}
-    for key, comps in sums:
-        if den is not None:
-            comps = [Fraction(v, den) for v in comps]
-        terms[tuple(key.to_bytes(size, "little"))] = Quaternion(*comps)
-    return SliceFunction(n, terms, validate=False)
+    for key, comps in rows:
+        cur = terms.get(key)
+        terms[key] = comps if cur is None else tuple(map(add, cur, comps))
+    return _lowest(n, den, {key: comps for key, comps in terms.items()
+                            if any(comps)})
+
+
+def _lowered(key, pos):
+    """The key with its exponent at ``pos`` lowered by one."""
+    return key[:pos] + (key[pos] - 1,) + key[pos + 1:]
 
 
 def _compile_stem(f):
-    """Compile f's stem into a float kernel ``kernel(values, units)``.
+    """Compile f's stem into a float kernel ``kernel(values, units)`` of
+    alpha_1, beta_1, ..., alpha_n, beta_n and the units J_m, as component
+    4-tuples, returning a component 4-tuple.
 
-    ``values`` lists alpha_1, beta_1, ..., alpha_n, beta_n and ``units[m-1]``
-    is the imaginary unit J_m as a component 4-tuple; the kernel returns
-    the value as a component 4-tuple.  Coefficients become float 4-tuples,
-    and each term keeps only its factors ``(value index, exponent)`` with a
-    nonzero exponent, alpha_m before beta_m in ascending m.  A plan orders
-    the products of the units over every subset the stem uses: each is the
-    lowest unit times the product over the remaining ones, formed in
-    ascending mask order so the remainder exists.
-
-    The unit product acts from the left on each term's coefficient by
-    ``hamilton``'s formula, restated inline in its operation order and
-    folded into the sums, which follow ``Quaternion.__add__``; so the value
-    is bit for bit the one quaternion arithmetic gives.
+    A coefficient is the float 4-tuple of its numerators divided by the
+    denominator as ints, which rounds as ``float(Fraction)`` does.  A term
+    keeps its factors ``(value index, exponent)`` with a nonzero exponent.
+    A plan forms the unit product of each subset the stem uses as its lowest
+    unit times the product of the rest, in ascending mask order.  That
+    product acts from the left by ``hamilton``'s formula, restated inline in
+    its operation order and folded into the sums, which follow
+    ``Quaternion.__add__``: the value is bit for bit quaternion arithmetic's.
     """
-    n = f.n
+    n, den = f.n, f.den
     terms = []
     plan = set()
-    for key, mask, coeff in f.coefficients():
+    for key, comps in f.terms.items():
         factors = tuple((2 * m + side, key[side * n + m])
                         for m in range(n) for side in (0, 1)
                         if key[side * n + m])
-        terms.append((factors, mask, coeff.to_float().components()))
+        mask = _parity(key[n:])
+        terms.append((factors, mask, tuple([v / den for v in comps])))
         while mask & (mask - 1):
             low = mask & -mask
             plan.add((mask, low, mask & ~low))
@@ -191,44 +208,57 @@ def _compile_stem(f):
 
 
 class SliceFunction:
-    """A slice polynomial, stored as its inducing stem: a sparse polynomial
-    in (alpha_1..alpha_n, beta_1..beta_n) with coefficients in the
-    2^n-component algebra, satisfying the stem parity condition.  ``terms``
-    maps each key to the quaternion on its parity mask.
+    """A slice polynomial, stored as its inducing stem.  ``terms`` maps
+    each exponent key to the int numerators of the quaternion on its parity
+    mask, over the stem's denominator ``den``, in lowest terms.
+    ``SliceFunction(n, {key: Quaternion})`` validates its terms and refuses
+    a float component with a ``TypeError``: stems are exact.
 
-    ``*`` is the slice product.  Evaluation decomposes each coordinate as
+    ``*`` is the slice product.  Evaluation splits each coordinate as
     x_m = alpha_m + J_m*beta_m with beta_m = |Im(x_m)| >= 0 and sums the
     component values with the ascending unit products on the left.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "den", "terms", "_degrees")
 
-    def __init__(self, n, terms=None, validate=True):
+    def __init__(self, n, terms=None):
         if not 1 <= n <= MAX_VARS:
             raise ValueError("number of variables must be in 1..%d" % MAX_VARS)
-        self.n = n
-        clean = {}
+        rows = []
         for key, coeff in (terms or {}).items():
             key = tuple(key)
             if len(key) != 2 * n:
                 raise ValueError("exponent key must have length 2n")
             if not isinstance(coeff, Quaternion):
                 raise TypeError("stem coefficients must be quaternions")
-            if not coeff.is_zero():
-                clean[key] = coeff
-        self.terms = clean
-        if validate:
-            if any(type(e) is not int for key in clean for e in key):
-                raise ValueError("stem exponents must be ints")
-            if any(min(key) < 0 for key in clean):
-                raise ValueError("negative exponent in stem term")
-            _check_degree_cap(self.degrees())
+            comps = coeff.components()
+            if any(isinstance(c, float) for c in comps):
+                raise TypeError("stem coefficients must be exact (int or "
+                                "Fraction components), not float")
+            if any(comps):
+                rows.append((key, comps))
+        if any(type(e) is not int for key, _ in rows for e in key):
+            raise ValueError("stem exponents must be ints")
+        if any(min(key) < 0 for key, _ in rows):
+            raise ValueError("negative exponent in stem term")
+        # in lowest terms: a prime's highest power in the lcm of the reduced
+        # denominators divides one of them, whose scaled numerator it does not
+        den = math.lcm(*[c.denominator for _, comps in rows for c in comps])
+        self.n = n
+        self.den = den
+        self.terms = {key: tuple([c.numerator * (den // c.denominator)
+                                  for c in comps]) for key, comps in rows}
+        self._degrees = None
+        _check_degree_cap(self.degrees())
 
     def degrees(self):
         """Per-variable degrees: the largest a_m + b_m over the terms."""
-        n = self.n
-        return [max((key[m] + key[n + m] for key in self.terms), default=0)
-                for m in range(n)]
+        if self._degrees is None:
+            n = self.n
+            self._degrees = tuple(
+                max((key[m] + key[n + m] for key in self.terms), default=0)
+                for m in range(n))
+        return self._degrees
 
     @classmethod
     def zero(cls, n):
@@ -239,9 +269,12 @@ class SliceFunction:
 
     def coefficients(self):
         """Yield ``(key, mask, coeff)`` for every nonzero coefficient: the
-        exponent key, the subset mask and the quaternion on that subset."""
-        for key, coeff in self.terms.items():
-            yield key, _parity(key[self.n:]), coeff
+        exponent key, the subset mask and the quaternion on that subset,
+        with ``Fraction`` components."""
+        n, den = self.n, self.den
+        for key, comps in self.terms.items():
+            yield key, _parity(key[n:]), Quaternion(*[Fraction(v, den)
+                                                      for v in comps])
 
     def _check_compatible(self, other):
         if not isinstance(other, SliceFunction):
@@ -251,88 +284,60 @@ class SliceFunction:
 
     # -- ring operations ----------------------------------------------------
     # Results are built unvalidated: the parity of k1 + k2 is the mask that
-    # basis_product gives, so parity is kept.  Stems are polynomials over H
-    # in the central indeterminates alpha_m and e_m*beta_m, which have no zero
-    # divisors, so the degrees of a product are the sums of its factors'.
+    # basis_product gives.  Stems are polynomials over H in the central
+    # indeterminates alpha_m and e_m*beta_m, which have no zero divisors, so
+    # a nonzero product's degrees are the sums of its factors'.
 
     def __add__(self, other):
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            cur = terms.get(key)
-            terms[key] = coeff if cur is None else cur + coeff
-        return SliceFunction(self.n, terms, validate=False)
+        den = math.lcm(self.den, other.den)
+        return _summed(self.n, den, [
+            (key, tuple([v * scale for v in comps]))
+            for f, scale in ((self, den // self.den), (other, den // other.den))
+            for key, comps in f.terms.items()])
 
     def __neg__(self):
-        return SliceFunction(self.n, {k: -q for k, q in self.terms.items()},
-                             validate=False)
+        return _stem(self.n, self.den, {key: tuple([-v for v in comps])
+                                        for key, comps in self.terms.items()},
+                     self._degrees)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        """Slice product: the pointwise product of the inducing stems.
-
-        When both stems are exact and one holds a ``Fraction``, each goes
-        over one common denominator, the pairs of terms multiply and sum on
-        integer numerators (``_stem_product``), and each component of the
-        result is one ``Fraction``.  Otherwise the components multiply as
-        stored: all-int stems give ints, and a float gives the bits of
-        quaternion arithmetic.
-        """
+        """Slice product: the pointwise product of the inducing stems.  The
+        pairs of terms multiply and sum on the numerators
+        (``_stem_product``), over the product of the denominators."""
         self._check_compatible(other)
-        _check_degree_cap([a + b for a, b in zip(self.degrees(), other.degrees())])
+        degrees = tuple([a + b for a, b in zip(self.degrees(), other.degrees())])
+        _check_degree_cap(degrees)
         _check_term_cap(len(self.terms), len(other.terms))
-        left, kinds_a = _rows(self)
-        right, kinds_b = _rows(other)
-        kinds = kinds_a | kinds_b
-        lattice = Fraction in kinds and kinds <= _NUMERATOR_TYPES
-        da = db = 1
-        if lattice:
-            # an all-int stem is its own numerators, over 1
-            if Fraction in kinds_a:
-                left, da = _over_one_denominator(left)
-            if Fraction in kinds_b:
-                right, db = _over_one_denominator(right)
-        sums = _stem_product(_packed(left), _packed(right))
-        return _unpacked(self.n, sums.items(), da * db if lattice else None)
+        terms = _unpacked(self.n, _stem_product(_packed(self), _packed(other)).items())
+        return _lowest(self.n, self.den * other.den, terms,
+                       degrees if terms else None)
 
     def __pow__(self, k):
         """The k-th slice power by square and multiply from the lowest bit
-        of k.  The lowest set bit takes f as it is, so no ``1 * f`` product
-        is formed.
-
-        A stem that holds a ``Fraction`` goes over its common denominator d
-        once, the products of the chain run on integer numerators, and each
-        component of the result is one ``Fraction`` over d^k.  Otherwise the
-        components multiply as stored, as in ``*``.  Each product checks the
-        term cap and drops the sums that cancel to zero, as ``*`` does, so
-        the terms and their order are those of the chain of ``*`` products.
-        """
+        of k, which takes f as it is: no ``1 * f`` product is formed.  The
+        chain runs on the numerators, over den^k.  Each product checks the
+        term cap and drops the sums that cancel, as ``*`` does, so the terms
+        and their order are those of the chain of ``*`` products."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("powers must be natural numbers")
         # no intermediate power exceeds the k-th, whose degrees are k times ours
-        _check_degree_cap([k * d for d in self.degrees()])
+        degrees = tuple([k * d for d in self.degrees()])
+        _check_degree_cap(degrees)
         n = self.n
         if not k:
             return constant(n, ONE)
-        base, kinds = _rows(self)
-        lattice = Fraction in kinds and kinds <= _NUMERATOR_TYPES
-        d = 1
-        if lattice:
-            base, d = _over_one_denominator(base)
-        base = _packed(base)
-        # a packed key's parity mask, looked up by the low bits of its beta
-        # bytes: bit 8m of those is bit m of the mask
-        shift, odd = 8 * n, int.from_bytes(b"\x01" * n, "little")
-        masks = {sum(1 << 8 * m for m in range(n) if s >> m & 1): s
-                 for s in range(1 << n)}
+        shift, odd, masks = _packing(n)
 
         def product(a, b):
             _check_term_cap(len(a), len(b))
             return [(key, masks[key >> shift & odd], comps)
                     for key, comps in _stem_product(a, b).items() if any(comps)]
 
+        base = _packed(self)
         result = None
         bits = k
         while bits:
@@ -341,16 +346,17 @@ class SliceFunction:
             bits >>= 1
             if bits:
                 base = product(base, base)
-        return _unpacked(n, [(key, comps) for key, _, comps in result],
-                         d ** k if lattice else None)
+        terms = _unpacked(n, [(key, comps) for key, _, comps in result])
+        return _lowest(n, self.den ** k, terms, degrees if terms else None)
 
     def __eq__(self, other):
         if not isinstance(other, SliceFunction):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return (self.n == other.n and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+        return hash((self.n, self.den, frozenset(self.terms.items())))
 
     # -- calculus -------------------------------------------------------------
 
@@ -368,14 +374,11 @@ class SliceFunction:
             values, [u.components() for u in units]))
 
     def evaluator(self):
-        """The stem compiled once into a function of points of H^n.
-
-        The function takes a sequence of quaternions and returns a
-        quaternion.  Its ``flat`` attribute is the same evaluation on the
-        flat 4n-tuple of point components, returning a component 4-tuple,
-        and the function runs it.  Each coordinate is split by
-        ``split_slice_components``; the point's length is not checked.
-        """
+        """The stem compiled once into a function from a sequence of
+        quaternions to a quaternion.  It runs its ``flat`` attribute, the
+        same evaluation from the flat 4n-tuple of point components to a
+        component 4-tuple, which splits each coordinate by
+        ``split_slice_components``; the point's length is not checked."""
         kernel = _compile_stem(self)
         n = self.n
 
@@ -401,72 +404,60 @@ class SliceFunction:
         (f(x) + f with x_m conjugated)/2 at every point."""
         self._check_var(m)
         bpos = self.n + m - 1
-        return SliceFunction(self.n, {key: q for key, q in self.terms.items()
-                                      if not key[bpos] % 2},
-                             validate=False)
+        return _lowest(self.n, self.den,
+                       {key: comps for key, comps in self.terms.items()
+                        if not key[bpos] % 2})
 
     def spherical_derivative(self, m):
         """Divide the components whose subset contains m by beta_m and drop m.
 
-        Exact at the stem level, where parity forces an odd (hence positive)
-        beta_m exponent on every such term, and real-analytically extended
-        across the real axis.  Coincides with the one-variable spherical
-        derivative Im(x_m)^-1 (f(x) - f with x_m conjugated)/2 of the
-        restrictions whenever the function is a slice function w.r.t. x_m;
-        that holds for m = 1 always and is what the component recursions
-        preserve.
+        Exact on the stem, where parity forces an odd (positive) beta_m
+        exponent on each such term, and extended real-analytically across
+        the real axis.  It is the one-variable spherical derivative
+        Im(x_m)^-1 (f(x) - f with x_m conjugated)/2 of the restrictions
+        whenever f is slice w.r.t. x_m: always for m = 1, and kept by the
+        component recursions.
         """
         self._check_var(m)
         bpos = self.n + m - 1
-        terms = {}
-        for key, q in self.terms.items():
-            if not key[bpos] % 2:
-                continue
-            new_key = key[:bpos] + (key[bpos] - 1,) + key[bpos + 1:]
-            cur = terms.get(new_key)
-            terms[new_key] = q if cur is None else cur + q
-        return SliceFunction(self.n, terms, validate=False)
+        return _summed(self.n, self.den, [(_lowered(key, bpos), comps)
+                                          for key, comps in self.terms.items()
+                                          if key[bpos] % 2])
 
     def is_slice_with_respect_to(self, m):
         """True when every restriction in x_m is a one-variable slice
         function: no component subset may contain m together with a smaller
         variable.  Always true for m = 1."""
         self._check_var(m)
-        lower = (1 << (m - 1)) - 1
-        hb = 1 << (m - 1)
-        return not any(mask & hb and mask & lower
-                       for _, mask, _ in self.coefficients())
+        betas = self.n
+        return not any(key[betas + m - 1] % 2
+                       and any(b % 2 for b in key[betas:betas + m - 1])
+                       for key in self.terms)
 
     def _cr_partial(self, m, conj):
         """Cauchy-Riemann partial w.r.t. variable m: half the alpha_m
         partial minus (``conj``: plus) the beta_m partial followed by the
-        complex structure of m.
+        complex structure of m, which restores the parity the bare beta_m
+        partial breaks: it takes a term off subset K with a sign when m is
+        in K (odd b), onto K + {m} otherwise.
 
-        The bare beta_m partial breaks parity; composing with the structure
-        restores it.  The structure takes a term off subset K with a sign
-        when m is in K (odd b), onto K + {m} otherwise.
-
-        One dict collects both partials: the alpha_m pass first, then the
-        beta_m pass, each lowering one exponent, which maps keys one to one.
-        That order fixes the order of the result's terms, in which the
-        compiled float kernel sums them.  Terms that cancel are not halved.
+        Both partials sum on the numerators, the alpha_m pass first, then
+        the beta_m pass; that order is the order of the result's terms, in
+        which the float kernel sums them.  The halving doubles the
+        denominator, and terms that cancel are dropped.
         """
         self._check_var(m)
         n = self.n
         sign = 1 if conj else -1
-        terms = {}
+        rows = []
         for pos in (m - 1, n + m - 1):
-            for key, q in self.terms.items():
+            for key, comps in self.terms.items():
                 e = key[pos]
-                if e == 0:
-                    continue
-                factor = e if pos < n else sign * (-e if e % 2 else e)
-                new_key = key[:pos] + (e - 1,) + key[pos + 1:]
-                add = q * factor
-                cur = terms.get(new_key)
-                terms[new_key] = add if cur is None else cur + add
-        return SliceFunction(n, {k: q * _HALF for k, q in terms.items()
-                                 if not q.is_zero()}, validate=False)
+                if e:
+                    factor = e if pos < n else sign * (-e if e % 2 else e)
+                    rows.append((_lowered(key, pos),
+                                 tuple([v * factor for v in comps])))
+        return _summed(n, 2 * self.den, rows)
 
     def slice_partial(self, m):
         """Slice partial derivative w.r.t. x_m."""
@@ -480,9 +471,11 @@ class SliceFunction:
         """The conjugate slice function: every term on an odd-size subset
         negated."""
         n = self.n
-        return SliceFunction(n, {key: -q if _parity(key[n:]).bit_count() % 2 else q
-                                 for key, q in self.terms.items()},
-                             validate=False)
+        return _stem(n, self.den,
+                     {key: tuple([-v for v in comps])
+                      if _parity(key[n:]).bit_count() % 2 else comps
+                      for key, comps in self.terms.items()},
+                     self._degrees)
 
     def is_slice_regular(self):
         """True iff every conjugate slice partial vanishes identically."""
@@ -503,15 +496,12 @@ class SliceFunction:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self):
-        n = self.n
-        terms = []
-        for key in sorted(self.terms):
-            q = self.terms[key]
-            terms.append({"alpha_exps": list(key[:n]),
-                          "beta_exps": list(key[n:]),
-                          "components": [{"mask": _parity(key[n:]),
-                                          "quaternion": [str(c) for c in q.components()]}]})
-        return {"n": n, "terms": terms}
+        n, den = self.n, self.den
+        return {"n": n, "terms": [
+            {"alpha_exps": list(key[:n]), "beta_exps": list(key[n:]),
+             "components": [{"mask": _parity(key[n:]), "quaternion": [
+                 str(Fraction(v, den)) for v in self.terms[key]]}]}
+            for key in sorted(self.terms)]}
 
     @classmethod
     def from_json(cls, data):
@@ -550,9 +540,8 @@ class SliceFunction:
 
 
 # One class serves both names: a slice polynomial is induced by exactly one
-# stem.  StemPolynomial(n, {key: Quaternion}) is the documented constructor,
-# and perfbench/tracing.py patches StemPolynomial.__mul__ to count the terms
-# of stem products.
+# stem.  StemPolynomial(n, {key: Quaternion}) is the documented constructor;
+# perfbench/tracing.py patches StemPolynomial.__mul__ to count product terms.
 StemPolynomial = SliceFunction
 
 
@@ -560,17 +549,11 @@ StemPolynomial = SliceFunction
 
 
 def _as_quaternion(value):
-    if isinstance(value, Quaternion):
-        return value
-    return Quaternion(value)
+    return value if isinstance(value, Quaternion) else Quaternion(value)
 
 
 def constant(n, value):
-    q = _as_quaternion(value)
-    if q.is_zero():
-        return SliceFunction.zero(n)
-    key = (0,) * (2 * n)
-    return SliceFunction(n, {key: q})
+    return SliceFunction(n, {(0,) * (2 * n): _as_quaternion(value)})
 
 
 def variable(n, m):
@@ -579,7 +562,7 @@ def variable(n, m):
         raise ValueError("variable index %d out of range 1..%d" % (m, n))
     akey = tuple(1 if i == m - 1 else 0 for i in range(2 * n))
     bkey = tuple(1 if i == n + m - 1 else 0 for i in range(2 * n))
-    return SliceFunction(n, {akey: ONE, bkey: ONE})
+    return _stem(n, 1, {akey: (1, 0, 0, 0), bkey: (1, 0, 0, 0)})
 
 
 def conj_variable(n, m):
@@ -598,16 +581,15 @@ def monomial(n, powers, conj_powers=None, coeff=1):
     conj_powers = tuple(conj_powers) if conj_powers is not None else (0,) * n
     if len(powers) != n or len(conj_powers) != n:
         raise ValueError("multi-index length must equal the variable count")
+    q = _as_quaternion(coeff)
+    right = constant(n, q)  # refuses a float coefficient before any product
     f = constant(n, ONE)
     for m in range(1, n + 1):
         if powers[m - 1]:
             f = f * variable(n, m) ** powers[m - 1]
         if conj_powers[m - 1]:
             f = f * conj_variable(n, m) ** conj_powers[m - 1]
-    q = _as_quaternion(coeff)
-    if q == ONE:
-        return f
-    return f * constant(n, q)
+    return f if q == ONE else f * right
 
 
 # -- canonical monomial form --------------------------------------------------
@@ -634,23 +616,15 @@ def to_monomials(f):
     The monomial family with ascending ordered variables and right
     coefficients is a basis of the slice polynomials, so the expansion is
     exact and unique.  It runs one variable at a time over the scaled
-    expansions of ``_variable_expansion``: an exact stem on the integer
-    numerators over its common denominator D, so that a monomial of total
-    degree T gets one ``Fraction`` per component over D * 2^T.  A stem with
-    a float sums in another order than term by term, so its coefficients
-    agree with the termwise expansion to within 1e-12 relative error (of
-    the largest coefficient component).
+    expansions of ``_variable_expansion`` on the stem's numerators over its
+    denominator D, so that a monomial of total degree T gets one
+    ``Fraction`` per component over D * 2^T.
     """
     n = f.n
-    rows, kinds = _rows(f)
-    lattice = kinds <= _NUMERATOR_TYPES
-    d = 1
-    if lattice and Fraction in kinds:
-        rows, d = _over_one_denominator(rows)
     # keys list (a_1, b_1, ..., a_n, b_n); pass m turns (a_m, b_m) into
     # (l_m, h_m), so the total degree of a key never changes
-    partial = {tuple(v for m in range(n) for v in (key[m], key[n + m])):
-               comps for key, _, comps in rows}
+    partial = {tuple(v for m in range(n) for v in (key[m], key[n + m])): comps
+               for key, comps in f.terms.items()}
     for i in range(0, 2 * n, 2):
         nxt = {}
         for key, comps in partial.items():
@@ -666,11 +640,10 @@ def to_monomials(f):
         partial = nxt
     out = {}
     for key, comps in partial.items():
-        den = d << sum(key)
-        comps = [Fraction(v, den) if lattice else v * Fraction(1, den)
-                 for v in comps]
         if any(comps):
-            out[(key[0::2], key[1::2])] = Quaternion(*comps)
+            den = f.den << sum(key)
+            out[(key[0::2], key[1::2])] = Quaternion(
+                *[Fraction(v, den) for v in comps])
     return out
 
 
@@ -686,10 +659,9 @@ def format_slice(f):
         coeff = monos[(powers, conj_powers)]
         factors = []
         for m in range(f.n):
-            if powers[m]:
-                factors.append("x%d" % (m + 1) + ("^%d" % powers[m] if powers[m] > 1 else ""))
-            if conj_powers[m]:
-                factors.append("~x%d" % (m + 1) + ("^%d" % conj_powers[m] if conj_powers[m] > 1 else ""))
+            for mark, e in (("x", powers[m]), ("~x", conj_powers[m])):
+                if e:
+                    factors.append("%s%d" % (mark, m + 1) + ("^%d" % e if e > 1 else ""))
         if not factors:
             parts.append(format_quaternion(coeff))
         elif coeff == ONE:

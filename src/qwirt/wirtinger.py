@@ -11,6 +11,7 @@ On lifted slice polynomials the two realizations agree, which is exercised
 by the cross-check suite.
 """
 
+import math
 import warnings
 from functools import reduce
 
@@ -92,8 +93,11 @@ def default_tolerance(m):
 
 
 def _stem_magnitude(f):
-    return max((abs(coeff) for _, _, coeff in f.coefficients()),
-               default=0.0)
+    """The largest coefficient norm, from the numerators: one int division
+    per term rounds as ``abs`` of the ``Fraction`` quaternion does."""
+    scale = f.den * f.den
+    return max((math.sqrt((w * w + x * x + y * y + z * z) / scale)
+                for w, x, y, z in f.terms.values()), default=0.0)
 
 
 def check_regularity_symbolic(f):

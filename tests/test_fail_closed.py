@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwirt.almansi import check_reconstruction, check_zonal, dirac_components
+from qwirt import cli
 from qwirt.cli import main
 from qwirt.expr import parse_slice
 from qwirt.numeric import NumericField, lift, running_worst
@@ -447,6 +448,76 @@ def test_the_flat_split_raises_on_overflow():
         field.func.flat((1.0, 1e200, 0.0, 0.0))
     with pytest.raises(OverflowError):
         Quaternion(1, 10 ** 200).split_slice()
+
+
+_HUGE = "1" + "0" * 160
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("eval", "--at", "%s+i;%s+j" % (_HUGE, _HUGE), "x1*x2"),
+     "inf+nani+nanj+nank"),
+    (("theta", "--numeric", "--m", "1", "--at", "%s+i;%s+j" % (_HUGE, _HUGE),
+      "x1*x2"), "nan+nani+nanj+nank"),
+], ids=["eval", "theta-numeric"])
+def test_a_non_finite_value_is_an_overflow_error(capsys, argv, value):
+    # the product leaves the float range, and inf - inf is nan; these used to
+    # print and exit 0
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["error"] == {"type": "overflow",
+                               "message": "non-finite value " + value}
+
+
+def test_the_evaluator_returns_non_finite_values():
+    # the check is made once per printed value, not per base evaluation
+    f = variable(2, 1) * variable(2, 2)
+    point = (Quaternion(10 ** 160, 1), Quaternion(10 ** 160, 0, 1))
+    assert not all(map(math.isfinite, f.evaluate(point).components()))
+
+
+# -- strict JSON -------------------------------------------------------------------
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError("%s is not strict JSON" % name)
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _values_of(report, key):
+    if isinstance(report, dict):
+        return [v for k, item in report.items()
+                for v in ([item] if k == key else _values_of(item, key))]
+    if isinstance(report, list):
+        return [v for item in report for v in _values_of(item, key)]
+    return []
+
+
+_BIG = "1" + "0" * 150
+_HUGE_STEM = "x1^3*~x2^3*(%s)*(%s)" % (_BIG, _BIG)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-regular", "--numeric"),
+    ("crosscheck",),
+    ("check-slice",),
+    ("almansi", "--flavor", "a", "--level", "2"),
+], ids=["check-regular", "crosscheck", "check-slice", "almansi"])
+def test_non_finite_residuals_print_as_strict_json(capsys, argv):
+    # they printed as Infinity, which strict JSON parsers reject; their
+    # verdicts fail
+    code = main(list(argv) + ["--samples", "1", "--n", "2", _HUGE_STEM])
+    report = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    residuals = _values_of(report, "max_residual")
+    assert residuals and set(residuals) == {"inf"}
+
+
+def test_strict_encodes_each_non_finite_float_as_a_string():
+    report = {"a": [math.nan, -math.inf, 1.5], "b": (math.inf, "x", 2)}
+    assert cli._strict(report) == {"a": ["nan", "-inf", 1.5],
+                                   "b": ["inf", "x", 2]}
 
 
 # -- the stem-term cap ----------------------------------------------------------------

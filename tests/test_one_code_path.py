@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import helpers
+from qwirt import slicefn
 from qwirt.cli import main
 from qwirt.numeric import lift
-from qwirt.quaternion import Quaternion
 from qwirt.slicefn import SliceFunction, StemPolynomial, variable, conj_variable
 from qwirt.wirtinger import check_strong_sliceness
 
@@ -24,7 +24,7 @@ def _degrees(f):
 
 def _revalidate(f):
     """Rebuild f's stem through the validating constructor."""
-    return StemPolynomial(f.n, f.terms)
+    return StemPolynomial(f.n, {key: q for key, _, q in f.coefficients()})
 
 
 @settings(max_examples=40, deadline=None)
@@ -44,18 +44,18 @@ def test_unvalidated_results_pass_validation(seed, n):
 
 
 class _CountStemProducts:
-    """Count quaternion products: every stem product forms one per pair of
-    terms, whatever the layout of the terms."""
+    """Count stem products: ``*`` and ``**`` form every product of pairs of
+    terms in ``slicefn._stem_product``."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        inner = Quaternion.__mul__
+        inner = slicefn._stem_product
 
         def counted(a, b):
             self.calls += 1
             return inner(a, b)
 
-        monkeypatch.setattr(Quaternion, "__mul__", counted)
+        monkeypatch.setattr(slicefn, "_stem_product", counted)
 
 
 def test_power_over_the_cap_is_refused_before_any_product(monkeypatch):

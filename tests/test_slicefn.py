@@ -46,7 +46,7 @@ def reference_product(f, g):
                 prod = -prod
             cur = terms.get(key)
             terms[key] = prod if cur is None else cur + prod
-    return SliceFunction(n, terms, validate=False)
+    return SliceFunction(n, terms)
 
 
 def reference_partial(f, m, conj):
@@ -58,15 +58,13 @@ def reference_partial(f, m, conj):
     def lowered(pos, factor):
         return SliceFunction(n, {key[:pos] + (key[pos] - 1,) + key[pos + 1:]:
                                  q * factor(key[pos])
-                                 for key, q in f.terms.items() if key[pos]},
-                             validate=False)
+                                 for key, _, q in f.coefficients() if key[pos]})
 
     da = lowered(m - 1, lambda a: a)
     jdb = lowered(n + m - 1, lambda b: -b if b % 2 else b)
     combined = da + jdb if conj else da - jdb
     return SliceFunction(n, {key: q * Fraction(1, 2)
-                             for key, q in combined.terms.items()},
-                         validate=False)
+                             for key, _, q in combined.coefficients()})
 
 
 def reference_expansion(a, b):
@@ -103,14 +101,12 @@ def reference_monomials(f):
 _SMALL_INT = st.integers(-3, 3)
 _RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
 _LARGE = st.builds(Fraction, st.integers(-10**15, 10**15), st.integers(1, 10**12))
-_FLOAT = st.one_of(st.integers(-2**20, 2**20).map(lambda k: k / 3**7),
-                   st.just(-0.0))
 # Small ints and few exponents make pairs of terms meet on one key often, so
-# sums cancel to zero; the Fraction kinds mix in ints.
+# sums cancel to zero; the Fraction kinds mix in ints.  Stems are exact, so
+# there is no float kind.
 COMPONENTS = {"int": _SMALL_INT,
               "mixed": st.one_of(_SMALL_INT, _RATIONAL),
-              "large": st.one_of(_SMALL_INT, _LARGE),
-              "float": st.one_of(_SMALL_INT, _RATIONAL, _FLOAT)}
+              "large": st.one_of(_SMALL_INT, _LARGE)}
 
 
 @st.composite
@@ -123,7 +119,13 @@ def stems(draw, n, kind):
 
 
 def component_strings(f):
-    return {key: [str(c) for c in q.components()] for key, q in f.terms.items()}
+    return {key: [str(c) for c in q.components()]
+            for key, _, q in f.coefficients()}
+
+
+def stored(f):
+    """f's storage: its denominator and its terms in order."""
+    return f.den, list(f.terms.items())
 
 
 @settings(max_examples=150, deadline=None)
@@ -133,16 +135,11 @@ def test_product_matches_quaternion_arithmetic(data, n, kind_f, kind_g):
     f = data.draw(stems(n, kind_f))
     g = data.draw(stems(n, kind_g))
     got, want = f * g, reference_product(f, g)
-    assert got.terms == want.terms
+    # the same terms in the same order, which the float kernel sums in
+    assert stored(got) == stored(want)
     assert component_strings(got) == component_strings(want)
-    if any(type(c) is float for h in (f, g) for q in h.terms.values()
-           for c in q.components()):
-        # the same bits, signs of zero included, and the same types
-        assert {k: repr(q) for k, q in got.terms.items()} == \
-            {k: repr(q) for k, q in want.terms.items()}
     if kind_f == kind_g == "int":
-        assert all(type(c) is int for q in got.terms.values()
-                   for c in q.components())
+        assert got.den == 1
 
 
 def square_and_multiply_chain(f):
@@ -157,34 +154,23 @@ def square_and_multiply_chain(f):
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.integers(1, 3), st.sampled_from(sorted(COMPONENTS)))
 def test_powers_match_the_chain_of_products(data, n, kind):
-    # the same terms in the same order, which the float kernel sums in, with
-    # the same bits and component types
+    # the same terms in the same order, which the float kernel sums in, over
+    # the same denominator
     f = data.draw(stems(n, kind))
-    exact = all(type(c) is not float for q in f.terms.values()
-                for c in q.components())
     for k, want in enumerate(square_and_multiply_chain(f)):
-        if k == 1 and exact:
-            # an exact stem goes over Fractions as every product does; a
-            # float stem keeps its components as they are
-            want = constant(n, ONE) * f
-        got = f ** k
-        assert [(key, repr(q)) for key, q in got.terms.items()] == \
-            [(key, repr(q)) for key, q in want.terms.items()]
+        assert stored(f ** k) == stored(want)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(1, 3), st.sampled_from(sorted(COMPONENTS)))
 def test_partials_match_the_separate_stem_pipeline(data, n, kind):
-    # the same terms in the same order, which the float kernel sums in, with
-    # the same component types and bits
+    # the same terms in the same order, which the float kernel sums in, over
+    # the same denominator
     f = data.draw(stems(n, kind))
     for m in range(1, n + 1):
         for got, conj in ((f.slice_partial(m), False),
                           (f.slice_partial_conj(m), True)):
-            want = reference_partial(f, m, conj)
-            assert list(got.terms.items()) == list(want.terms.items())
-            assert [repr(q) for q in got.terms.values()] == \
-                [repr(q) for q in want.terms.values()]
+            assert stored(got) == stored(reference_partial(f, m, conj))
 
 
 @settings(max_examples=150, deadline=None)
@@ -192,18 +178,9 @@ def test_partials_match_the_separate_stem_pipeline(data, n, kind):
 def test_to_monomials_matches_the_tensor_expansion(data, n, kind):
     f = data.draw(stems(n, kind))
     got, want = to_monomials(f), reference_monomials(f)
-    if kind != "float":
-        assert got == want
-        assert {lh: [str(c) for c in q.components()] for lh, q in got.items()} \
-            == {lh: [str(c) for c in q.components()] for lh, q in want.items()}
-        return
-    # summed in another order: within 1e-12 of the largest coefficient
-    scale = max((abs(float(c)) for q in f.terms.values()
-                 for c in q.components()), default=0.0)
-    zero = Quaternion(0)
-    for lh in got.keys() | want.keys():
-        err = abs(got.get(lh, zero) - want.get(lh, zero))
-        assert err <= 1e-12 * scale
+    assert got == want
+    assert {lh: [str(c) for c in q.components()] for lh, q in got.items()} \
+        == {lh: [str(c) for c in q.components()] for lh, q in want.items()}
 
 
 def test_cancelling_terms_vanish():
@@ -211,14 +188,69 @@ def test_cancelling_terms_vanish():
     # product, and the x1^2 and ~x1^2 parts cancel in the monomials
     f = variable(1, 1) * conj_variable(1, 1)
     assert f == reference_product(variable(1, 1), conj_variable(1, 1))
-    assert set(f.terms) == {(2, 0), (0, 2)}
-    assert all(type(c) is int for q in f.terms.values() for c in q.components())
+    assert stored(f) == (1, [((2, 0), (1, 0, 0, 0)), ((0, 2), (1, 0, 0, 0))])
     assert to_monomials(f) == {((1,), (1,)): Quaternion(Fraction(1))}
-    # the same on the lattice, over the denominator 6
+    # the same over the denominator 6, which reduces to 3
     a = variable(1, 1) * constant(1, Quaternion(Fraction(1, 2)))
     b = conj_variable(1, 1) * constant(1, Quaternion(Fraction(-2, 3)))
-    assert (a * b).terms == {(2, 0): Quaternion(Fraction(-1, 3)),
-                             (0, 2): Quaternion(Fraction(-1, 3))}
+    assert stored(a * b) == (3, [((2, 0), (-1, 0, 0, 0)),
+                                 ((0, 2), (-1, 0, 0, 0))])
+
+
+def lowest_terms(f):
+    return math.gcd(f.den, *[v for comps in f.terms.values() for v in comps]) == 1
+
+
+_NONZERO_RATIONAL = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1),
+                              st.integers(1, 9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 3), st.sampled_from(sorted(COMPONENTS)),
+       _NONZERO_RATIONAL)
+def test_equal_stems_have_equal_storage_and_hashes(data, n, kind, r):
+    # the storage is canonical: one denominator and int numerators in lowest
+    # terms, so stems equal as functions are equal as stored and hash alike
+    f = data.draw(stems(n, kind))
+    g = data.draw(stems(n, kind))
+    scaled = f * constant(n, r) * constant(n, 1 / r)
+    for same in (scaled, (f + g) - g, f.conjugate().conjugate(),
+                 SliceFunction(n, {key: q for key, _, q in f.coefficients()})):
+        assert same == f
+        assert (same.den, same.terms) == (f.den, f.terms)
+        assert hash(same) == hash(f)
+    x1 = variable(n, 1)
+    assert x1 * constant(n, Fraction(2, 3)) * constant(n, Fraction(3, 2)) == x1
+    results = [f, f + g, f - g, -f, f * g, f ** 2, f ** 3, f.conjugate()]
+    for m in range(1, n + 1):
+        results += [f.slice_partial(m), f.slice_partial_conj(m),
+                    f.spherical_value(m), f.spherical_derivative(m)]
+    for h in results:
+        assert h.den > 0 and lowest_terms(h)
+        assert all(type(v) is int for comps in h.terms.values() for v in comps)
+        assert all(any(comps) for comps in h.terms.values())
+        if h.is_zero():
+            assert h.den == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SliceFunction(1, {(1, 0): Quaternion(1, 0.5)}),
+    lambda: StemPolynomial(1, {(0, 0): Quaternion(0.0)}),
+    lambda: constant(2, 0.25),
+    lambda: constant(2, Quaternion(1, 0, 0, 2.0)),
+    lambda: monomial(2, (3, 1), (1, 2), coeff=Quaternion(0.5, 1)),
+], ids=["constructor", "float-zero", "constant", "constant-quaternion",
+        "monomial"])
+def test_a_float_coefficient_is_refused_before_any_work(monkeypatch, build):
+    # stems are exact; a float coefficient is a TypeError, raised before any
+    # stem product is formed
+    products = []
+    inner = slicefn._stem_product
+    monkeypatch.setattr(slicefn, "_stem_product",
+                        lambda a, b: products.append(1) or inner(a, b))
+    with pytest.raises(TypeError, match="must be exact"):
+        build()
+    assert products == []
 
 
 def test_the_lattice_loops_build_no_quaternion_products(monkeypatch):
