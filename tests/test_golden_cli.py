@@ -73,6 +73,24 @@ RUNS = (
      "(~x1*(1/3+2/5i)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i))^4"),
     ("eval", "(x1*(1/2-i)+~x2*(2/3k))^0", "--at", "1+i;-1/2+j"),
     ("eval", "(x1*(1/2-i)+~x2*(2/3k))^1", "--at", "1+i;-1/2+j"),
+    # powers by square and multiply: ^2 is one square, ^5 multiplies f by
+    # f^4, ^6 multiplies f^2 by f^4
+    ("eval", "--n", "3", "--at", "1/3-1/2i;1/2+j-1/4k;-1+1/3i+1/2j",
+     "(x1*(1/2-1/3j)+x2*~x3*(2/5+i)+~x1*(3/4k))^2"),
+    ("theta", "--m", "2", "--n", "3",
+     "(x1*(1/2-1/3j)+x2*~x3*(2/5+i)+~x1*(3/4k))^2"),
+    ("eval", "--n", "3", "--at", "1/3-1/2i;1/2+j-1/4k;-1+1/3i+1/2j",
+     "(x1*(1/2-1/3j)+x2*~x3*(2/5+i)+~x1*(3/4k))^5"),
+    ("theta", "--m", "2", "--n", "3",
+     "(x1*(1/2-1/3j)+x2*~x3*(2/5+i)+~x1*(3/4k))^5"),
+    ("eval", "--n", "3", "--at", "1/3-1/2i;1/2+j-1/4k;-1+1/3i+1/2j",
+     "(x1*(1/2-1/3j)+x2*~x3*(2/5+i)+~x1*(3/4k))^6"),
+    ("theta", "--m", "2", "--n", "3",
+     "(x1*(1/2-1/3j)+x2*~x3*(2/5+i)+~x1*(3/4k))^6"),
+    # the symbolic reconstruction multiplies the negated conjugate
+    # coordinates of each entry's complement
+    ("almansi", "--flavor", "sp", "--level", "2", "--n", "3",
+     "(x1*(1/2-1/3j)+x2*~x3*(2/5+i)+~x1*(3/4k))^3"),
 )
 
 
