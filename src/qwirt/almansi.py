@@ -22,7 +22,7 @@ from functools import reduce
 
 from .quaternion import Quaternion, hamilton
 from .stem import bit, mask_indices
-from .slicefn import SliceFunction, constant, variable, conj_variable
+from .slicefn import SliceFunction, monomial, variable
 from .numeric import (fueter_derivative_field, spherical_dirac_field,
                       multiply_by_variable, div_by_twice_im, negate_field,
                       running_worst, sweep, report_tail, check_tolerance,
@@ -188,10 +188,10 @@ def reconstruct(family, point):
 
 
 def _neg_conj_monomial(n, indices):
-    f = constant(n, 1)
-    for k in indices:
-        f = f * (-conj_variable(n, k))
-    return f
+    """The ordered product of the negated conjugate coordinates x_k, k in
+    ``indices``: the conjugate monomial with the sign on the right."""
+    conj_powers = tuple(int(k in indices) for k in range(1, n + 1))
+    return monomial(n, (0,) * n, conj_powers, (-1) ** len(indices))
 
 
 def reconstruct_symbolic(family):
@@ -245,12 +245,12 @@ def truncated_spherical(f, selectors):
     return g
 
 
-def check_zonal(family, point, rotations=8, rng=None, seed=0):
+def check_zonal(family, point, rotations=8, seed=0):
     """Deviation of each entry under random unit rotations of the first
     ``level`` coordinates, keeping all real parts and imaginary radii."""
     if rotations < 1:
         raise ValueError("rotations must be at least 1, got %d" % rotations)
-    rng = rng if rng is not None else random.Random(seed)
+    rng = random.Random(seed)
     base = {mask: family.entry_value(mask, point) for mask in family.masks()}
     # drawn one at a time, as the sweep reaches them
     rotated = (respin_units(rng, point, family.level) for _ in range(rotations))

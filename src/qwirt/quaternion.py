@@ -27,9 +27,9 @@ def hamilton(p, q):
     - the compiled stem kernel (``_compile_stem``), which folds a unit
       product times a coefficient into its sums; pinned to the same bits by
       ``test_lift_matches_quaternion_arithmetic_bit_for_bit``;
-    - the stem product (``_stem_product``, behind ``*`` and ``**``), on the
-      int numerators of each pair of terms; pinned to ``Quaternion``
-      products by ``test_product_matches_quaternion_arithmetic``.
+    - the stem product (``_stem_product``, behind ``*``), on the int
+      numerators of each pair of terms; pinned to ``Quaternion`` products
+      by ``test_product_matches_quaternion_arithmetic``.
     """
     a, b, c, d = p
     e, f, g, h = q

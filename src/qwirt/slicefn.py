@@ -20,8 +20,8 @@ of the functions, which is generally not a slice function.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from operator import add
+from functools import lru_cache, reduce
+from operator import add, mul
 
 from .quaternion import (Quaternion, ONE, format_quaternion, hamilton,
                          flat_point, split_slice_components)
@@ -47,13 +47,6 @@ def _parity(betas):
     """The subset mask a term with these beta exponents lies on: the
     variables whose exponent is odd."""
     return sum(1 << m for m, b in enumerate(betas) if b % 2)
-
-
-def _check_term_cap(a, b):
-    """Refuse a stem product of ``a`` by ``b`` terms over the pair cap."""
-    if a * b > MAX_STEM_TERMS:
-        raise ValueError("stem term cap %d exceeded: a product of %d by "
-                         "%d terms" % (MAX_STEM_TERMS, a, b))
 
 
 @lru_cache(maxsize=None)
@@ -107,14 +100,6 @@ def _stem_product(left, right):
                 cur[2] += y
                 cur[3] += z
     return sums
-
-
-def _unpacked(n, sums):
-    """The terms of ``(packed key, numerators)`` pairs, in their order,
-    without those whose numerators are all zero."""
-    size = 2 * n
-    return {tuple(key.to_bytes(size, "little")): tuple(comps)
-            for key, comps in sums if any(comps)}
 
 
 def _stem(n, den, terms, degrees=None):
@@ -214,7 +199,8 @@ class SliceFunction:
     ``SliceFunction(n, {key: Quaternion})`` validates its terms and refuses
     a float component with a ``TypeError``: stems are exact.
 
-    ``*`` is the slice product.  Evaluation splits each coordinate as
+    ``*`` is the slice product, and ``**`` squares and multiplies through
+    it.  Evaluation splits each coordinate as
     x_m = alpha_m + J_m*beta_m with beta_m = |Im(x_m)| >= 0 and sums the
     component values with the ascending unit products on the left.
     """
@@ -307,47 +293,43 @@ class SliceFunction:
     def __mul__(self, other):
         """Slice product: the pointwise product of the inducing stems.  The
         pairs of terms multiply and sum on the numerators
-        (``_stem_product``), over the product of the denominators."""
+        (``_stem_product``), over the product of the denominators, and the
+        sums that cancel are dropped.  A product of more pairs of terms than
+        ``MAX_STEM_TERMS`` is refused before any pair is formed."""
         self._check_compatible(other)
         degrees = tuple([a + b for a, b in zip(self.degrees(), other.degrees())])
         _check_degree_cap(degrees)
-        _check_term_cap(len(self.terms), len(other.terms))
-        terms = _unpacked(self.n, _stem_product(_packed(self), _packed(other)).items())
+        a, b = len(self.terms), len(other.terms)
+        if a * b > MAX_STEM_TERMS:
+            raise ValueError("stem term cap %d exceeded: a product of %d by "
+                             "%d terms" % (MAX_STEM_TERMS, a, b))
+        size = 2 * self.n
+        terms = {tuple(key.to_bytes(size, "little")): tuple(comps)
+                 for key, comps in _stem_product(_packed(self),
+                                                 _packed(other)).items()
+                 if any(comps)}
         return _lowest(self.n, self.den * other.den, terms,
                        degrees if terms else None)
 
     def __pow__(self, k):
-        """The k-th slice power by square and multiply from the lowest bit
-        of k, which takes f as it is: no ``1 * f`` product is formed.  The
-        chain runs on the numerators, over den^k.  Each product checks the
-        term cap and drops the sums that cancel, as ``*`` does, so the terms
-        and their order are those of the chain of ``*`` products."""
+        """The k-th slice power by square and multiply through ``*``, from
+        the lowest bit of k, which takes f as it is: no ``1 * f`` product is
+        formed.  The degree cap is checked for the k-th power before any
+        product; the term cap is checked by each product."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("powers must be natural numbers")
         # no intermediate power exceeds the k-th, whose degrees are k times ours
-        degrees = tuple([k * d for d in self.degrees()])
-        _check_degree_cap(degrees)
-        n = self.n
+        _check_degree_cap([k * d for d in self.degrees()])
         if not k:
-            return constant(n, ONE)
-        shift, odd, masks = _packing(n)
-
-        def product(a, b):
-            _check_term_cap(len(a), len(b))
-            return [(key, masks[key >> shift & odd], comps)
-                    for key, comps in _stem_product(a, b).items() if any(comps)]
-
-        base = _packed(self)
-        result = None
-        bits = k
-        while bits:
-            if bits & 1:
-                result = base if result is None else product(result, base)
-            bits >>= 1
-            if bits:
-                base = product(base, base)
-        terms = _unpacked(n, [(key, comps) for key, _, comps in result])
-        return _lowest(n, self.den ** k, terms, degrees if terms else None)
+            return constant(self.n, ONE)
+        result, base = None, self
+        while True:
+            if k & 1:
+                result = base if result is None else result * base
+            k >>= 1
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, SliceFunction):
@@ -574,8 +556,8 @@ def monomial(n, powers, conj_powers=None, coeff=1):
     """The monomial x_1^l1 conj(x_1)^h1 ... x_n^ln conj(x_n)^hn * coeff.
 
     Factors multiply in ascending variable order with the plain power before
-    the conjugate power, and the coefficient on the right; every product is
-    a slice product.
+    the conjugate power, and the coefficient on the right, which is left out
+    when it is 1; every product is a slice product.
     """
     powers = tuple(powers)
     conj_powers = tuple(conj_powers) if conj_powers is not None else (0,) * n
@@ -583,13 +565,12 @@ def monomial(n, powers, conj_powers=None, coeff=1):
         raise ValueError("multi-index length must equal the variable count")
     q = _as_quaternion(coeff)
     right = constant(n, q)  # refuses a float coefficient before any product
-    f = constant(n, ONE)
-    for m in range(1, n + 1):
-        if powers[m - 1]:
-            f = f * variable(n, m) ** powers[m - 1]
-        if conj_powers[m - 1]:
-            f = f * conj_variable(n, m) ** conj_powers[m - 1]
-    return f if q == ONE else f * right
+    factors = [coordinate(n, m) ** e for m in range(1, n + 1)
+               for e, coordinate in ((powers[m - 1], variable),
+                                     (conj_powers[m - 1], conj_variable)) if e]
+    if q != ONE or not factors:
+        factors.append(right)
+    return reduce(mul, factors)
 
 
 # -- canonical monomial form --------------------------------------------------

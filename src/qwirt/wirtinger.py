@@ -94,10 +94,24 @@ def default_tolerance(m):
 
 def _stem_magnitude(f):
     """The largest coefficient norm, from the numerators: one int division
-    per term rounds as ``abs`` of the ``Fraction`` quaternion does."""
-    scale = f.den * f.den
-    return max((math.sqrt((w * w + x * x + y * y + z * z) / scale)
-                for w, x, y, z in f.terms.values()), default=0.0)
+    per term rounds as ``abs`` of the ``Fraction`` quaternion does.  Where
+    the squared norm leaves the float range, the norm is the integer square
+    root of the squared numerators over ``den``, exact there to well under
+    an ulp; only a norm that leaves the float range itself reads ``inf``."""
+    den = f.den
+    scale = den * den
+
+    def norm(w, x, y, z):
+        square = w * w + x * x + y * y + z * z
+        try:
+            return math.sqrt(square / scale)
+        except OverflowError:
+            try:
+                return math.isqrt(square) / den
+            except OverflowError:
+                return math.inf
+
+    return max((norm(*comps) for comps in f.terms.values()), default=0.0)
 
 
 def check_regularity_symbolic(f):

@@ -514,6 +514,26 @@ def test_non_finite_residuals_print_as_strict_json(capsys, argv):
     assert residuals and set(residuals) == {"inf"}
 
 
+@pytest.mark.parametrize("zeros, thetabar_2", [(150, 1.8e301), (200, "inf")],
+                         ids=["finite", "past-the-float-range"])
+def test_symbolic_verdict_on_huge_coefficients(capsys, zeros, thetabar_2):
+    # the squared norm of thetabar_2's largest coefficient leaves the float
+    # range at 150 zeros, the norm itself only at 200; this used to exit 2
+    # with an overflow error
+    big = "1" + "0" * zeros
+    code = main(["check-regular", "--n", "2",
+                 "x1^3*~x2^3*(%s)*(%s)" % (big, big)])
+    report = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    assert report["verdict"] == "not-regular"
+    assert report["failures"] == ["thetabar_2"]
+    residual = report["residuals"]["thetabar_2"]
+    if thetabar_2 == "inf":
+        assert residual == "inf"
+    else:
+        assert math.isclose(residual, thetabar_2, rel_tol=1e-12)
+
+
 def test_strict_encodes_each_non_finite_float_as_a_string():
     report = {"a": [math.nan, -math.inf, 1.5], "b": (math.inf, "x", 2)}
     assert cli._strict(report) == {"a": ["nan", "-inf", 1.5],

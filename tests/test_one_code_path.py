@@ -4,6 +4,7 @@ recursion runs once per sample point and the CLI accepts only the flags a
 command reads."""
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,8 +12,10 @@ from hypothesis import assume, given, settings, strategies as st
 import helpers
 from qwirt import slicefn
 from qwirt.cli import main
+from qwirt.expr import parse_slice
 from qwirt.numeric import lift
-from qwirt.slicefn import SliceFunction, StemPolynomial, variable, conj_variable
+from qwirt.slicefn import (SliceFunction, StemPolynomial, constant, variable,
+                           conj_variable)
 from qwirt.wirtinger import check_strong_sliceness
 
 
@@ -56,6 +59,22 @@ class _CountStemProducts:
             return inner(a, b)
 
         monkeypatch.setattr(slicefn, "_stem_product", counted)
+
+
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (5, 3)])
+def test_a_power_is_a_chain_of_slice_products(monkeypatch, k, products):
+    # f^5 squares f, squares f^2 and multiplies f by f^4, each through *;
+    # every stem product is formed inside a slice product
+    f = parse_slice("x1*~x2+x2^2*(1/2i)+x1", 2)
+    expected = reduce(SliceFunction.__mul__, [f] * k, constant(2, 1))
+    stem_products = _CountStemProducts(monkeypatch)
+    calls = []
+    inner = SliceFunction.__mul__
+    monkeypatch.setattr(SliceFunction, "__mul__",
+                        lambda a, b: calls.append(1) or inner(a, b))
+    assert f ** k == expected
+    assert len(calls) == products
+    assert stem_products.calls == products
 
 
 def test_power_over_the_cap_is_refused_before_any_product(monkeypatch):

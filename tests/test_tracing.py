@@ -46,12 +46,13 @@ def test_one_product_counts_once(pair):
 
 
 def test_a_cube_counts_the_power_alone(pair):
-    # the power runs its products on integer numerators without calling
-    # __mul__, so the tracer sees one call and no product terms
+    # the power squares and multiplies through __mul__: the tracer sees the
+    # power and its two products, f * f and f * f^2
     f, _ = pair
     counts = _traced(lambda: f ** 3)
-    assert counts["slicefn.mul.calls"] == 1
-    assert counts["slicefn.stem_mul.terms_out"] == 0
+    assert counts["slicefn.mul.calls"] == 3
+    assert counts["slicefn.stem_mul.terms_out"] == \
+        len((f * f).terms) + len((f ** 3).terms)
 
 
 def test_uninstall_restores_the_patched_methods(pair):
