@@ -4,6 +4,7 @@ that ``lift`` and ``SliceFunction.evaluate`` share matches quaternion
 arithmetic bit for bit."""
 
 import gc
+import hashlib
 import random
 from fractions import Fraction
 import tracemalloc
@@ -12,8 +13,10 @@ import warnings
 import pytest
 
 import helpers
-from qwirt.almansi import check_zonal, reconstruct, spherical_components
+from qwirt.almansi import (check_reconstruction, check_zonal, reconstruct,
+                           spherical_components)
 from qwirt.cli import main
+from qwirt.expr import parse_slice
 from qwirt.numeric import (NumericField, NearRealAxisError, lift,
                            spherical_dirac_field, div_by_twice_im)
 from qwirt import slicefn
@@ -21,7 +24,8 @@ from qwirt.quaternion import Quaternion, flat_point
 from qwirt.sampling import random_slice_point
 from qwirt.slicefn import variable, conj_variable
 from qwirt.wirtinger import (wirtinger_conj_derivative_numeric,
-                             check_strong_sliceness, crosscheck)
+                             check_regularity_numeric, check_strong_sliceness,
+                             crosscheck)
 
 
 class Counter:
@@ -67,6 +71,69 @@ def test_crosscheck_builds_one_family_for_both_operators(monkeypatch):
     # theta_2 and thetabar_2 share each sample's 48 stencil points
     assert counter.distinct == 96
     assert counter.calls == counter.distinct
+
+
+# One polynomial per shape of the benchmark's fd-suites jobs, with
+# coefficients of their kind.
+_SUITE_N2 = "x1*(1/2i) + ~x1*x2*(-1/3+2/3j) + x1*~x1*x2*(-1/2k)"
+_SUITE_N3 = "x1*~x3*(1/2i) + ~x1*x2*(-1/3+2/3j) + x1*x2*~x3*(-1/2k)"
+
+
+def _point_digest(points):
+    """A sha256 of a sequence of evaluation points, every float by its hex."""
+    digest = hashlib.sha256()
+    for point in points:
+        digest.update(repr(tuple(c.hex() if isinstance(c, float) else repr(c)
+                                 for q in point for c in q)).encode())
+        digest.update(b";")
+    return digest.hexdigest()
+
+
+def _suite_run(kind, field, f, monkeypatch):
+    if kind == "check-regular":
+        check_regularity_numeric(field, samples=1, seed=3)
+    elif kind == "crosscheck":
+        monkeypatch.setattr("qwirt.wirtinger.lift", lambda *args, **kwargs: field)
+        crosscheck(f, 2, samples=1, seed=3)
+    elif kind == "almansi-a":
+        check_reconstruction(field, "fueter", 2, samples=1, seed=3)
+    elif kind == "almansi-gamma":
+        check_reconstruction(field, "dirac", 2, samples=1, seed=3)
+    elif kind == "check-slice":
+        check_strong_sliceness(field, samples=1, seed=3)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            wirtinger_conj_derivative_numeric(
+                field, 3, random_slice_point(random.Random(3), 3))
+
+
+@pytest.mark.parametrize("kind, calls, digest", [
+    ("check-regular", 56,
+     "1a63b39d6dc210ca11ca1d146f80cddf84ebe8ae880468500c27fc1052d07839"),
+    ("crosscheck", 48,
+     "0c132ca27d1457a0c5329b8b4f8fee5bc7fef059fce5bed85fa8e1a5eeae42ec"),
+    ("almansi-a", 65,
+     "a66ee8f4f8b75a586131bb2db6ec48d07a5acffa8f4c780be487c70c7e9aacbd"),
+    ("almansi-gamma", 37,
+     "eb2b00b9fcf40684f837f8c494aac030d1f058f4d27bdbac7891025917c84b64"),
+    ("check-slice", 360,
+     "b90b4a06614b68e7faab92a0f12fe6057393f6c743cbe26621ee25fdbb0081a7"),
+    ("thetabar-3", 288,
+     "4b5f666a5a88957550777fb2423f2c11696538ac1acbafe058ab4a7dd6068b1b"),
+])
+def test_each_suite_evaluates_its_points_in_a_fixed_order(kind, calls, digest,
+                                                          monkeypatch):
+    # one sample of each kind of suite: the base evaluations, in order, are
+    # those of one stencil per coordinate partial, plus point then minus
+    # point, coordinates in each operator's order
+    f = parse_slice(_SUITE_N3 if kind == "thetabar-3" else _SUITE_N2,
+                    3 if kind == "thetabar-3" else 2)
+    field = lift(f)
+    counter = Counter(field)
+    _suite_run(kind, field, f, monkeypatch)
+    assert counter.calls == counter.distinct == calls
+    assert _point_digest(counter.points) == digest
 
 
 def test_crosscheck_compiles_each_stem_once(monkeypatch):
