@@ -22,6 +22,14 @@ the one quaternion arithmetic gives.  ``Quaternion`` appears only at the
 boundary: the public operators take points of quaternions and return a
 quaternion, each a wrapper around the one flat form that the checkers call.
 
+Every first-order coordinate partial comes from one stencil routine,
+``_partials``: the central differences of several coordinates of one
+variable in a single pass, with the step, its reciprocal and the field's
+``flat`` looked up once.  Each operator checks its variable index and
+spends its derivative once, then calls it, so the points reach the field in
+the same order as one stencil per partial: the point displaced by +h, then
+by -h, coordinate by coordinate in the operator's order.
+
 A field's base evaluations go through ``NumericField.flat``.  When the
 field's ``func`` carries a ``flat`` attribute, as the compiled stem of
 ``lift(f)`` does, that function of flat points is called and no quaternion
@@ -246,32 +254,46 @@ def _displace(point, k, h):
     return point[:k] + (point[k] + h,) + point[k + 1:]
 
 
-def _partial(field, m, i, point, step=None):
-    _check_var(field, m)
-    if not 0 <= i <= 3:
-        raise ValueError("coordinate index must be in 0..3")
-    field.spend()
+def _partials(field, m, coords, point, step=None):
+    """The central differences in the real coordinates ``coords`` of x_m,
+    in that order, each from the value at the point displaced by +h, then
+    by -h: the one stencil routine of every coordinate partial.  It checks
+    nothing; its caller has checked m and spent one derivative."""
     h = field.step if step is None else step
-    k = 4 * (m - 1) + i
-    plus = field.flat(_displace(point, k, h))
-    minus = field.flat(_displace(point, k, -h))
-    return _scale(_sub(plus, minus), 1.0 / (2.0 * h))
+    scale = 1.0 / (2.0 * h)
+    flat = field.flat
+    out = []
+    for i in coords:
+        k = 4 * (m - 1) + i
+        plus = flat(_displace(point, k, h))
+        minus = flat(_displace(point, k, -h))
+        out.append(_scale(_sub(plus, minus), scale))
+    return out
+
+
+def _euler_sum(coords, partials):
+    """The sum of x_{m_i} times the partial in x_{m_i}, i = 1, 2, 3, given
+    the float components of x_m."""
+    total = _ZERO
+    for i, d in zip((1, 2, 3), partials):
+        total = _add(total, _scale(d, coords[i]))
+    return total
 
 
 def _euler(field, m, point):
     _check_var(field, m)
-    total = _ZERO
     coords = _coordinates(point, m)
-    for i in (1, 2, 3):
-        total = _add(total, _scale(_partial(field, m, i, point), coords[i]))
-    return total
+    field.spend()
+    return _euler_sum(coords, _partials(field, m, (1, 2, 3), point))
 
 
 def _global_pair(field, m, point):
     _check_var(field, m)
     _check_off_axis(field, m, point)
-    d0 = _partial(field, m, 0, point)
-    euler = hamilton(_inverse_im(point, m, 1.0), _euler(field, m, point))
+    field.spend()
+    d0, *rest = _partials(field, m, (0, 1, 2, 3), point)
+    euler = hamilton(_inverse_im(point, m, 1.0),
+                     _euler_sum(_coordinates(point, m), rest))
     return _scale(_add(d0, euler), 0.5), _scale(_sub(d0, euler), 0.5)
 
 
@@ -280,14 +302,16 @@ def _tangential(field, m, i, j, point):
         raise ValueError("tangential indices must be in 1..3")
     _check_var(field, m)
     coords = _coordinates(point, m)
-    return _sub(_scale(_partial(field, m, j, point), coords[i]),
-                _scale(_partial(field, m, i, point), coords[j]))
+    field.spend()
+    dj, di = _partials(field, m, (j, i), point)
+    return _sub(_scale(dj, coords[i]), _scale(di, coords[j]))
 
 
 def _spherical_dirac(field, m, point):
     _check_var(field, m)
     _, x1, x2, x3 = _coordinates(point, m)
-    d1, d2, d3 = (_partial(field, m, h, point) for h in (1, 2, 3))
+    field.spend()
+    d1, d2, d3 = _partials(field, m, (1, 2, 3), point)
     l23 = _sub(_scale(d3, x2), _scale(d2, x3))
     l13 = _sub(_scale(d3, x1), _scale(d1, x3))
     l12 = _sub(_scale(d2, x1), _scale(d1, x2))
@@ -297,7 +321,8 @@ def _spherical_dirac(field, m, point):
 
 def _fueter(field, m, point):
     _check_var(field, m)
-    d0, d1, d2, d3 = (_partial(field, m, i, point) for i in range(4))
+    field.spend()
+    d0, d1, d2, d3 = _partials(field, m, (0, 1, 2, 3), point)
     total = _add(_add(_add(d0, hamilton(_I, d1)), hamilton(_J, d2)),
                  hamilton(_K, d3))
     return _scale(total, 0.5)
@@ -322,7 +347,11 @@ def _laplacian(field, m, point, step=None):
 
 def coordinate_partial(field, m, i, point, step=None):
     """Central difference for the partial in the i-th real coordinate of x_m."""
-    return Quaternion(*_partial(field, m, i, flat_point(point), step))
+    _check_var(field, m)
+    if not 0 <= i <= 3:
+        raise ValueError("coordinate index must be in 0..3")
+    field.spend()
+    return Quaternion(*_partials(field, m, (i,), flat_point(point), step)[0])
 
 
 def euler_operator(field, m, point):

@@ -25,8 +25,11 @@ def hamilton(p, q):
     ``Quaternion.__mul__`` and the numeric operators call this.  Two loops
     of ``slicefn`` restate it inline in this operation order:
     - the compiled stem kernel (``_compile_stem``), which folds a unit
-      product times a coefficient into its sums; pinned to the same bits by
-      ``test_lift_matches_quaternion_arithmetic_bit_for_bit``;
+      product times a coefficient into its sums; on mask 0, where the unit
+      product is (1.0, 0.0, 0.0, 0.0), it adds the coefficient times the
+      scalar, which gives the same sums.  Pinned to the same bits by
+      ``test_lift_matches_quaternion_arithmetic_bit_for_bit`` and
+      ``test_flat_kernel_matches_the_reference_bit_for_bit``;
     - the stem product (``_stem_product``, behind ``*``), on the int
       numerators of each pair of terms; pinned to ``Quaternion`` products
       by ``test_product_matches_quaternion_arithmetic``.

@@ -5,6 +5,10 @@ import random
 
 from .quaternion import Quaternion
 
+# Caps the sample points a suite draws; the points are drawn into one list
+# before the first is used, so the cap bounds that list before it is built.
+MAX_SAMPLES = 10_000
+
 
 def random_unit(rng):
     """A uniformly random imaginary unit (J*J = -1)."""
@@ -29,11 +33,15 @@ def _sample_points(points, samples, seed, n):
     """The given points, or ``samples`` seeded random admissible points.
 
     An empty point set is refused: a verdict over no points shows nothing.
-    So is a given point without exactly n coordinates.
+    So is a given point without exactly n coordinates, and a sample count
+    over ``MAX_SAMPLES``, before any point is drawn.
     """
     if points is None:
         if samples < 1:
             raise ValueError("samples must be at least 1, got %d" % samples)
+        if samples > MAX_SAMPLES:
+            raise ValueError("samples are capped at %d, got %d"
+                             % (MAX_SAMPLES, samples))
         rng = random.Random(seed)
         return [random_slice_point(rng, n) for _ in range(samples)]
     if not points:

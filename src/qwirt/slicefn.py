@@ -139,57 +139,94 @@ def _lowered(key, pos):
 
 
 def _compile_stem(f):
-    """Compile f's stem into a float kernel ``kernel(values, units)`` of
-    alpha_1, beta_1, ..., alpha_n, beta_n and the units J_m, as component
-    4-tuples, returning a component 4-tuple.
+    """Compile f's stem into its float kernels: ``flat(point)``, from the
+    flat 4n-tuple of point components to a component 4-tuple, and
+    ``parts(values, prods)``, the term loop ``flat`` ends in, on the list
+    alpha_1, beta_1, ..., alpha_n, beta_n and the unit-product table, a
+    list of 2^n component 4-tuples indexed by subset mask, with
+    (1.0, 0.0, 0.0, 0.0) at 0 and J_m at 2^(m-1).
+
+    ``flat`` splits each coordinate by ``split_slice_components``, the one
+    split, and writes J_m into the table.  ``parts`` forms the unit product
+    of each other subset the stem uses as its lowest unit times the product
+    of the rest, in ascending mask order, and each distinct power
+    ``values[i] ** k`` of the stem once, into a table the terms index.
 
     A coefficient is the float 4-tuple of its numerators divided by the
     denominator as ints, which rounds as ``float(Fraction)`` does.  A term
-    keeps its factors ``(value index, exponent)`` with a nonzero exponent.
-    A plan forms the unit product of each subset the stem uses as its lowest
-    unit times the product of the rest, in ascending mask order.  That
-    product acts from the left by ``hamilton``'s formula, restated inline in
-    its operation order and folded into the sums, which follow
-    ``Quaternion.__add__``: the value is bit for bit quaternion arithmetic's.
+    keeps the indices of its powers, alpha before beta in ascending
+    variables, and its parity mask.  Its unit product acts from the left by
+    ``hamilton``'s formula, restated inline in its operation order and
+    folded into the sums, which follow ``Quaternion.__add__``: the value is
+    bit for bit quaternion arithmetic's.  On mask 0 the unit product is
+    (1.0, 0.0, 0.0, 0.0), and a term adds its coefficient times the scalar,
+    four multiply-adds, with the same bits: the coefficients are finite, so
+    the product's components are the coefficient's up to the sign of a
+    zero, and a sum that starts at 0.0 is never -0.0 under round to
+    nearest, so a zero of either sign leaves it as it is.  (A coefficient
+    component itself can be -0.0: -1/10^400 underflows.)
     """
     n, den = f.n, f.den
+    one = (1.0, 0.0, 0.0, 0.0)
+    powers = {}
     terms = []
     plan = set()
     for key, comps in f.terms.items():
-        factors = tuple((2 * m + side, key[side * n + m])
-                        for m in range(n) for side in (0, 1)
-                        if key[side * n + m])
-        mask = _parity(key[n:])
-        terms.append((factors, mask, tuple([v / den for v in comps])))
+        slots = []
+        mask = 0
+        for m in range(n):
+            a, b = key[m], key[n + m]
+            if a:
+                slots.append(powers.setdefault((2 * m, a), len(powers)))
+            if b:
+                slots.append(powers.setdefault((2 * m + 1, b), len(powers)))
+                if b & 1:
+                    mask |= 1 << m
+        terms.append((slots, mask, tuple([v / den for v in comps])))
         while mask & (mask - 1):
             low = mask & -mask
             plan.add((mask, low, mask & ~low))
             mask &= ~low
     plan = sorted(plan)
+    powers = list(powers)
     size = 1 << n
+    coordinates = [(4 * m, 1 << m) for m in range(n)]
 
-    def kernel(values, units):
-        prods = [None] * size
-        prods[0] = (1.0, 0.0, 0.0, 0.0)
-        for m in range(n):
-            prods[1 << m] = units[m]
+    def parts(values, prods):
         for mask, low, rest in plan:
             prods[mask] = hamilton(prods[low], prods[rest])
+        table = [values[i] ** k for i, k in powers]
         tw = tx = ty = tz = 0.0
-        for factors, mask, (e, f, g, h) in terms:
+        for slots, mask, (e, f, g, h) in terms:
             scalar = 1.0
-            for i, k in factors:
-                scalar *= values[i] ** k
+            for slot in slots:
+                scalar *= table[slot]
             if scalar == 0.0:
                 continue
-            a, b, c, d = prods[mask]
-            tw = tw + (a * e - b * f - c * g - d * h) * scalar
-            tx = tx + (a * f + b * e + c * h - d * g) * scalar
-            ty = ty + (a * g - b * h + c * e + d * f) * scalar
-            tz = tz + (a * h + b * g - c * f + d * e) * scalar
+            if mask:
+                a, b, c, d = prods[mask]
+                tw = tw + (a * e - b * f - c * g - d * h) * scalar
+                tx = tx + (a * f + b * e + c * h - d * g) * scalar
+                ty = ty + (a * g - b * h + c * e + d * f) * scalar
+                tz = tz + (a * h + b * g - c * f + d * e) * scalar
+            else:
+                tw = tw + e * scalar
+                tx = tx + f * scalar
+                ty = ty + g * scalar
+                tz = tz + h * scalar
         return (tw, tx, ty, tz)
 
-    return kernel
+    def flat(point):
+        values = []
+        prods = [one] * size
+        for k, unit in coordinates:
+            alpha, beta, prods[unit] = split_slice_components(
+                point[k], point[k + 1], point[k + 2], point[k + 3])
+            values.append(alpha)
+            values.append(beta)
+        return parts(values, prods)
+
+    return flat, parts
 
 
 class SliceFunction:
@@ -352,28 +389,19 @@ class SliceFunction:
     def evaluate_parts(self, alphas, betas, units):
         """Evaluate at given real parts, imaginary radii and units J_m."""
         values = [v for pair in zip(alphas, betas) for v in pair]
-        return Quaternion(*_compile_stem(self)(
-            values, [u.components() for u in units]))
+        units = [u.components() for u in units]
+        prods = [(1.0, 0.0, 0.0, 0.0)] * (1 << self.n)
+        for m in range(self.n):
+            prods[1 << m] = units[m]
+        return Quaternion(*_compile_stem(self)[1](values, prods))
 
     def evaluator(self):
         """The stem compiled once into a function from a sequence of
-        quaternions to a quaternion.  It runs its ``flat`` attribute, the
-        same evaluation from the flat 4n-tuple of point components to a
-        component 4-tuple, which splits each coordinate by
+        quaternions to a quaternion.  Its ``flat`` attribute is the compiled
+        kernel, the same evaluation from the flat 4n-tuple of point
+        components to a component 4-tuple, which splits each coordinate by
         ``split_slice_components``; the point's length is not checked."""
-        kernel = _compile_stem(self)
-        n = self.n
-
-        def flat(point):
-            values = []
-            units = []
-            for k in range(0, 4 * n, 4):
-                alpha, beta, unit = split_slice_components(
-                    point[k], point[k + 1], point[k + 2], point[k + 3])
-                values.append(alpha)
-                values.append(beta)
-                units.append(unit)
-            return kernel(values, units)
+        flat = _compile_stem(self)[0]
 
         def evaluate(point):
             return Quaternion(*flat(flat_point(point)))

@@ -18,7 +18,8 @@ from qwirt.cli import main
 from qwirt.expr import parse_slice
 from qwirt.numeric import NumericField, lift, running_worst
 from qwirt.quaternion import Quaternion
-from qwirt.sampling import random_slice_point
+from qwirt import sampling
+from qwirt.sampling import MAX_SAMPLES, random_slice_point
 from qwirt import slicefn
 from qwirt.slicefn import SliceFunction, variable
 from qwirt.wirtinger import (check_independence, check_regularity_numeric,
@@ -217,6 +218,65 @@ def test_library_refuses_empty_point_sets():
         with pytest.raises(ValueError):
             check_reconstruction(field, flavor, 1, samples=0)
     assert not calls
+
+
+def _counted_draws_and_evaluations(monkeypatch):
+    """Count the sample points drawn and the base evaluations of every
+    field the command line or a suite lifts; the counting ``lift`` is
+    returned too."""
+    drawn, evaluated = [], []
+    draw = sampling.random_slice_point
+    monkeypatch.setattr(sampling, "random_slice_point",
+                        lambda *args: drawn.append(args) or draw(*args))
+
+    def counted_lift(*args, **kwargs):
+        field = lift(*args, **kwargs)
+        inner = field.func
+        field.func = lambda point: evaluated.append(point) or inner(point)
+        return field
+
+    monkeypatch.setattr("qwirt.cli.lift", counted_lift)
+    monkeypatch.setattr("qwirt.wirtinger.lift", counted_lift)
+    return drawn, evaluated, counted_lift
+
+
+OVER_CAP = str(MAX_SAMPLES + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-regular", "--numeric", "--samples", OVER_CAP, "--n", "2", "~x1"),
+    ("almansi", "--flavor", "gamma", "--level", "1", "--samples", OVER_CAP, "x1"),
+    ("almansi", "--flavor", "a", "--level", "1", "--samples", OVER_CAP, "x1"),
+    ("check-slice", "--samples", OVER_CAP, "x1"),
+    ("crosscheck", "--samples", OVER_CAP, "x1*x2"),
+])
+def test_cli_refuses_samples_over_the_cap_before_any_point(capsys, monkeypatch,
+                                                            argv):
+    # the sample points are drawn into one list up front, so a huge
+    # --samples used to allocate them all before the first stencil
+    drawn, evaluated, _ = _counted_draws_and_evaluations(monkeypatch)
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["error"]["type"] == "value"
+    assert "samples are capped at %d" % MAX_SAMPLES in report["error"]["message"]
+    assert not drawn and not evaluated
+
+
+def test_library_refuses_samples_over_the_cap_before_any_point(monkeypatch):
+    drawn, evaluated, counted_lift = _counted_draws_and_evaluations(monkeypatch)
+    f = variable(2, 1)
+    field = counted_lift(f)
+    over = MAX_SAMPLES + 1
+    for check in (check_regularity_numeric, check_strong_sliceness):
+        with pytest.raises(ValueError, match="capped"):
+            check(field, samples=over)
+    for check in (crosscheck, check_independence):
+        with pytest.raises(ValueError, match="capped"):
+            check(f, 1, samples=over)
+    for flavor in ("fueter", "dirac"):
+        with pytest.raises(ValueError, match="capped"):
+            check_reconstruction(field, flavor, 1, samples=over)
+    assert not drawn and not evaluated
 
 
 def test_regularity_check_refuses_no_operators():

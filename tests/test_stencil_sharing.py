@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from qwirt.almansi import (check_reconstruction, check_zonal, reconstruct,
@@ -22,7 +23,7 @@ from qwirt.numeric import (NumericField, NearRealAxisError, lift,
 from qwirt import slicefn
 from qwirt.quaternion import Quaternion, flat_point
 from qwirt.sampling import random_slice_point
-from qwirt.slicefn import variable, conj_variable
+from qwirt.slicefn import SliceFunction, variable, conj_variable
 from qwirt.wirtinger import (wirtinger_conj_derivative_numeric,
                              check_regularity_numeric, check_strong_sliceness,
                              crosscheck)
@@ -327,6 +328,55 @@ def test_flat_kernel_matches_the_quaternion_adapter_bit_for_bit(n):
             assert [c.hex() for c in kernel.flat(point)] == want
             assert [c.hex() for c in adapter.flat(point)] == want
             assert [c.hex() for c in _reference_lift(f, p).components()] == want
+
+
+# Coefficient components: zeros, so that a mask-0 coefficient can have zero
+# components, and one that underflows to -0.0 as a float.
+_COMPONENTS = (0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3),
+               Fraction(-1, 10 ** 400))
+
+
+@st.composite
+def _stems(draw):
+    n = draw(st.integers(1, 3))
+    keys = st.tuples(*[st.integers(0, 3)] * (2 * n))
+    components = st.sampled_from(_COMPONENTS)
+    terms = draw(st.dictionaries(keys, st.tuples(*[components] * 4),
+                                 max_size=8))
+    # a term on mask 0 (every beta exponent even) at least
+    terms[tuple(draw(st.integers(0, 2)) for _ in range(n)) + (0,) * n] = \
+        draw(st.tuples(*[components] * 4))
+    return SliceFunction(n, {key: Quaternion(*comps)
+                             for key, comps in terms.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stems(), st.integers(0, 2 ** 32))
+def test_flat_kernel_matches_the_reference_bit_for_bit(f, seed):
+    # the one term loop behind evaluate, evaluate_parts and lift, on stems
+    # with mask-0 terms whose coefficients have zero components
+    kernel = lift(f).func.flat
+    for p in _kernel_test_points(random.Random(seed), f.n):
+        want = [c.hex() for c in _reference_lift(f, p).components()]
+        assert [c.hex() for c in kernel(flat_point(p))] == want
+        splits = [q.split_slice() for q in p]
+        parts = f.evaluate_parts([a for a, _, _ in splits],
+                                 [b for _, b, _ in splits],
+                                 [u for _, _, u in splits])
+        assert [c.hex() for c in parts.components()] == want
+
+
+def test_an_underflowed_coefficient_matches_the_reference():
+    # -1/10^400 is -0.0 as a float: on mask 0 the kernel adds the coefficient
+    # times the scalar where the reference adds (1.0, 0.0, 0.0, 0.0) times
+    # the coefficient, and the two differ in the sign of a zero
+    tiny = Fraction(-1, 10 ** 400)
+    assert (tiny.numerator / tiny.denominator).hex() == (-0.0).hex()
+    for comps in ((tiny, tiny, 0, 0), (tiny, 0, tiny, tiny), (0, tiny, 1, tiny)):
+        f = SliceFunction(1, {(0, 0): Quaternion(*comps)})
+        for p in ((Quaternion(0.5, 1.0, 0.0, 0.0),), (Quaternion(-0.0),)):
+            want = [c.hex() for c in _reference_lift(f, p).components()]
+            assert [c.hex() for c in lift(f).func.flat(flat_point(p))] == want
 
 
 def test_no_quaternion_is_built_per_base_evaluation(monkeypatch):
