@@ -91,6 +91,22 @@ RUNS = (
     # coordinates of each entry's complement
     ("almansi", "--flavor", "sp", "--level", "2", "--n", "3",
      "(x1*(1/2-1/3j)+x2*~x3*(2/5+i)+~x1*(3/4k))^3"),
+    ("spherical", "--var", "2", "--kind", "value", "x1*~x2+x2^2*(1/2i)"),
+    # key/value CSV of reports without records
+    ("eval", "x1*~x2", "--at", "1+i;j", "--format", "csv"),
+    ("almansi", "--flavor", "sp", "--level", "1", "x1*~x2", "--format", "csv"),
+    ("check-regular", "x1^2*x2", "--format", "csv"),
+    # errors, in the order the CLI meets them: expression syntax, lowering
+    # and arity, point literals, point count
+    ("theta", "--numeric", "--m", "1", "x1*x2"),
+    ("eval", "x1*x2", "--at", "i"),
+    ("eval", "--n", "2", "x1*x2", "--at", "i;j;q"),
+    ("eval", "x1*", "--at", "q"),
+    ("eval", "--n", "1", "x2", "--at", "i;j"),
+    # n inferred from the point
+    ("eval", "x1", "--at", "i;j"),
+    # n = 1 crosschecks m = 1 only
+    ("crosscheck", "x1^2", "--samples", "1", "--seed", "3"),
 )
 
 
@@ -111,10 +127,17 @@ def load_golden():
 @pytest.mark.parametrize("argv", RUNS, ids=["%02d-%s" % (index, argv[0])
                                            for index, argv in enumerate(RUNS)])
 def test_golden_cli(argv):
-    golden = load_golden()[tuple(argv)]
+    golden = load_golden().get(tuple(argv))
+    assert golden is not None, "run not recorded; re-record with --record"
     code, stdout = run_cli(argv)
     assert code == golden["exit"]
     assert stdout == golden["stdout"]
+
+
+def test_golden_records_are_the_runs_in_order():
+    with open(GOLDEN_PATH) as handle:
+        recorded = [tuple(rec["argv"]) for rec in json.load(handle)]
+    assert recorded == list(RUNS)
 
 
 def record():
