@@ -26,7 +26,7 @@ from .slicefn import SliceFunction, monomial, variable
 from .numeric import (fueter_derivative_field, spherical_dirac_field,
                       multiply_by_variable, div_by_twice_im, negate_field,
                       running_worst, sweep, report_tail, check_tolerance,
-                      flat_point, _add)
+                      field_point, _add)
 from .sampling import respin_units, _sample_points
 
 FLAVOR_SPHERICAL = "spherical"
@@ -71,16 +71,14 @@ class ComponentFamily:
         return sorted(self.entries)
 
     def entry_value(self, mask, point):
-        return Quaternion(*self.flat_value(mask, flat_point(point)))
+        return Quaternion(*self.flat_value(mask, field_point(point, self.n)))
 
     def flat_value(self, mask, point):
-        """The entry's value at a flat point, as a component 4-tuple."""
+        """The entry's value at a flat point, as a component 4-tuple; the
+        point's length is checked by the caller."""
         entry = self.entries[mask]
         if not isinstance(entry, SliceFunction):
             return entry.flat(point)
-        if len(point) != 4 * self.n:
-            raise ValueError("point has %d coordinates, expected %d"
-                             % (len(point) // 4, self.n))
         flat = self._compiled.get(mask)
         if flat is None:
             flat = self._compiled[mask] = entry.evaluator().flat
@@ -179,7 +177,7 @@ def reconstruct(family, point):
     negated conjugate coordinates over the complement of its subset inside
     {1..level}.
     """
-    point = flat_point(point)
+    point = field_point(point, family.n)
     total = (0.0, 0.0, 0.0, 0.0)
     for mask in family.masks():
         mult = _neg_conj_value(point, complement_indices(mask, family.level))

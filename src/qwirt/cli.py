@@ -149,24 +149,26 @@ def _given(args, keywords):
             if getattr(args, dest) is not None}
 
 
-def _parse_point(text, n):
-    coords = [parse_quaternion(part) for part in text.split(";")]
-    if len(coords) != n:
-        raise ValueError("point has %d coordinates, expression needs %d"
-                         % (len(coords), n))
-    return tuple(coords)
-
-
 def _load(args):
+    """The lowered expression and the ``--at`` point (None without one).
+
+    ``--at`` is split once: n is ``--n``, or else the largest of the
+    expression's highest variable index, the number of point parts and 1.
+    The point's literals are parsed after lowering and counted last, so
+    errors come in the order syntax, arity, point literal, point count."""
     node = parse(args.expr)
-    inferred = max_variable_index(node)
-    if args.n is not None:
-        n = args.n
-    elif getattr(args, "at", None):
-        n = max(inferred, len(args.at.split(";")), 1)
-    else:
-        n = max(inferred, 1)
-    return lower(node, n), n
+    text = getattr(args, "at", None)
+    parts = () if text is None else text.split(";")
+    n = args.n if args.n is not None else max(max_variable_index(node),
+                                             len(parts), 1)
+    f = lower(node, n)
+    if text is None:
+        return f, None
+    point = tuple(map(parse_quaternion, parts))
+    if len(point) != n:
+        raise ValueError("point has %d coordinates, expression needs %d"
+                         % (len(point), n))
+    return f, point
 
 
 def _lift(f, args):
@@ -218,46 +220,35 @@ def _format_value(value):
     return text
 
 
-def _cmd_eval(args):
-    f, n = _load(args)
-    point = _parse_point(args.at, n)
-    value = f.evaluate(point)
-    _emit({"value": _format_value(value)}, args.format)
-    return EXIT_OK
+def _cmd_eval(args, f, point):
+    return {"value": _format_value(f.evaluate(point))}, EXIT_OK
 
 
-def _cmd_wirtinger(args, conj):
-    f, n = _load(args)
-    name = "thetabar" if conj else "theta"
+def _cmd_wirtinger(args, f, point):
+    conj = args.command == "thetabar"
     if args.numeric:
-        if not args.at:
+        if point is None:
             raise ValueError("--numeric evaluation needs --at")
-        point = tuple(q.to_float() for q in _parse_point(args.at, n))
-        field = _lift(f, args)
+        point = tuple(q.to_float() for q in point)
         op = (wirtinger.wirtinger_conj_derivative_numeric if conj
               else wirtinger.wirtinger_derivative_numeric)
-        value = op(field, args.m, point)
-        report = {"operator": name, "m": args.m, "realization": "numeric",
-                  "value": _format_value(value)}
-    else:
-        g = (wirtinger.wirtinger_conj_derivative(f, args.m) if conj
-             else wirtinger.wirtinger_derivative(f, args.m))
-        report = {"operator": name, "m": args.m, "result": format_slice(g)}
-    _emit(report, args.format)
-    return EXIT_OK
+        value = op(_lift(f, args), args.m, point)
+        return {"operator": args.command, "m": args.m, "realization": "numeric",
+                "value": _format_value(value)}, EXIT_OK
+    g = (wirtinger.wirtinger_conj_derivative(f, args.m) if conj
+         else wirtinger.wirtinger_derivative(f, args.m))
+    return {"operator": args.command, "m": args.m,
+            "result": format_slice(g)}, EXIT_OK
 
 
-def _cmd_spherical(args):
-    f, _ = _load(args)
+def _cmd_spherical(args, f, point):
     g = (f.spherical_value(args.var) if args.kind == "value"
          else f.spherical_derivative(args.var))
-    _emit({"operator": "spherical_%s" % args.kind, "var": args.var,
-           "result": format_slice(g)}, args.format)
-    return EXIT_OK
+    return {"operator": "spherical_%s" % args.kind, "var": args.var,
+            "result": format_slice(g)}, EXIT_OK
 
 
-def _cmd_almansi(args):
-    f, _ = _load(args)
+def _cmd_almansi(args, f, point):
     flavor = _FLAVORS[args.flavor]
     if flavor == "spherical":
         family = spherical_components(f, args.level)
@@ -270,8 +261,7 @@ def _cmd_almansi(args):
             "reconstruction_residuals": {"symbolic_exact": exact,
                                          "max_residual": 0.0 if exact else None},
         }
-        _emit(report, args.format)
-        return EXIT_OK if exact else EXIT_FAIL
+        return report, EXIT_OK if exact else EXIT_FAIL
     result = check_reconstruction(_lift(f, args), flavor, args.level,
                                   **_given(args, _SAMPLING))
     report = {
@@ -282,37 +272,30 @@ def _cmd_almansi(args):
                                      ("max_residual", "tolerance", "samples",
                                       "seed")},
     }
-    _emit(report, args.format)
-    return EXIT_OK if result["verdict"] else EXIT_FAIL
+    return report, EXIT_OK if result["verdict"] else EXIT_FAIL
 
 
-def _cmd_check_regular(args):
-    f, _ = _load(args)
+def _cmd_check_regular(args, f, point):
     if args.numeric:
         report = wirtinger.check_regularity_numeric(
             _lift(f, args), slice_established=True, **_given(args, _SAMPLING))
     else:
         report = wirtinger.check_regularity_symbolic(f)
-    _emit(report, args.format)
-    return EXIT_OK if report["verdict"] == "regular" else EXIT_FAIL
+    return report, EXIT_OK if report["verdict"] == "regular" else EXIT_FAIL
 
 
-def _cmd_check_slice(args):
-    f, _ = _load(args)
+def _cmd_check_slice(args, f, point):
     report = wirtinger.check_strong_sliceness(_lift(f, args),
                                               **_given(args, _SAMPLING))
-    _emit(report, args.format)
-    return EXIT_OK if report["verdict"] else EXIT_FAIL
+    return report, EXIT_OK if report["verdict"] else EXIT_FAIL
 
 
-def _cmd_crosscheck(args):
-    f, n = _load(args)
-    indices = [args.m] if args.m is not None else range(1, min(n, 2) + 1)
+def _cmd_crosscheck(args, f, point):
+    indices = [args.m] if args.m is not None else range(1, min(f.n, 2) + 1)
     options = _given(args, {**_STENCIL, **_SAMPLING})
     reports = [wirtinger.crosscheck(f, m, **options) for m in indices]
     ok = all(rep["verdict"] for rep in reports)
-    _emit({"records": reports, "verdict": ok}, args.format)
-    return EXIT_OK if ok else EXIT_FAIL
+    return {"records": reports, "verdict": ok}, EXIT_OK if ok else EXIT_FAIL
 
 
 _ERROR_TYPES = (
@@ -329,8 +312,8 @@ _ERROR_TYPES = (
 
 _HANDLERS = {
     "eval": _cmd_eval,
-    "theta": lambda a: _cmd_wirtinger(a, conj=False),
-    "thetabar": lambda a: _cmd_wirtinger(a, conj=True),
+    "theta": _cmd_wirtinger,
+    "thetabar": _cmd_wirtinger,
     "spherical": _cmd_spherical,
     "almansi": _cmd_almansi,
     "check-regular": _cmd_check_regular,
@@ -343,7 +326,10 @@ def main(argv=None):
     args = _shared_parser().parse_args(argv)
     try:
         _resolve_numeric(args)
-        return _HANDLERS[args.command](args)
+        f, point = _load(args)
+        report, code = _HANDLERS[args.command](args, f, point)
+        _emit(report, args.format)
+        return code
     except Exception as exc:  # mapped to a machine-readable report
         for klass, label in _ERROR_TYPES:
             if isinstance(exc, klass):

@@ -12,9 +12,12 @@ Grammar (whitespace insensitive):
 
 ``*`` always denotes the slice product; multi-component quaternion literals
 arise from sums, e.g. ``1+2i``.  Lowering is total on well-formed trees and
-multiplies factors in source order.
+multiplies factors in source order.  A ``+``/``-``/``*`` chain of any length
+is walked in a loop; parentheses nested deeper than ``MAX_NESTING`` are a
+syntax error at the offending ``(``.
 """
 
+import operator
 import re
 from fractions import Fraction
 
@@ -22,6 +25,12 @@ from .quaternion import Quaternion, I, J, K, NUMBER_PATTERN
 from .slicefn import variable, conj_variable, constant
 
 _UNIT_VALUES = {"i": I, "j": J, "k": K}
+
+# Deepest parenthesis nesting the parser accepts; each level costs a few
+# interpreter frames in the parser and in lowering.
+MAX_NESTING = 100
+
+_CHAIN_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 class ExpressionSyntaxError(ValueError):
@@ -73,6 +82,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -154,8 +164,13 @@ class _Parser:
         if kind == "unit":
             return ("const", _UNIT_VALUES[value])
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    "parentheses nested deeper than %d" % MAX_NESTING, offset)
+            self.depth += 1
             node = self.parse_expression()
             self.expect_op(")")
+            self.depth -= 1
             return node
         raise ExpressionSyntaxError("expected a variable, literal or '('", offset)
 
@@ -171,20 +186,25 @@ def parse(text):
 
 
 def max_variable_index(node):
-    kind = node[0]
-    if kind in ("var", "cvar"):
-        return node[1]
-    if kind == "const":
-        return 0
-    if kind == "neg":
-        return max_variable_index(node[1])
-    if kind == "pow":
-        return max_variable_index(node[1])
-    return max(max_variable_index(node[1]), max_variable_index(node[2]))
+    best, stack = 0, [node]
+    while stack:
+        node = stack.pop()
+        kind = node[0]
+        if kind in ("var", "cvar"):
+            best = max(best, node[1])
+        elif kind in ("neg", "pow"):
+            stack.append(node[1])
+        elif kind != "const":
+            stack.extend(node[1:3])
+    return best
 
 
 def lower(node, n):
-    """Lower a parse tree to a SliceFunction in n variables."""
+    """Lower a parse tree to a SliceFunction in n variables.
+
+    A chain's left spine is walked in a loop: the leftmost operand is
+    lowered first, then each right operand in turn is lowered and applied,
+    as a recursion over the left-nested tree would."""
     kind = node[0]
     if kind == "var" or kind == "cvar":
         m = node[1]
@@ -197,15 +217,17 @@ def lower(node, n):
         return -lower(node[1], n)
     if kind == "pow":
         return lower(node[1], n) ** node[2]
-    left = lower(node[1], n)
-    right = lower(node[2], n)
-    if kind == "add":
-        return left + right
-    if kind == "sub":
-        return left - right
-    if kind == "mul":
-        return left * right
-    raise ValueError("unknown node kind %r" % kind)
+    if kind not in _CHAIN_OPS:
+        raise ValueError("unknown node kind %r" % kind)
+    spine = [node]
+    left = node[1]
+    while left[0] in _CHAIN_OPS:
+        spine.append(left)
+        left = left[1]
+    result = lower(left, n)
+    for kind, _, right in reversed(spine):
+        result = _CHAIN_OPS[kind](result, lower(right, n))
+    return result
 
 
 def parse_slice(text, n=None):

@@ -21,6 +21,8 @@ component order of ``Quaternion`` arithmetic, so every value is bit for bit
 the one quaternion arithmetic gives.  ``Quaternion`` appears only at the
 boundary: the public operators take points of quaternions and return a
 quaternion, each a wrapper around the one flat form that the checkers call.
+Each takes its point through ``field_point``, which refuses a point whose
+length is not the field's n.
 
 Every first-order coordinate partial comes from one stencil routine,
 ``_partials``: the central differences of several coordinates of one
@@ -71,6 +73,16 @@ class DepthExhaustedError(RuntimeError):
 def quaternion_point(flat):
     """The point of H^n whose components a flat 4n-tuple lists."""
     return tuple([Quaternion(*flat[k:k + 4]) for k in range(0, len(flat), 4)])
+
+
+def field_point(point, n):
+    """The flat 4n-tuple of a point of H^n given as quaternions; a point of
+    any other length is refused before any evaluation.  Every public
+    operator takes its point through here."""
+    if len(point) != n:
+        raise ValueError("point has %d coordinates, expected %d"
+                         % (len(point), n))
+    return flat_point(point)
 
 
 class NumericField:
@@ -351,27 +363,29 @@ def coordinate_partial(field, m, i, point, step=None):
     if not 0 <= i <= 3:
         raise ValueError("coordinate index must be in 0..3")
     field.spend()
-    return Quaternion(*_partials(field, m, (i,), flat_point(point), step)[0])
+    point = field_point(point, field.n)
+    return Quaternion(*_partials(field, m, (i,), point, step)[0])
 
 
 def euler_operator(field, m, point):
     """Sum of x_{m_i} d/dx_{m_i} over the three imaginary coordinates."""
-    return Quaternion(*_euler(field, m, flat_point(point)))
+    return Quaternion(*_euler(field, m, field_point(point, field.n)))
 
 
 def global_derivative(field, m, point):
     """(d/dx_{m_0} + Im(x_m)^-1 * Euler)/2; undefined inside the band."""
-    return Quaternion(*_global_pair(field, m, flat_point(point))[0])
+    return Quaternion(*_global_pair(field, m, field_point(point, field.n))[0])
 
 
 def global_conj_derivative(field, m, point):
     """(d/dx_{m_0} - Im(x_m)^-1 * Euler)/2; undefined inside the band."""
-    return Quaternion(*_global_pair(field, m, flat_point(point))[1])
+    return Quaternion(*_global_pair(field, m, field_point(point, field.n))[1])
 
 
 def tangential_derivative(field, m, i, j, point):
     """x_{m_i} d/dx_{m_j} - x_{m_j} d/dx_{m_i}, tangential to the spheres."""
-    return Quaternion(*_tangential(field, m, i, j, flat_point(point)))
+    point = field_point(point, field.n)
+    return Quaternion(*_tangential(field, m, i, j, point))
 
 
 def spherical_dirac(field, m, point):
@@ -379,17 +393,19 @@ def spherical_dirac(field, m, point):
 
     The three tangential derivatives share one set of coordinate partials.
     """
-    return Quaternion(*_spherical_dirac(field, m, flat_point(point)))
+    point = field_point(point, field.n)
+    return Quaternion(*_spherical_dirac(field, m, point))
 
 
 def fueter_derivative(field, m, point):
     """The Cauchy-Riemann-Fueter operator (d0 + i d1 + j d2 + k d3)/2 in x_m."""
-    return Quaternion(*_fueter(field, m, flat_point(point)))
+    return Quaternion(*_fueter(field, m, field_point(point, field.n)))
 
 
 def laplacian(field, m, point, step=None):
     """Four-coordinate Laplacian in x_m by second central differences."""
-    return Quaternion(*_laplacian(field, m, flat_point(point), step))
+    point = field_point(point, field.n)
+    return Quaternion(*_laplacian(field, m, point, step))
 
 
 # -- derived fields -------------------------------------------------------------

@@ -229,6 +229,13 @@ def _compile_stem(f):
     return flat, parts
 
 
+def _check_variable_count(n):
+    """Refuse a variable count that is not an int (a bool included) in
+    1..MAX_VARS."""
+    if type(n) is not int or not 1 <= n <= MAX_VARS:
+        raise ValueError("number of variables must be in 1..%d" % MAX_VARS)
+
+
 class SliceFunction:
     """A slice polynomial, stored as its inducing stem.  ``terms`` maps
     each exponent key to the int numerators of the quaternion on its parity
@@ -245,8 +252,7 @@ class SliceFunction:
     __slots__ = ("n", "den", "terms", "_degrees")
 
     def __init__(self, n, terms=None):
-        if not 1 <= n <= MAX_VARS:
-            raise ValueError("number of variables must be in 1..%d" % MAX_VARS)
+        _check_variable_count(n)
         rows = []
         for key, coeff in (terms or {}).items():
             key = tuple(key)
@@ -519,6 +525,7 @@ class SliceFunction:
         exponents, appears once, and lists one component, on the parity mask
         of its exponents, with four quaternion components."""
         n = data["n"]
+        _check_variable_count(n)
         terms = {}
         for t in data["terms"]:
             alphas, betas = t["alpha_exps"], t["beta_exps"]

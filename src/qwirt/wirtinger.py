@@ -17,8 +17,8 @@ from functools import reduce
 
 from .quaternion import Quaternion, hamilton
 from .numeric import _global_pair, _tangential, _add, lift, flat_point, \
-    running_worst, sweep, report_tail, check_tolerance, DEFAULT_STEP, \
-    DEFAULT_BAND
+    field_point, running_worst, sweep, report_tail, check_tolerance, \
+    DEFAULT_STEP, DEFAULT_BAND
 from .almansi import dirac_components, dirac_levels, complement_indices, \
     _neg_conj_value
 from .sampling import _sample_points
@@ -77,13 +77,15 @@ def _wirtinger_pair(field, m, point):
 def wirtinger_derivative_numeric(field, m, point):
     """Numeric realization of the index-m Wirtinger operator at a point."""
     _check_index(field.n, m)
-    return Quaternion(*_wirtinger_pair(field, m, flat_point(point))[0])
+    point = field_point(point, field.n)
+    return Quaternion(*_wirtinger_pair(field, m, point)[0])
 
 
 def wirtinger_conj_derivative_numeric(field, m, point):
     """Numeric realization of the conjugate index-m operator at a point."""
     _check_index(field.n, m)
-    return Quaternion(*_wirtinger_pair(field, m, flat_point(point))[1])
+    point = field_point(point, field.n)
+    return Quaternion(*_wirtinger_pair(field, m, point)[1])
 
 
 def default_tolerance(m):

@@ -138,6 +138,22 @@ def test_point_arity_mismatch(capsys):
     assert report["error"]["type"] == "value"
 
 
+def test_long_expressions_report_instead_of_overflowing_the_stack(capsys):
+    code, report = run_json(capsys, "eval", "+".join(["x1"] * 5000),
+                            "--at", "1+i")
+    assert (code, report) == (0, {"value": "5000+5000i"})
+    code, report = run_json(capsys, "eval", "*".join(["x1"] * 2000),
+                            "--at", "i")
+    assert code == 2
+    assert report["error"] == {"type": "value",
+                               "message": "degree cap 32 exceeded in variable 1"}
+    code, report = run_json(capsys, "eval", "(" * 1000 + "x1" + ")" * 1000,
+                            "--at", "i")
+    assert code == 2
+    assert report["error"]["type"] == "syntax"
+    assert report["error"]["offset"] == 100
+
+
 def test_seed_determinism(capsys):
     code1, out1 = run(capsys, "crosscheck", "x1*x2", "--samples", "3",
                       "--seed", "42")

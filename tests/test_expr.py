@@ -7,7 +7,7 @@ import helpers
 from qwirt.quaternion import Quaternion, K
 from qwirt.slicefn import variable, conj_variable, constant, monomial, format_slice
 from qwirt.expr import (parse, parse_slice, lower, max_variable_index,
-                        ExpressionSyntaxError, ArityError)
+                        ExpressionSyntaxError, ArityError, MAX_NESTING)
 
 
 def test_basic_lowering():
@@ -75,6 +75,30 @@ def test_arity_errors():
     with pytest.raises(ArityError):
         lower(node, 2)
     assert parse_slice("x3*x1", n=3) == monomial(3, (1, 0, 1))
+
+
+def test_long_chains_lower_without_recursing_per_operand():
+    # a sum or product is a left-nested chain; a recursion per binary node
+    # overflowed the interpreter stack near a thousand operands
+    count = 3000
+    text = "+".join("x%d" % (1 + index % 3) for index in range(count))
+    node = parse(text)
+    assert max_variable_index(node) == 3
+    expected = variable(3, 1) + variable(3, 2) + variable(3, 3)
+    assert lower(node, 3) == expected * constant(3, Quaternion(count // 3))
+    assert parse_slice("-".join(["x1"] * 2001)) == -variable(1, 1) * \
+        constant(1, Quaternion(1999))
+    assert parse_slice("*".join(["x1"] * 32)) == variable(1, 1) ** 32
+
+
+def test_parentheses_nested_past_the_cap_are_a_syntax_error():
+    deepest = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert parse_slice(deepest) == variable(1, 1)
+    for depth in (MAX_NESTING + 1, 1000):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse("x2*" + "(" * depth + "x1" + ")" * depth)
+        assert err.value.offset == 3 + MAX_NESTING
+        assert "nested deeper than %d" % MAX_NESTING in str(err.value)
 
 
 def test_ambient_inference():

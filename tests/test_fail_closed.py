@@ -12,7 +12,9 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwirt.almansi import check_reconstruction, check_zonal, dirac_components
+from qwirt.almansi import (check_reconstruction, check_zonal, dirac_components,
+                           reconstruct, spherical_components)
+from qwirt import numeric
 from qwirt import cli
 from qwirt.cli import main
 from qwirt.expr import parse_slice
@@ -23,7 +25,9 @@ from qwirt.sampling import MAX_SAMPLES, random_slice_point
 from qwirt import slicefn
 from qwirt.slicefn import SliceFunction, variable
 from qwirt.wirtinger import (check_independence, check_regularity_numeric,
-                             check_strong_sliceness, crosscheck)
+                             check_strong_sliceness, crosscheck,
+                             wirtinger_conj_derivative_numeric,
+                             wirtinger_derivative_numeric)
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -483,6 +487,25 @@ def test_given_points_of_the_wrong_length_are_refused(n, coords):
             check(f, 1, [point])
     with pytest.raises(ValueError, match=message):
         check_reconstruction(field, "dirac", 1, [point])
+    # the public operators, and the families' point evaluations
+    operators = [
+        lambda p: numeric.coordinate_partial(field, 1, 0, p),
+        lambda p: numeric.tangential_derivative(field, 1, 1, 2, p),
+        lambda p: numeric.laplacian(field, 1, p),
+    ] + [
+        lambda p, op=op: op(field, 1, p)
+        for op in (numeric.euler_operator, numeric.global_derivative,
+                   numeric.global_conj_derivative, numeric.spherical_dirac,
+                   numeric.fueter_derivative, wirtinger_derivative_numeric,
+                   wirtinger_conj_derivative_numeric)
+    ]
+    for family in (dirac_components(field, 1), spherical_components(f, 1)):
+        operators += [lambda p, family=family: reconstruct(family, p),
+                      lambda p, family=family: family.entry_value(1, p),
+                      lambda p, family=family: check_zonal(family, p)]
+    for operator in operators:
+        with pytest.raises(ValueError, match=message):
+            operator(point)
     assert not calls
 
 

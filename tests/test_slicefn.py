@@ -322,8 +322,12 @@ _X1_TERM = {"alpha_exps": [1, 0], "beta_exps": [0, 0], "components": _ONE_ON_EMP
     (1, [{"alpha_exps": [1], "beta_exps": [0],
           "components": [{"mask": 0, "quaternion": ["1", "2", "3", "4", "5"]}]}],
      r"stem term \(1, 0\) lists 5 quaternion components, expected 4"),
+    # True was accepted and kept as n; 2.0 and "2" raised a bare TypeError
+    (True, [], r"number of variables must be in 1\.\.\d+"),
+    (2.0, [_X1_TERM], r"number of variables must be in 1\.\.\d+"),
+    ("2", [_X1_TERM], r"number of variables must be in 1\.\.\d+"),
 ], ids=["wrong-length", "listed-twice", "non-int", "three-components",
-        "five-components"])
+        "five-components", "bool-n", "float-n", "str-n"])
 def test_from_json_refuses_malformed_terms(n, terms, match):
     with pytest.raises(ValueError, match=match):
         SliceFunction.from_json({"n": n, "terms": terms})
