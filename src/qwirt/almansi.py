@@ -131,7 +131,7 @@ def _numeric_levels(flavor, derivative, field, level):
     caller's field: sibling entries share its stencil evaluations, and the
     caller's field keeps no state."""
     return _component_levels(
-        flavor, field.derived(field.flat, cost=0, step=field.step), level,
+        flavor, field.derived(field.flat, cost=0), level,
         lambda m: lambda g: multiply_by_variable(g, m), derivative)
 
 

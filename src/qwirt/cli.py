@@ -12,7 +12,8 @@ import math
 import os
 import sys
 
-from .quaternion import parse_quaternion, format_quaternion, RealArgumentError
+from .quaternion import parse_quaternion, format_quaternion, RealArgumentError, \
+    NumberTooLongError
 from .expr import parse, lower, max_variable_index, ExpressionSyntaxError, ArityError
 from .slicefn import format_slice
 from .numeric import lift, NearRealAxisError, DepthExhaustedError, \
@@ -306,6 +307,7 @@ _ERROR_TYPES = (
     (RealArgumentError, "real-argument"),
     (ZeroDivisionError, "division-by-zero"),
     (OverflowError, "overflow"),
+    (NumberTooLongError, "number-too-long"),
     (ValueError, "value"),
 )
 

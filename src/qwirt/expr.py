@@ -21,7 +21,8 @@ import operator
 import re
 from fractions import Fraction
 
-from .quaternion import Quaternion, I, J, K, NUMBER_PATTERN
+from .quaternion import (Quaternion, I, J, K, NUMBER_PATTERN, MAX_DIGITS,
+                         LONG_DIGIT_RUN)
 from .slicefn import variable, conj_variable, constant
 
 _UNIT_VALUES = {"i": I, "j": J, "k": K}
@@ -56,6 +57,11 @@ _TOKEN_RE = re.compile(r"""
 
 
 def tokenize(text):
+    run = LONG_DIGIT_RUN.search(text)
+    if run:
+        raise ExpressionSyntaxError("number has %d digits, more than the %d "
+                                    "accepted" % (len(run.group()), MAX_DIGITS),
+                                    run.start())
     tokens = []
     pos = 0
     while pos < len(text):

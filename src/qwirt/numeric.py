@@ -1,51 +1,42 @@
 """Finite-difference realizations of the differential operators on black-box
 quaternionic fields.
 
-A field is any pure function from points of H^n to quaternions, wrapped with
-its declared smoothness (the budget of derivative nestings), a step for the
-central differences, and an exclusion band around the real axes for the
-operators that left-multiply by an inverted imaginary part.  All schemes are
-second-order central differences with a fixed step; a nested derivative of a
-derived field uses a larger outer step to balance truncation against
-cancellation.  Left multiplications by Im(x_m)^-1 and by the units i, j, k
-are applied exactly in the displayed order; with noncommuting values the
-order is load-bearing.
+A field is a pure function from points of H^n to quaternions, with its
+smoothness (the budget of derivative nestings), a step for the central
+differences and an exclusion band around the real axes for the operators
+that left-multiply by an inverted imaginary part.  All schemes are
+second-order central differences; a derivative of a derived field steps by
+the larger ``NESTED_STEP``, balancing truncation against cancellation.
+Left multiplications by Im(x_m)^-1 and by i, j, k are applied in the
+displayed order, which is load-bearing for noncommuting values.
 
-The operators run on flat points and tuple values.  A point is the one
-flat tuple of its 4n components, as given, which is also the key of every
-memo, so a displacement is one index add; a component becomes a float only
-where an operator calls ``float()`` on it.  A value is a 4-tuple of
-components.  Products go through ``quaternion.hamilton``, the product
-``Quaternion.__mul__`` uses, and sums, negations and scalings follow the
-component order of ``Quaternion`` arithmetic, so every value is bit for bit
-the one quaternion arithmetic gives.  ``Quaternion`` appears only at the
-boundary: the public operators take points of quaternions and return a
-quaternion, each a wrapper around the one flat form that the checkers call.
-Each takes its point through ``field_point``, which refuses a point whose
-length is not the field's n.
+The operators run on flat points and tuple values.  A point is the flat
+tuple of its 4n components, as given, which is also the key of every memo;
+a component becomes a float only where an operator calls ``float()`` on it.
+A value is a component 4-tuple.  Products go through ``quaternion.hamilton``
+and sums, negations and scalings follow the component order of
+``Quaternion`` arithmetic, so every value is bit for bit the one quaternion
+arithmetic gives.  The public operators take a point of quaternions through
+``field_point``, which refuses a point whose length is not the field's n,
+and return a quaternion.
 
-Every first-order coordinate partial comes from one stencil routine,
-``_partials``: the central differences of several coordinates of one
-variable in a single pass, with the step, its reciprocal and the field's
-``flat`` looked up once.  Each operator checks its variable index and
-spends its derivative once, then calls it, so the points reach the field in
-the same order as one stencil per partial: the point displaced by +h, then
-by -h, coordinate by coordinate in the operator's order.
+Every coordinate partial comes from one stencil routine, ``_partials``:
+several coordinates of one variable in one pass, each displaced by +h, then
+by -h, in the operator's order.  Each operator checks its variable and
+spends its derivative once, then calls it.
 
-A field's base evaluations go through ``NumericField.flat``.  When the
-field's ``func`` carries a ``flat`` attribute, as the compiled stem of
-``lift(f)`` does, that function of flat points is called and no quaternion
-is built; otherwise ``func`` is called with a tuple of quaternions.  A
-wrapper put in place of ``func`` to count or trace evaluations has no
-``flat``, so the field loses its flat form and every evaluation stays
-observable through the wrapper (``functools.wraps`` would copy ``flat``
-onto it, and the wrapper would be bypassed).
+Every field is a ``NumericField``, with one rule for its flat form: ``flat``
+is ``func.flat`` when ``func`` has one, as the compiled stem of ``lift(f)``
+and every field from ``derived`` do, else ``func`` at the point's
+quaternions.  So a wrapper without ``flat`` put in place of ``func`` sees
+every evaluation of its field (``functools.wraps`` would copy ``flat`` onto
+it, and the wrapper would be bypassed).
 """
 
 import math
 from functools import reduce
 
-from .quaternion import Quaternion, I, J, K, hamilton, flat_point
+from .quaternion import Quaternion, I, J, K, hamilton, flat_point, quaternion_form
 
 DEFAULT_STEP = 1e-3
 # Outer step for differentiating an already-derived field.  Cancellation of
@@ -70,11 +61,6 @@ class DepthExhaustedError(RuntimeError):
     """The declared smoothness budget cannot absorb another derivative."""
 
 
-def quaternion_point(flat):
-    """The point of H^n whose components a flat 4n-tuple lists."""
-    return tuple([Quaternion(*flat[k:k + 4]) for k in range(0, len(flat), 4)])
-
-
 def field_point(point, n):
     """The flat 4n-tuple of a point of H^n given as quaternions; a point of
     any other length is refused before any evaluation.  Every public
@@ -88,30 +74,24 @@ def field_point(point, n):
 class NumericField:
     """A black-box function H^n -> H with a finite-difference configuration.
 
-    ``func`` maps a tuple of n quaternions to a quaternion and must be pure:
-    its value depends on the point alone.  It may carry a ``flat``
-    attribute, the same function of a flat 4n-tuple of point components
-    with a 4-tuple of value components, as ``lift(f).func`` does.  The
-    operators of this module run on the field's ``flat``, which calls
-    ``func.flat`` when there is one and otherwise ``func`` at the point's
-    quaternions, once per point it is asked for.  Replacing ``func`` by a
-    wrapper without ``flat`` (a counter, a tracer) drops the flat form, so
-    the wrapper sees every evaluation.  A field built by the caller keeps
-    no state.  Every field built by an operator comes from ``derived``,
-    which memoizes values by the flat point for as long as that derived
-    field lives (one component family, or one call of a checker), so nested
-    stencils evaluate each point once.
+    ``func`` maps a tuple of n quaternions to a quaternion and must be pure.
+    It may carry ``flat``, the same function from a flat 4n-tuple to a
+    component 4-tuple.  The field's ``flat``, on which the operators run, is
+    ``func.flat`` when there is one, else ``func`` at the point's
+    quaternions.  A field built by the caller keeps no state; one built by
+    ``derived`` memoizes its values for as long as it lives.  A view or
+    product of a field reads the field's ``flat`` once, when it is built.
 
-    The step must be finite and positive, and the band finite and
-    non-negative.
+    n must be an int >= 1, the step finite and > 0, the band finite and >= 0.
     """
 
     __slots__ = ("func", "n", "smoothness", "step", "band")
 
     def __init__(self, func, n, smoothness=DEFAULT_SMOOTHNESS,
                  step=DEFAULT_STEP, band=DEFAULT_BAND):
-        if not n >= 1:
-            raise ValueError("a field needs at least one variable, got n=%d" % n)
+        if type(n) is not int or n < 1:
+            raise ValueError("a field needs at least one variable: n must be "
+                             "an int >= 1, got %r" % (n,))
         if not (math.isfinite(step) and step > 0):
             raise ValueError("finite-difference step must be finite and > 0, "
                              "got %r" % step)
@@ -127,14 +107,16 @@ class NumericField:
     def __call__(self, point):
         return self.func(point)
 
-    def flat(self, point):
-        """The value at a flat point as a component 4-tuple: ``func.flat``
-        when ``func`` has one, else ``func`` at the point's quaternions."""
+    @property
+    def flat(self):
+        """The field on flat points: ``func.flat``, else ``func`` adapted."""
         func = self.func
         flat = getattr(func, "flat", None)
-        if flat is not None:
-            return flat(point)
-        return func(quaternion_point(point)).components()
+        if flat is None:
+            def flat(point):
+                return func(tuple([Quaternion(*point[k:k + 4])
+                                   for k in range(0, len(point), 4)])).components()
+        return flat
 
     def spend(self, depth=1):
         if self.smoothness < depth:
@@ -142,23 +124,14 @@ class NumericField:
                 "operator needs %d derivative(s), smoothness budget is %d"
                 % (depth, self.smoothness))
 
-    def derived(self, flat, cost=1, step=NESTED_STEP):
-        """A field of ``flat``, a function of flat points with 4-tuple
-        values, that spends ``cost`` of this field's budget.
-
-        Values are memoized by the flat point; a raised exception
-        (``NearRealAxisError``, say) is never stored.
-        """
-        return _DerivedField(flat, self.n, self.smoothness - cost, step, self.band)
-
-
-class _DerivedField(NumericField):
-    """A field an operator built: ``flat`` is the memo of a function of flat
-    points, and ``func`` reads it at points of quaternions."""
-
-    __slots__ = ("flat",)
-
-    def __init__(self, flat, n, smoothness, step, band):
+    def derived(self, flat, cost=1):
+        """The field of ``flat``, a function of flat points with 4-tuple
+        values, memoized by the flat point (a raised exception is never
+        stored).  It spends ``cost`` of this field's budget now; a
+        derivative (cost 1) steps by ``NESTED_STEP``, a cost-0 view or
+        product keeps this field's step."""
+        if cost:
+            self.spend(cost)
         values = {}
 
         def memo(point):
@@ -167,11 +140,8 @@ class _DerivedField(NumericField):
                 value = values[point] = flat(point)
             return value
 
-        def func(point):
-            return Quaternion(*memo(flat_point(point)))
-
-        super().__init__(func, n, smoothness, step, band)
-        self.flat = memo
+        return NumericField(quaternion_form(memo), self.n, self.smoothness - cost,
+                            NESTED_STEP if cost else self.step, self.band)
 
 
 def running_worst(worst, residual):
@@ -412,46 +382,48 @@ def laplacian(field, m, point, step=None):
 
 
 def spherical_dirac_field(field, m):
-    field.spend()
     return field.derived(lambda p: _spherical_dirac(field, m, p))
 
 
 def fueter_derivative_field(field, m):
-    field.spend()
     return field.derived(lambda p: _fueter(field, m, p))
 
 
 def negate_field(field):
+    flat = field.flat
+
     def func(point):
-        w, x, y, z = field.flat(point)
+        w, x, y, z = flat(point)
         return (-w, -x, -y, -z)
 
-    return field.derived(func, cost=0, step=field.step)
+    return field.derived(func, cost=0)
 
 
 def multiply_by_variable(field, m, conj=False):
     """Pointwise left multiplication by x_m (or its conjugate); smooth, so
     the derivative budget is untouched."""
     _check_var(field, m)
+    flat = field.flat
     if conj:
         def func(point):
             w, x, y, z = _coordinates(point, m)
-            return hamilton((w, -x, -y, -z), field.flat(point))
+            return hamilton((w, -x, -y, -z), flat(point))
     else:
         def func(point):
-            return hamilton(_coordinates(point, m), field.flat(point))
-    return field.derived(func, cost=0, step=field.step)
+            return hamilton(_coordinates(point, m), flat(point))
+    return field.derived(func, cost=0)
 
 
 def div_by_twice_im(field, m):
     """Pointwise left multiplication by (2 Im(x_m))^-1, banded at the axis."""
     _check_var(field, m)
+    flat = field.flat
 
     def func(point):
         _check_off_axis(field, m, point)
-        return hamilton(_inverse_im(point, m, 2.0), field.flat(point))
+        return hamilton(_inverse_im(point, m, 2.0), flat(point))
 
-    return field.derived(func, cost=0, step=field.step)
+    return field.derived(func, cost=0)
 
 
 def lift(f, smoothness=DEFAULT_SMOOTHNESS, step=DEFAULT_STEP, band=DEFAULT_BAND):

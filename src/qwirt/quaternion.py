@@ -20,20 +20,11 @@ class RealArgumentError(ValueError):
 
 
 def hamilton(p, q):
-    """Hamilton's product of two component 4-tuples ``(w, x, y, z)``.
-
-    ``Quaternion.__mul__`` and the numeric operators call this.  Two loops
-    of ``slicefn`` restate it inline in this operation order:
-    - the compiled stem kernel (``_compile_stem``), which folds a unit
-      product times a coefficient into its sums; on mask 0, where the unit
-      product is (1.0, 0.0, 0.0, 0.0), it adds the coefficient times the
-      scalar, which gives the same sums.  Pinned to the same bits by
-      ``test_lift_matches_quaternion_arithmetic_bit_for_bit`` and
-      ``test_flat_kernel_matches_the_reference_bit_for_bit``;
-    - the stem product (``_stem_product``, behind ``*``), on the int
-      numerators of each pair of terms; pinned to ``Quaternion`` products
-      by ``test_product_matches_quaternion_arithmetic``.
-    """
+    """Hamilton's product of two component 4-tuples ``(w, x, y, z)``, as
+    ``Quaternion.__mul__`` and the numeric operators compute it.  The stem
+    kernel (``slicefn._compile_stem``) and the stem product
+    (``slicefn._stem_product``) restate it inline in this operation order;
+    tests pin both to these bits."""
     a, b, c, d = p
     e, f, g, h = q
     return (a * e - b * f - c * g - d * h,
@@ -149,12 +140,8 @@ class Quaternion:
         return self.conjugate() / n2
 
     def imaginary_unit(self):
-        """The unit J = Im(q)/|Im(q)|, satisfying J*J = -1.
-
-        The result is float-backed since |Im(q)| is irrational in general.
-        Raises RealArgumentError when the vector part vanishes, signalling a
-        point on the real axis.
-        """
+        """The float unit J = Im(q)/|Im(q)|, with J*J = -1; a point on the
+        real axis raises RealArgumentError."""
         n2 = float(self.im_norm_sq())
         if n2 == 0:
             raise RealArgumentError("quaternion lies on the real axis")
@@ -163,11 +150,8 @@ class Quaternion:
                           float(self.z) / norm)
 
     def split_slice(self):
-        """Decompose q = alpha + J*beta with beta = |Im(q)| >= 0.
-
-        Returns floats (alpha, beta, J), as ``split_slice_components``
-        computes them.
-        """
+        """Floats (alpha, beta, J) with q = alpha + J*beta, beta = |Im(q)|,
+        as ``split_slice_components`` computes them."""
         alpha, beta, unit = split_slice_components(self.w, self.x, self.y, self.z)
         return alpha, beta, Quaternion(*unit)
 
@@ -199,15 +183,11 @@ UNITS = (ONE, I, J, K)
 
 
 def split_slice_components(w, x, y, z):
-    """Decompose w + x*i + y*j + z*k = alpha + J*beta with beta >= 0, on
-    components: floats ``(alpha, beta, J)`` with J a component 4-tuple.
-
-    On the real axis beta is 0 and J defaults to i; slice-function
-    evaluation is independent of that choice by the stem parity condition.
-    The squares are ``** 2``, which raises ``OverflowError`` where a square
-    leaves the float range instead of giving inf, a zero unit and a wrong
-    value.
-    """
+    """Decompose w + x*i + y*j + z*k = alpha + J*beta with beta >= 0 into
+    floats ``(alpha, beta, J)``, J a component 4-tuple.  On the real axis J
+    is i; stem parity makes evaluation independent of that choice.  ``** 2``
+    raises ``OverflowError`` where a square leaves the float range, where
+    ``*`` would give inf, a zero unit and a wrong value."""
     n2 = float(x) ** 2 + float(y) ** 2 + float(z) ** 2
     if n2 == 0.0:
         return float(w), 0.0, (0.0, 1.0, 0.0, 0.0)
@@ -220,9 +200,52 @@ def flat_point(point):
     return tuple([c for q in point for c in (q.w, q.x, q.y, q.z)])
 
 
+def quaternion_form(flat):
+    """The function of points of quaternions that ``flat``, a function of
+    flat 4n-tuples with component 4-tuple values, stands for; it carries
+    ``flat`` as its ``flat`` attribute."""
+    def func(point):
+        return Quaternion(*flat(flat_point(point)))
+
+    func.flat = flat
+    return func
+
+
 def coordinate(q, i):
     """The i-th real coordinate of q, with i in 0..3."""
     return q.components()[i]
+
+
+# A number literal: a natural number, a ratio of two, or a decimal; each
+# parses to an exact Fraction.  The expression language uses it too.
+NUMBER_PATTERN = r"\d+(?:/\d+|\.\d+)?"
+# The most digits of a run of digits in the input, and of a printed
+# numerator or denominator.  A longer run is refused before it is converted,
+# the same on every interpreter; 4,300 is CPython's default int-string limit.
+MAX_DIGITS = 4300
+LONG_DIGIT_RUN = re.compile(r"\d{%d,}" % (MAX_DIGITS + 1))
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+
+
+class NumberTooLongError(ValueError):
+    """An exact result has a numerator or denominator too long to print."""
+
+
+def number_text(value):
+    """``str`` of a real number, refusing an exact one whose numerator or
+    denominator has more than ``MAX_DIGITS`` digits."""
+    try:
+        text = str(value)
+    except ValueError:  # past the interpreter's own int-string limit
+        text = None
+    if text is None or len(text) > MAX_DIGITS:
+        for part in (abs(value.numerator), value.denominator):
+            if part >= _DIGIT_BOUND:
+                digits = int((part.bit_length() - 1) * 0.30102999566398120) + 1
+                raise NumberTooLongError(
+                    "a result coefficient has %d digits, more than the %d "
+                    "printed" % (digits + (part >= 10 ** digits), MAX_DIGITS))
+    return str(value) if text is None else text
 
 
 def _format_component(value, suffix):
@@ -232,7 +255,7 @@ def _format_component(value, suffix):
         return suffix
     if value == -1 and suffix:
         return "-" + suffix
-    return str(value) + suffix
+    return number_text(value) + suffix
 
 
 def format_quaternion(q):
@@ -248,10 +271,6 @@ def format_quaternion(q):
     return "".join(parts) if parts else "0"
 
 
-# A number literal: a natural number, a ratio of two, or a decimal; each
-# parses to an exact Fraction.  The expression language uses it too.
-NUMBER_PATTERN = r"\d+(?:/\d+|\.\d+)?"
-
 _COMPONENT_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<num>" + NUMBER_PATTERN + r")\s*(?P<unit>[ijk])?"
     r"|(?P<lone>[ijk]))\s*"
@@ -264,6 +283,10 @@ def parse_quaternion(text):
     Components are rationals (``p/q``), integers, or decimal strings; the
     result carries Fraction components.
     """
+    run = LONG_DIGIT_RUN.search(text)
+    if run:
+        raise ValueError("number at offset %d has %d digits, more than the %d "
+                         "accepted" % (run.start(), len(run.group()), MAX_DIGITS))
     pos = 0
     comps = {"": Fraction(0), "i": Fraction(0), "j": Fraction(0), "k": Fraction(0)}
     count = 0

@@ -24,7 +24,7 @@ from functools import lru_cache, reduce
 from operator import add, mul
 
 from .quaternion import (Quaternion, ONE, format_quaternion, hamilton,
-                         flat_point, split_slice_components)
+                         number_text, quaternion_form, split_slice_components)
 from .stem import MAX_VARS, basis_product
 
 MAX_DEGREE_PER_VARIABLE = 32
@@ -142,29 +142,22 @@ def _compile_stem(f):
     """Compile f's stem into its float kernels: ``flat(point)``, from the
     flat 4n-tuple of point components to a component 4-tuple, and
     ``parts(values, prods)``, the term loop ``flat`` ends in, on the list
-    alpha_1, beta_1, ..., alpha_n, beta_n and the unit-product table, a
-    list of 2^n component 4-tuples indexed by subset mask, with
-    (1.0, 0.0, 0.0, 0.0) at 0 and J_m at 2^(m-1).
+    alpha_1, beta_1, ..., alpha_n, beta_n and the unit-product table of 2^n
+    component 4-tuples by subset mask, (1.0, 0.0, 0.0, 0.0) at 0 and J_m at
+    2^(m-1).  ``flat`` splits each coordinate by ``split_slice_components``
+    and writes J_m into the table.  ``parts`` forms each other unit product
+    the stem uses as its lowest unit times the rest, in ascending mask
+    order, and each distinct power ``values[i] ** k`` once.
 
-    ``flat`` splits each coordinate by ``split_slice_components``, the one
-    split, and writes J_m into the table.  ``parts`` forms the unit product
-    of each other subset the stem uses as its lowest unit times the product
-    of the rest, in ascending mask order, and each distinct power
-    ``values[i] ** k`` of the stem once, into a table the terms index.
-
-    A coefficient is the float 4-tuple of its numerators divided by the
-    denominator as ints, which rounds as ``float(Fraction)`` does.  A term
-    keeps the indices of its powers, alpha before beta in ascending
-    variables, and its parity mask.  Its unit product acts from the left by
-    ``hamilton``'s formula, restated inline in its operation order and
-    folded into the sums, which follow ``Quaternion.__add__``: the value is
-    bit for bit quaternion arithmetic's.  On mask 0 the unit product is
-    (1.0, 0.0, 0.0, 0.0), and a term adds its coefficient times the scalar,
-    four multiply-adds, with the same bits: the coefficients are finite, so
-    the product's components are the coefficient's up to the sign of a
-    zero, and a sum that starts at 0.0 is never -0.0 under round to
-    nearest, so a zero of either sign leaves it as it is.  (A coefficient
-    component itself can be -0.0: -1/10^400 underflows.)
+    A coefficient is its numerators over the denominator as ints, which
+    rounds as ``float(Fraction)`` does.  A unit product acts from the left
+    by ``hamilton``'s formula, inline and folded into the sums, which follow
+    ``Quaternion.__add__``: the value is bit for bit quaternion
+    arithmetic's.  On mask 0 a term adds its coefficient times the scalar,
+    with the same bits: for finite coefficients the product by (1.0, 0.0,
+    0.0, 0.0) differs at most in the sign of a zero, and a sum that starts
+    at 0.0 is never -0.0 under round to nearest.  (A coefficient component can be -0.0:
+    -1/10^400 underflows.)
     """
     n, den = f.n, f.den
     one = (1.0, 0.0, 0.0, 0.0)
@@ -237,17 +230,12 @@ def _check_variable_count(n):
 
 
 class SliceFunction:
-    """A slice polynomial, stored as its inducing stem.  ``terms`` maps
-    each exponent key to the int numerators of the quaternion on its parity
-    mask, over the stem's denominator ``den``, in lowest terms.
-    ``SliceFunction(n, {key: Quaternion})`` validates its terms and refuses
-    a float component with a ``TypeError``: stems are exact.
-
-    ``*`` is the slice product, and ``**`` squares and multiplies through
-    it.  Evaluation splits each coordinate as
-    x_m = alpha_m + J_m*beta_m with beta_m = |Im(x_m)| >= 0 and sums the
-    component values with the ascending unit products on the left.
-    """
+    """A slice polynomial, stored as its inducing stem: ``terms`` maps each
+    exponent key to the int numerators, over ``den``, in lowest terms, of
+    the quaternion on its parity mask.  ``SliceFunction(n, {key:
+    Quaternion})`` validates its terms and refuses a float component with a
+    ``TypeError``.  ``*`` is the slice product, and ``**`` squares and
+    multiplies through it."""
 
     __slots__ = ("n", "den", "terms", "_degrees")
 
@@ -407,13 +395,7 @@ class SliceFunction:
         kernel, the same evaluation from the flat 4n-tuple of point
         components to a component 4-tuple, which splits each coordinate by
         ``split_slice_components``; the point's length is not checked."""
-        flat = _compile_stem(self)[0]
-
-        def evaluate(point):
-            return Quaternion(*flat(flat_point(point)))
-
-        evaluate.flat = flat
-        return evaluate
+        return quaternion_form(_compile_stem(self)[0])
 
     def spherical_value(self, m):
         """Drop every component whose subset contains m; equals the average
@@ -425,15 +407,10 @@ class SliceFunction:
                         if not key[bpos] % 2})
 
     def spherical_derivative(self, m):
-        """Divide the components whose subset contains m by beta_m and drop m.
-
-        Exact on the stem, where parity forces an odd (positive) beta_m
-        exponent on each such term, and extended real-analytically across
-        the real axis.  It is the one-variable spherical derivative
-        Im(x_m)^-1 (f(x) - f with x_m conjugated)/2 of the restrictions
-        whenever f is slice w.r.t. x_m: always for m = 1, and kept by the
-        component recursions.
-        """
+        """Divide the components whose subset contains m (odd beta_m
+        exponent) by beta_m and drop m: exact on the stem, and the spherical
+        derivative Im(x_m)^-1 (f(x) - f with x_m conjugated)/2 whenever f is
+        slice w.r.t. x_m (always for m = 1, and kept by the recursions)."""
         self._check_var(m)
         bpos = self.n + m - 1
         return _summed(self.n, self.den, [(_lowered(key, bpos), comps)
@@ -454,14 +431,9 @@ class SliceFunction:
         """Cauchy-Riemann partial w.r.t. variable m: half the alpha_m
         partial minus (``conj``: plus) the beta_m partial followed by the
         complex structure of m, which restores the parity the bare beta_m
-        partial breaks: it takes a term off subset K with a sign when m is
-        in K (odd b), onto K + {m} otherwise.
-
-        Both partials sum on the numerators, the alpha_m pass first, then
-        the beta_m pass; that order is the order of the result's terms, in
-        which the float kernel sums them.  The halving doubles the
-        denominator, and terms that cancel are dropped.
-        """
+        partial breaks (off K with a sign for odd b, onto K + {m} else).
+        The alpha_m pass comes first, which orders the result's terms as
+        the float kernel sums them; terms that cancel are dropped."""
         self._check_var(m)
         n = self.n
         sign = 1 if conj else -1
@@ -516,7 +488,7 @@ class SliceFunction:
         return {"n": n, "terms": [
             {"alpha_exps": list(key[:n]), "beta_exps": list(key[n:]),
              "components": [{"mask": _parity(key[n:]), "quaternion": [
-                 str(Fraction(v, den)) for v in self.terms[key]]}]}
+                 number_text(Fraction(v, den)) for v in self.terms[key]]}]}
             for key in sorted(self.terms)]}
 
     @classmethod
@@ -524,11 +496,13 @@ class SliceFunction:
         """Inverse of ``to_json``.  Each term lists n alpha and n beta
         exponents, appears once, and lists one component, on the parity mask
         of its exponents, with four quaternion components."""
-        n = data["n"]
+        n = _json_field(data, "n", "stem document", object)
         _check_variable_count(n)
         terms = {}
-        for t in data["terms"]:
-            alphas, betas = t["alpha_exps"], t["beta_exps"]
+        for index, t in enumerate(_json_field(data, "terms", "stem document")):
+            where = "stem term %d" % index
+            alphas = _json_field(t, "alpha_exps", where)
+            betas = _json_field(t, "beta_exps", where)
             if len(alphas) != n or len(betas) != n:
                 raise ValueError("stem term lists %d alpha and %d beta "
                                  "exponents, expected %d of each"
@@ -536,17 +510,20 @@ class SliceFunction:
             key = tuple(alphas) + tuple(betas)
             if key in terms:
                 raise ValueError("stem term %r is listed twice" % (key,))
-            if len(t["components"]) != 1:
+            components = _json_field(t, "components", where)
+            if len(components) != 1:
                 raise ValueError("stem term %r must list exactly one component"
                                  % (key,))
-            (c,) = t["components"]
-            if c["mask"] != _parity(betas):
+            where = "component of stem term %r" % (key,)
+            mask = _json_field(components[0], "mask", where, object)
+            if mask != _parity(betas):
                 raise ValueError("stem parity violated: term %r carries mask %r"
-                                 % (key, c["mask"]))
-            if len(c["quaternion"]) != 4:
+                                 % (key, mask))
+            comps = _json_field(components[0], "quaternion", where)
+            if len(comps) != 4:
                 raise ValueError("stem term %r lists %d quaternion components, "
-                                 "expected 4" % (key, len(c["quaternion"])))
-            terms[key] = Quaternion(*[Fraction(s) for s in c["quaternion"]])
+                                 "expected 4" % (key, len(comps)))
+            terms[key] = Quaternion(*[Fraction(c) for c in comps])
         return cls(n, terms)
 
     def __repr__(self):
@@ -554,6 +531,17 @@ class SliceFunction:
 
     def __str__(self):
         return format_slice(self)
+
+
+def _json_field(obj, name, where, kind=list):
+    """``obj[name]``, refused with a ValueError that names the field when
+    ``obj`` is not a JSON object, lacks it, or holds other than ``kind``."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise ValueError("%s has no %r field" % (where, name))
+    if not isinstance(obj[name], kind):
+        raise ValueError("%s field %r must be a %s, not %s" % (
+            where, name, kind.__name__, type(obj[name]).__name__))
+    return obj[name]
 
 
 # One class serves both names: a slice polynomial is induced by exactly one

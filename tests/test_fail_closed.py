@@ -19,7 +19,7 @@ from qwirt import cli
 from qwirt.cli import main
 from qwirt.expr import parse_slice
 from qwirt.numeric import NumericField, lift, running_worst
-from qwirt.quaternion import Quaternion
+from qwirt.quaternion import Quaternion, MAX_DIGITS, parse_quaternion
 from qwirt import sampling
 from qwirt.sampling import MAX_SAMPLES, random_slice_point
 from qwirt import slicefn
@@ -287,7 +287,8 @@ def test_regularity_check_refuses_no_operators():
     # a field of no variables would leave the kernel test no operator to
     # check, so it is refused when it is built, before any evaluation
     calls = []
-    for n in (0, -1):
+    # 2.0 and True were accepted and failed later; "2" raised a bare TypeError
+    for n in (0, -1, 2.0, True, "2"):
         with pytest.raises(ValueError, match="at least one variable"):
             NumericField(lambda p: calls.append(p) or Quaternion(1.0), n)
     assert not calls
@@ -653,3 +654,43 @@ def test_a_product_over_the_stem_term_cap_forms_no_pair(monkeypatch):
 def test_the_largest_power_under_the_stem_term_cap_lowers():
     # its largest product takes 715 * 715 pairs
     assert len(parse_slice("(x1+~x2+x3+x4+x5)^8").terms) == 24310
+
+
+# -- numbers past the digit cap ---------------------------------------------------
+# Each of these ended as a `value` error that named CPython's int-string limit
+# and sys.set_int_max_str_digits(), which the command line cannot reach.
+
+_ONES = "1" * 5000
+_HUGE = "(1" + "0" * 150 + ")^30"
+
+
+@pytest.mark.parametrize("argv, kind, message", [
+    (["eval", "x1", "--at", _ONES], "value",
+     "number at offset 0 has 5000 digits, more than the 4300 accepted"),
+    (["eval", "x1*" + _ONES, "--at", "i"], "syntax",
+     "number has 5000 digits, more than the 4300 accepted (offset 3)"),
+    (["theta", "--m", "1", "x1^2*" + _HUGE], "number-too-long",
+     "a result coefficient has 4501 digits, more than the 4300 printed"),
+    (["almansi", "--flavor", "sp", "--level", "1", "x1*" + _HUGE],
+     "number-too-long",
+     "a result coefficient has 4501 digits, more than the 4300 printed"),
+], ids=["at-literal", "expression-literal", "theta-result", "almansi-result"])
+def test_numbers_past_the_digit_cap_are_typed_errors(capsys, argv, kind, message):
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["error"]["type"] == kind
+    assert report["error"]["message"] == message
+    if kind == "syntax":
+        assert report["error"]["offset"] == 3
+
+
+def test_numbers_at_the_digit_cap_are_read_and_printed(capsys):
+    assert MAX_DIGITS == 4300
+    assert parse_quaternion("9" * MAX_DIGITS + "i").x == int("9" * MAX_DIGITS)
+    assert parse_quaternion("1/" + "3" * MAX_DIGITS).w.denominator == int("3" * MAX_DIGITS)
+    with pytest.raises(ValueError, match=r"^number at offset 4 has 4301 digits"):
+        parse_quaternion("1+1." + "1" * (MAX_DIGITS + 1) + "j")
+    code, report = run_json(capsys, "theta", "--m", "1", "x1*" + "7" * MAX_DIGITS)
+    assert (code, report["result"]) == (0, "7" * MAX_DIGITS)
+    code, report = run_json(capsys, "theta", "--m", "1", "x1*" + "7" * MAX_DIGITS + "0")
+    assert (code, report["error"]["type"]) == (2, "syntax")

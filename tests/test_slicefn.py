@@ -307,30 +307,43 @@ _ONE_ON_EMPTY = [{"mask": 0, "quaternion": ["1", "0", "0", "0"]}]
 _X1_TERM = {"alpha_exps": [1, 0], "beta_exps": [0, 0], "components": _ONE_ON_EMPTY}
 
 
-@pytest.mark.parametrize("n, terms, match", [
+def _doc(n, terms):
+    return {"n": n, "terms": terms}
+
+
+@pytest.mark.parametrize("data, match", [
     # concatenated, these make a key of length 2n, beta_1^1, whose parity
     # mask is 1; the mask 0 listed matches the parity of beta_exps as given
-    (2, [{"alpha_exps": [0, 0, 1], "beta_exps": [0], "components": _ONE_ON_EMPTY}],
-     "expected 2 of each"),
-    (2, [_X1_TERM, dict(_X1_TERM)], "listed twice"),
-    (1, [{"alpha_exps": [1.5], "beta_exps": [0], "components": _ONE_ON_EMPTY}],
-     "must be ints"),
+    (_doc(2, [{"alpha_exps": [0, 0, 1], "beta_exps": [0],
+               "components": _ONE_ON_EMPTY}]), "expected 2 of each"),
+    (_doc(2, [_X1_TERM, dict(_X1_TERM)]), "listed twice"),
+    (_doc(1, [{"alpha_exps": [1.5], "beta_exps": [0],
+               "components": _ONE_ON_EMPTY}]), "must be ints"),
     # three components were padded with a 0; five raised a bare TypeError
-    (1, [{"alpha_exps": [1], "beta_exps": [0],
-          "components": [{"mask": 0, "quaternion": ["1", "2", "3"]}]}],
+    (_doc(1, [{"alpha_exps": [1], "beta_exps": [0],
+               "components": [{"mask": 0, "quaternion": ["1", "2", "3"]}]}]),
      r"stem term \(1, 0\) lists 3 quaternion components, expected 4"),
-    (1, [{"alpha_exps": [1], "beta_exps": [0],
-          "components": [{"mask": 0, "quaternion": ["1", "2", "3", "4", "5"]}]}],
+    (_doc(1, [{"alpha_exps": [1], "beta_exps": [0],
+               "components": [{"mask": 0, "quaternion": ["1", "2", "3", "4", "5"]}]}]),
      r"stem term \(1, 0\) lists 5 quaternion components, expected 4"),
     # True was accepted and kept as n; 2.0 and "2" raised a bare TypeError
-    (True, [], r"number of variables must be in 1\.\.\d+"),
-    (2.0, [_X1_TERM], r"number of variables must be in 1\.\.\d+"),
-    ("2", [_X1_TERM], r"number of variables must be in 1\.\.\d+"),
+    (_doc(True, []), r"number of variables must be in 1\.\.\d+"),
+    (_doc(2.0, [_X1_TERM]), r"number of variables must be in 1\.\.\d+"),
+    (_doc("2", [_X1_TERM]), r"number of variables must be in 1\.\.\d+"),
+    # these raised a bare KeyError or TypeError
+    ({"n": 2}, r"stem document has no 'terms' field"),
+    ({"terms": []}, r"stem document has no 'n' field"),
+    (_doc(2, [{"alpha_exps": [1, 0], "beta_exps": [0, 0]}]),
+     r"stem term 0 has no 'components' field"),
+    (_doc(1, [{"alpha_exps": 1, "beta_exps": [0], "components": _ONE_ON_EMPTY}]),
+     r"stem term 0 field 'alpha_exps' must be a list, not int"),
+    ([{"n": 1, "terms": []}], r"stem document has no 'n' field"),
 ], ids=["wrong-length", "listed-twice", "non-int", "three-components",
-        "five-components", "bool-n", "float-n", "str-n"])
-def test_from_json_refuses_malformed_terms(n, terms, match):
+        "five-components", "bool-n", "float-n", "str-n", "no-terms", "no-n",
+        "no-components", "int-alpha-exps", "top-level-list"])
+def test_from_json_refuses_malformed_terms(data, match):
     with pytest.raises(ValueError, match=match):
-        SliceFunction.from_json({"n": n, "terms": terms})
+        SliceFunction.from_json(data)
 
 
 def test_stem_terms_are_quaternions():

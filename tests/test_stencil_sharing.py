@@ -18,8 +18,10 @@ from qwirt.almansi import (check_reconstruction, check_zonal, reconstruct,
                            spherical_components)
 from qwirt.cli import main
 from qwirt.expr import parse_slice
-from qwirt.numeric import (NumericField, NearRealAxisError, lift,
-                           spherical_dirac_field, div_by_twice_im)
+from qwirt.numeric import (NumericField, NearRealAxisError, DepthExhaustedError,
+                           lift, coordinate_partial, spherical_dirac_field,
+                           fueter_derivative_field, negate_field,
+                           multiply_by_variable, div_by_twice_im)
 from qwirt import slicefn
 from qwirt.quaternion import Quaternion, flat_point
 from qwirt.sampling import random_slice_point
@@ -226,7 +228,7 @@ def test_derived_field_memoizes_values_but_not_exceptions():
         return Quaternion(2.0)
 
     base = NumericField(value, 1, 4)
-    view = base.derived(base.flat, cost=0, step=base.step)
+    view = base.derived(base.flat, cost=0)
     p = (Quaternion(0.5, 1.0),)
     with pytest.raises(NearRealAxisError):
         view(p)
@@ -397,3 +399,54 @@ def test_no_quaternion_is_built_per_base_evaluation(monkeypatch):
     # the two coordinates of the boundary point and the result; the 48
     # base evaluations build none
     assert len(built) == 3
+
+
+# -- one field type: every field the library builds is a NumericField whose
+# flat form is its func's ``flat``
+
+
+def _built_fields(base):
+    return {"view": base.derived(base.flat, cost=0),
+            "spherical_dirac": spherical_dirac_field(base, 1),
+            "fueter": fueter_derivative_field(base, 1),
+            "negate": negate_field(base),
+            "times_x1": multiply_by_variable(base, 1),
+            "times_conj_x1": multiply_by_variable(base, 1, conj=True),
+            "div_by_twice_im": div_by_twice_im(base, 1)}
+
+
+def test_every_built_field_is_a_numeric_field_whose_flat_is_its_funcs():
+    for name, field in _built_fields(lift(parse_slice("x1^2*x2", 2))).items():
+        assert type(field) is NumericField, name
+        assert field.flat is field.func.flat, name
+
+
+def test_lift_flat_is_its_funcs_flat():
+    field = lift(parse_slice("x1^2"))
+    assert field.flat is field.func.flat
+
+
+def test_a_wrapper_on_a_derived_fields_func_sees_every_evaluation():
+    # before derived fields were plain NumericFields, their operators read a
+    # memo slot that bypassed func, and the wrapper saw 0 of 2 evaluations
+    p = (Quaternion(0.5, 1.0, 0.25, -0.5),)
+    for name, field in _built_fields(lift(parse_slice("x1^2"))).items():
+        counter = Counter(field)
+        coordinate_partial(field, 1, 0, p)
+        assert len(counter.points) == 2, name
+
+
+def test_derived_takes_no_step():
+    base = lift(parse_slice("x1"))
+    with pytest.raises(TypeError):
+        base.derived(base.flat, cost=0, step=base.step)
+
+
+@pytest.mark.parametrize("build", [spherical_dirac_field, fueter_derivative_field])
+def test_a_derivative_field_on_an_exhausted_budget_evaluates_nothing(build):
+    calls = []
+    base = NumericField(lambda p: calls.append(p) or Quaternion(1.0), 1, 0)
+    with pytest.raises(DepthExhaustedError, match=r"^operator needs 1 "
+                       r"derivative\(s\), smoothness budget is 0$"):
+        build(base, 1)
+    assert not calls
