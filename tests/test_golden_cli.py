@@ -107,6 +107,12 @@ RUNS = (
     ("eval", "x1", "--at", "i;j"),
     # n = 1 crosschecks m = 1 only
     ("crosscheck", "x1^2", "--samples", "1", "--seed", "3"),
+    # the largest report shape: eight entries of a fourth power's stems
+    ("almansi", "--flavor", "sp", "--level", "3", "--n", "3",
+     "(~x1*(1/3+2/5i)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i))^4"),
+    # ^8 squares three times and multiplies nothing else
+    ("theta", "--m", "1", "--n", "3",
+     "(x1*(1/2-1/3j)+x2*~x3*(2/5+i)+~x1*(3/4k))^8"),
 )
 
 
