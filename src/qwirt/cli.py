@@ -194,11 +194,9 @@ def _emit(report, fmt):
                 writer.writerow([key, report[key]])
         sys.stdout.write(out.getvalue())
     else:
-        try:
-            text = json.dumps(report, indent=2, default=str, allow_nan=False)
-        except ValueError:
-            text = json.dumps(_strict(report), indent=2, default=str)
-        print(text)
+        out = []
+        _write_json(report, out, "\n")
+        print("".join(out))
 
 
 def _strict(value):
@@ -211,6 +209,97 @@ def _strict(value):
     if isinstance(value, (list, tuple)):
         return [_strict(item) for item in value]
     return value
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(value):
+    """The JSON text of a value that is not a list, tuple or dict, as
+    ``json.dumps(_strict(value), default=str)`` writes it; None for a
+    container.  The type tests are ``json.encoder``'s, in its order, after
+    a shortcut for the exact types that reports are mostly made of."""
+    cls = type(value)
+    if cls is str:
+        return _encode_str(value)
+    if cls is int:
+        return int.__repr__(value)
+    if cls is list or cls is dict:
+        return None
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        value = _strict(value)
+        return (float.__repr__(value) if isinstance(value, float)
+                else _encode_str(value))
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    return _encode_str(str(value))
+
+
+def _json_key(key):
+    """A dict key as ``json.dumps(_strict(report))`` writes it: a str as it
+    is, a float, int, bool or None key as its JSON text (``_strict`` leaves
+    keys alone, so a NaN key is "NaN"); any other key is a TypeError."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            "not %s" % type(key).__name__)
+        key = json.dumps(key)
+    return _encode_str(key)
+
+
+def _write_json(value, out, newline):
+    """Append to ``out`` the text ``json.dumps(_strict(value), indent=2,
+    default=str)`` gives ``value`` at the indent of ``newline``: one pass
+    that writes each non-finite float as its string, and each list of
+    scalars in one join."""
+    text = _json_scalar(value)
+    if text is not None:
+        out.append(text)
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, item in value.items():
+            text = _json_scalar(item)
+            key = (_encode_str(key) if type(key) is str
+                   else _json_key(key))
+            if text is None:
+                out.append(sep + key + ": ")
+                _write_json(item, out, inner)
+            else:
+                out.append(sep + key + ": " + text)
+            sep = "," + inner
+        out.append(newline + "}")
+        return
+    if not value:
+        out.append("[]")
+        return
+    texts = [_json_scalar(item) for item in value]
+    if None not in texts:
+        out.append("[" + inner + ("," + inner).join(texts) + newline + "]")
+        return
+    sep = "[" + inner
+    for item, text in zip(value, texts):
+        out.append(sep)
+        if text is None:
+            _write_json(item, out, inner)
+        else:
+            out.append(text)
+        sep = "," + inner
+    out.append(newline + "]")
 
 
 def _format_value(value):

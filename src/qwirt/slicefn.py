@@ -19,13 +19,15 @@ of the functions, which is generally not a slice function.
 """
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, mul
 
-from .quaternion import (Quaternion, ONE, format_quaternion, hamilton,
-                         number_text, quaternion_form, split_slice_components)
-from .stem import MAX_VARS, basis_product
+from .quaternion import (Quaternion, ONE, LONG_DIGIT_RUN, MAX_DIGITS,
+                         format_quaternion, hamilton, number_text,
+                         quaternion_form, split_slice_components)
+from .stem import MAX_VARS
 
 MAX_DEGREE_PER_VARIABLE = 32
 # Bounds the pairs of terms a stem product forms, which bounds its work and
@@ -71,16 +73,25 @@ def _packed(f):
     return rows
 
 
+def _negations(masks, right):
+    """Per mask m1 of ``masks``, a list of whether e_m1 times the basis
+    vector of each row of ``right`` is negated: ``basis_product``'s sign,
+    odd exactly when m1 & m2 has an odd number of bits."""
+    return {m1: [(m1 & m2).bit_count() & 1 for _, m2, _ in right]
+            for m1 in masks}
+
+
 def _stem_product(left, right):
     """The sums of the products of every pair of terms of two stems, given
     as rows ``(packed key, mask, numerators)``: a dict from each packed key
     of the product, in order of first appearance, to its four numerators.
     ``hamilton``'s formula is restated inline in its operation order, the
     ``basis_product`` sign negates, and sums that cancel to zero are kept.
+    The same rows given twice are squared by ``_stem_square``.
     """
-    # per mask of the left terms, which right terms its product negates
-    negates = {m1: [basis_product(m1, m2)[0] < 0 for _, m2, _ in right]
-               for m1 in {m1 for _, m1, _ in left}}
+    if left is right:
+        return _stem_square(left)
+    negates = _negations({m1 for _, m1, _ in left}, right)
     sums = {}
     for k1, m1, (a, b, c, d) in left:
         for (k2, _, (e, f, g, h)), negate in zip(right, negates[m1]):
@@ -88,6 +99,53 @@ def _stem_product(left, right):
             x = a * f + b * e + c * h - d * g
             y = a * g - b * h + c * e + d * f
             z = a * h + b * g - c * f + d * e
+            if negate:
+                w, x, y, z = -w, -x, -y, -z
+            key = k1 + k2
+            cur = sums.get(key)
+            if cur is None:
+                sums[key] = [w, x, y, z]
+            else:
+                cur[0] += w
+                cur[1] += x
+                cur[2] += y
+                cur[3] += z
+    return sums
+
+
+def _stem_square(rows):
+    """``_stem_product(rows, rows)``, formed over the unordered pairs of
+    terms.  For q_i = (a, v) and q_j = (e, u), the pair i < j gives
+    q_i q_j + q_j q_i = (2(ae - v.u), 2(au + ev)), as the cross products
+    cancel, and the term i gives q_i^2 = (a^2 - |v|^2, 2av); the basis sign
+    is symmetric in i and j.  Each key first appears at its smallest ordered
+    pair, which has i <= j, so the keys come in ``_stem_product``'s order
+    and, on ints, with its sums."""
+    negates = _negations({m for _, m, _ in rows}, rows)
+    doubled = [(k, (e + e, f + f, g + g, h + h))
+               for k, _, (e, f, g, h) in rows]
+    sums = {}
+    for i, (k1, m1, (a, b, c, d)) in enumerate(rows):
+        signs = negates[m1]
+        f, g, h = doubled[i][1][1:]  # 2v, so that a * 2v is 2av
+        w = a * a - b * b - c * c - d * d
+        x, y, z = a * f, a * g, a * h
+        if signs[i]:
+            w, x, y, z = -w, -x, -y, -z
+        key = k1 + k1
+        cur = sums.get(key)
+        if cur is None:
+            sums[key] = [w, x, y, z]
+        else:
+            cur[0] += w
+            cur[1] += x
+            cur[2] += y
+            cur[3] += z
+        for (k2, (e, f, g, h)), negate in zip(doubled[i + 1:], signs[i + 1:]):
+            w = a * e - b * f - c * g - d * h
+            x = a * f + b * e
+            y = a * g + c * e
+            z = a * h + d * e
             if negate:
                 w, x, y, z = -w, -x, -y, -z
             key = k1 + k2
@@ -324,7 +382,8 @@ class SliceFunction:
     def __mul__(self, other):
         """Slice product: the pointwise product of the inducing stems.  The
         pairs of terms multiply and sum on the numerators
-        (``_stem_product``), over the product of the denominators, and the
+        (``_stem_product``; ``f * f`` packs f once, and is squared over its
+        unordered pairs), over the product of the denominators, and the
         sums that cancel are dropped.  A product of more pairs of terms than
         ``MAX_STEM_TERMS`` is refused before any pair is formed."""
         self._check_compatible(other)
@@ -335,9 +394,10 @@ class SliceFunction:
             raise ValueError("stem term cap %d exceeded: a product of %d by "
                              "%d terms" % (MAX_STEM_TERMS, a, b))
         size = 2 * self.n
+        left = _packed(self)
+        right = left if other is self else _packed(other)
         terms = {tuple(key.to_bytes(size, "little")): tuple(comps)
-                 for key, comps in _stem_product(_packed(self),
-                                                 _packed(other)).items()
+                 for key, comps in _stem_product(left, right).items()
                  if any(comps)}
         return _lowest(self.n, self.den * other.den, terms,
                        degrees if terms else None)
@@ -484,11 +544,21 @@ class SliceFunction:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self):
+        """The stem as a JSON document: each term's exponents, parity mask
+        and four components as ``str`` of their ``Fraction``s, written from
+        the int numerators over ``den`` by one gcd each."""
         n, den = self.n, self.den
+
+        def text(v):
+            g = math.gcd(v, den)
+            if g == den:
+                return number_text(v // g)
+            return number_text(v // g) + "/" + number_text(den // g)
+
         return {"n": n, "terms": [
             {"alpha_exps": list(key[:n]), "beta_exps": list(key[n:]),
              "components": [{"mask": _parity(key[n:]), "quaternion": [
-                 number_text(Fraction(v, den)) for v in self.terms[key]]}]}
+                 text(v) for v in self.terms[key]]}]}
             for key in sorted(self.terms)]}
 
     @classmethod
@@ -523,6 +593,8 @@ class SliceFunction:
             if len(comps) != 4:
                 raise ValueError("stem term %r lists %d quaternion components, "
                                  "expected 4" % (key, len(comps)))
+            for c in comps:
+                _check_json_number(c, key)
             terms[key] = Quaternion(*[Fraction(c) for c in comps])
         return cls(n, terms)
 
@@ -542,6 +614,30 @@ def _json_field(obj, name, where, kind=list):
         raise ValueError("%s field %r must be a %s, not %s" % (
             where, name, kind.__name__, type(obj[name]).__name__))
     return obj[name]
+
+
+# A denominator of zeros only, as ``Fraction``'s literals write it.
+_ZERO_DENOMINATOR = re.compile(r"/\s*0+(?:_0+)*\s*\Z")
+
+
+def _check_json_number(c, key):
+    """Refuse a quaternion entry of stem term ``key`` that is not a str or
+    an int (a bool or float included: stems are exact), has a run of more
+    than ``MAX_DIGITS`` digits, or a zero denominator, with a ValueError
+    that names the term, before ``Fraction`` converts it."""
+    if type(c) is int:
+        return
+    if not isinstance(c, str):
+        raise ValueError("stem term %r has a quaternion component of type %s, "
+                         "expected a str or an int" % (key, type(c).__name__))
+    run = LONG_DIGIT_RUN.search(c)
+    if run:
+        raise ValueError("stem term %r has a quaternion component of %d "
+                         "digits, more than the %d accepted"
+                         % (key, len(run.group()), MAX_DIGITS))
+    if _ZERO_DENOMINATOR.search(c):
+        raise ValueError("stem term %r has a quaternion component %r with a "
+                         "zero denominator" % (key, c))
 
 
 # One class serves both names: a slice polynomial is induced by exactly one

@@ -2,8 +2,10 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qwirt
 from qwirt import cli
@@ -233,3 +235,32 @@ def test_negative_point_attaches_to_at(capsys):
         main(["eval", "--at", "-1+i", "x1"])
     assert exit_info.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+# Scalars of every type json.encoder tests for, and a Fraction, which
+# default=str writes as its string; text covers non-ASCII and control
+# characters, floats cover -0.0, NaN and both infinities.
+_JSON_SCALARS = st.one_of(
+    st.text(), st.integers(), st.integers(-10**400, 10**400), st.floats(),
+    st.just(-0.0), st.booleans(), st.none(),
+    st.builds(Fraction, st.integers(), st.integers(1, 10**9)))
+_JSON_KEYS = st.one_of(st.text(max_size=4), st.integers(), st.floats(),
+                       st.booleans(), st.none())
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_JSON_KEYS, inner, max_size=4)), max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_the_json_writer_matches_json_dumps(value):
+    out = []
+    cli._write_json(value, out, "\n")
+    assert "".join(out) == json.dumps(cli._strict(value), indent=2,
+                                      default=str)
+
+
+def test_the_json_writer_refuses_the_keys_json_refuses():
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool "
+                                        "or None, not tuple"):
+        cli._write_json({(1, 2): 3}, [], "\n")

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from qwirt import slicefn
 from qwirt.expr import parse_slice
+from qwirt.numeric import lift
 from qwirt.quaternion import Quaternion, ONE, I, J, K
 from qwirt.stem import StemElement, basis_product, bit
 from qwirt.slicefn import (SliceFunction, StemPolynomial, variable,
@@ -163,6 +165,41 @@ def test_powers_match_the_chain_of_products(data, n, kind):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(1, 3), st.sampled_from(sorted(COMPONENTS)))
+def test_a_square_matches_the_product_of_two_copies(data, n, kind):
+    # f * f forms each unordered pair of terms once, f * copy(f) every
+    # ordered pair: the same denominator, the same terms in the same order
+    # and the same float kernel bits
+    f = data.draw(stems(n, kind))
+    square, product = f * f, f * copy.copy(f)
+    assert stored(square) == stored(product)
+    point = data.draw(st.tuples(*[st.floats(-2, 2)] * (4 * n)))
+    assert [v.hex() for v in lift(square).flat(point)] \
+        == [v.hex() for v in lift(product).flat(point)]
+
+
+def test_only_a_stem_times_itself_is_squared(monkeypatch):
+    f = parse_slice("~x1*(1/3+2/5i)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i)", 3)
+    sizes = [len(f.terms), len((f * f).terms)]
+    squares = []
+    inner = slicefn._stem_square
+    monkeypatch.setattr(slicefn, "_stem_square",
+                        lambda rows: squares.append(len(rows)) or inner(rows))
+    f * copy.copy(f)
+    assert squares == []
+    f ** 4
+    assert squares == sizes
+
+
+def test_the_sign_table_is_the_basis_product_sign():
+    for n in range(1, 5):
+        masks = range(1 << n)
+        rows = [(0, m2, (1, 0, 0, 0)) for m2 in masks]
+        assert slicefn._negations(masks, rows) == {
+            m1: [basis_product(m1, m2)[0] < 0 for m2 in masks] for m1 in masks}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 3), st.sampled_from(sorted(COMPONENTS)))
 def test_partials_match_the_separate_stem_pipeline(data, n, kind):
     # the same terms in the same order, which the float kernel sums in, over
     # the same denominator
@@ -311,6 +348,12 @@ def _doc(n, terms):
     return {"n": n, "terms": terms}
 
 
+def _quaternion_doc(entry):
+    """x1 (n=1) with ``entry`` as its j component."""
+    return _doc(1, [{"alpha_exps": [1], "beta_exps": [0], "components": [
+        {"mask": 0, "quaternion": ["1", "0", entry, "0"]}]}])
+
+
 @pytest.mark.parametrize("data, match", [
     # concatenated, these make a key of length 2n, beta_1^1, whose parity
     # mask is 1; the mask 0 listed matches the parity of beta_exps as given
@@ -338,9 +381,27 @@ def _doc(n, terms):
     (_doc(1, [{"alpha_exps": 1, "beta_exps": [0], "components": _ONE_ON_EMPTY}]),
      r"stem term 0 field 'alpha_exps' must be a list, not int"),
     ([{"n": 1, "terms": []}], r"stem document has no 'n' field"),
+    # a bare TypeError from Fraction, CPython's int-string limit and a bare
+    # ZeroDivisionError; a float is refused as the constructor refuses it
+    (_quaternion_doc(None), r"stem term \(1, 0\) has a quaternion component "
+     r"of type NoneType, expected a str or an int"),
+    (_quaternion_doc([1]), r"stem term \(1, 0\) has a quaternion component "
+     r"of type list"),
+    (_quaternion_doc(True), r"stem term \(1, 0\) has a quaternion component "
+     r"of type bool"),
+    (_quaternion_doc(0.5), r"stem term \(1, 0\) has a quaternion component "
+     r"of type float"),
+    (_quaternion_doc("1" * 5000), r"stem term \(1, 0\) has a quaternion "
+     r"component of 5000 digits, more than the 4300 accepted"),
+    (_quaternion_doc("-2/" + "3" * 4301), r"of 4301 digits"),
+    (_quaternion_doc("1/0"), r"stem term \(1, 0\) has a quaternion component "
+     r"'1/0' with a zero denominator"),
+    (_quaternion_doc("-3 / 0_00"), r"'-3 / 0_00' with a zero denominator"),
 ], ids=["wrong-length", "listed-twice", "non-int", "three-components",
         "five-components", "bool-n", "float-n", "str-n", "no-terms", "no-n",
-        "no-components", "int-alpha-exps", "top-level-list"])
+        "no-components", "int-alpha-exps", "top-level-list", "null-entry",
+        "list-entry", "bool-entry", "float-entry", "long-numerator",
+        "long-denominator", "zero-denominator", "spaced-zero-denominator"])
 def test_from_json_refuses_malformed_terms(data, match):
     with pytest.raises(ValueError, match=match):
         SliceFunction.from_json(data)
