@@ -113,6 +113,9 @@ RUNS = (
     # ^8 squares three times and multiplies nothing else
     ("theta", "--m", "1", "--n", "3",
      "(x1*(1/2-1/3j)+x2*~x3*(2/5+i)+~x1*(3/4k))^8"),
+    # Fueter entries at level 3: three nested negated Fueter derivatives
+    ("almansi", "--flavor", "a", "--level", "3", "--n", "3",
+     "x1*x2*x3+x2^2*x3*(1/3k)", "--samples", "2", "--seed", "12"),
 )
 
 
