@@ -23,10 +23,9 @@ from functools import reduce
 from .quaternion import Quaternion, hamilton
 from .stem import bit, mask_indices
 from .slicefn import SliceFunction, monomial, variable
-from .numeric import (fueter_derivative_field, spherical_dirac_field,
-                      multiply_by_variable, div_by_twice_im, negate_field,
-                      running_worst, sweep, report_tail, check_tolerance,
-                      field_point, _add)
+from .numeric import (negated_fueter_field, normalized_dirac_field,
+                      multiply_by_variable, running_worst, sweep, report_tail,
+                      check_tolerance, field_point, _add)
 from .sampling import respin_units, _sample_points
 
 FLAVOR_SPHERICAL = "spherical"
@@ -137,17 +136,14 @@ def _numeric_levels(flavor, derivative, field, level):
 
 def fueter_components(field, level):
     """Numeric family by nested negated Cauchy-Riemann-Fueter derivatives."""
-    return list(_numeric_levels(
-        FLAVOR_FUETER, lambda g, m: negate_field(fueter_derivative_field(g, m)),
-        field, level))[-1]
+    return list(_numeric_levels(FLAVOR_FUETER, negated_fueter_field, field,
+                                level))[-1]
 
 
 def dirac_levels(field, level):
     """Yield the Dirac families of levels 1..``level``, each built from the
     entries of the one before."""
-    return _numeric_levels(
-        FLAVOR_DIRAC, lambda g, m: div_by_twice_im(spherical_dirac_field(g, m), m),
-        field, level)
+    return _numeric_levels(FLAVOR_DIRAC, normalized_dirac_field, field, level)
 
 
 def dirac_components(field, level):

@@ -14,11 +14,12 @@ The operators run on flat points and tuple values.  A point is the flat
 tuple of its 4n components, as given, which is also the key of every memo;
 a component becomes a float only where an operator calls ``float()`` on it.
 A value is a component 4-tuple.  Products go through ``quaternion.hamilton``
-and sums, negations and scalings follow the component order of
-``Quaternion`` arithmetic, so every value is bit for bit the one quaternion
-arithmetic gives.  The public operators take a point of quaternions through
-``field_point``, which refuses a point whose length is not the field's n,
-and return a quaternion.
+or restate it in its operation order (the product by x_m), and sums,
+negations and scalings follow the component order of ``Quaternion``
+arithmetic, inline where they sit on the stencil path, so every value is
+bit for bit the one quaternion arithmetic gives.  The public operators
+take a point of quaternions through ``field_point``, which refuses a point
+whose length is not the field's n, and return a quaternion.
 
 Every coordinate partial comes from one stencil routine, ``_partials``:
 several coordinates of one variable in one pass, each displaced by +h, then
@@ -27,10 +28,17 @@ spends its derivative once, then calls it.
 
 Every field is a ``NumericField``, with one rule for its flat form: ``flat``
 is ``func.flat`` when ``func`` has one, as the compiled stem of ``lift(f)``
-and every field from ``derived`` do, else ``func`` at the point's
+and every field the library builds do, else ``func`` at the point's
 quaternions.  So a wrapper without ``flat`` put in place of ``func`` sees
 every evaluation of its field (``functools.wraps`` would copy ``flat`` onto
 it, and the wrapper would be bypassed).
+
+Memos sit where values are shared: every derivative field (``derived``,
+cost 1), including the one field of each component-family entry, and the
+base view a family is built on.  A pointwise view (``negate_field``,
+``multiply_by_variable``, ``div_by_twice_im``) keeps none; it costs less
+than a memo lookup, and a derivative field above it reads each of its
+stencil points once.
 """
 
 import math
@@ -79,8 +87,10 @@ class NumericField:
     component 4-tuple.  The field's ``flat``, on which the operators run, is
     ``func.flat`` when there is one, else ``func`` at the point's
     quaternions.  A field built by the caller keeps no state; one built by
-    ``derived`` memoizes its values for as long as it lives.  A view or
-    product of a field reads the field's ``flat`` once, when it is built.
+    ``derived`` memoizes its values for as long as it lives, and a pointwise
+    view or product keeps none.  A view or product of a field reads the
+    field's ``flat`` once, when it is built; a product goes through
+    ``hamilton`` or restates it in its operation order.
 
     n must be an int >= 1, the step finite and > 0, the band finite and >= 0.
     """
@@ -128,8 +138,10 @@ class NumericField:
         """The field of ``flat``, a function of flat points with 4-tuple
         values, memoized by the flat point (a raised exception is never
         stored).  It spends ``cost`` of this field's budget now; a
-        derivative (cost 1) steps by ``NESTED_STEP``, a cost-0 view or
-        product keeps this field's step."""
+        derivative (cost 1) steps by ``NESTED_STEP``, and a cost-0 view,
+        such as the base view a component family shares, keeps this
+        field's step.  ``flat`` computes its products by ``hamilton`` or
+        restates it in its operation order."""
         if cost:
             self.spend(cost)
         values = {}
@@ -240,16 +252,21 @@ def _partials(field, m, coords, point, step=None):
     """The central differences in the real coordinates ``coords`` of x_m,
     in that order, each from the value at the point displaced by +h, then
     by -h: the one stencil routine of every coordinate partial.  It checks
-    nothing; its caller has checked m and spent one derivative."""
+    nothing; its caller has checked m and spent one derivative.  The
+    displaced points and the scaled differences are formed in place, in the
+    operation order of ``_displace``, ``_sub`` and ``_scale``."""
     h = field.step if step is None else step
+    minus_h = -h
     scale = 1.0 / (2.0 * h)
     flat = field.flat
     out = []
     for i in coords:
         k = 4 * (m - 1) + i
-        plus = flat(_displace(point, k, h))
-        minus = flat(_displace(point, k, -h))
-        out.append(_scale(_sub(plus, minus), scale))
+        head, c, tail = point[:k], point[k], point[k + 1:]
+        pw, px, py, pz = flat(head + (c + h,) + tail)
+        mw, mx, my, mz = flat(head + (c + minus_h,) + tail)
+        out.append(((pw - mw) * scale, (px - mx) * scale, (py - my) * scale,
+                    (pz - mz) * scale))
     return out
 
 
@@ -293,12 +310,15 @@ def _spherical_dirac(field, m, point):
     _check_var(field, m)
     _, x1, x2, x3 = _coordinates(point, m)
     field.spend()
-    d1, d2, d3 = _partials(field, m, (1, 2, 3), point)
-    l23 = _sub(_scale(d3, x2), _scale(d2, x3))
-    l13 = _sub(_scale(d3, x1), _scale(d1, x3))
-    l12 = _sub(_scale(d2, x1), _scale(d1, x2))
-    w, x, y, z = hamilton(_I, l23)
-    return _sub(_add((-w, -x, -y, -z), hamilton(_J, l13)), hamilton(_K, l12))
+    (a1, b1, c1, e1), (a2, b2, c2, e2), (a3, b3, c3, e3) = _partials(
+        field, m, (1, 2, 3), point)
+    w, x, y, z = hamilton(_I, (a3 * x2 - a2 * x3, b3 * x2 - b2 * x3,
+                               c3 * x2 - c2 * x3, e3 * x2 - e2 * x3))
+    jw, jx, jy, jz = hamilton(_J, (a3 * x1 - a1 * x3, b3 * x1 - b1 * x3,
+                                   c3 * x1 - c1 * x3, e3 * x1 - e1 * x3))
+    kw, kx, ky, kz = hamilton(_K, (a2 * x1 - a1 * x2, b2 * x1 - b1 * x2,
+                                   c2 * x1 - c1 * x2, e2 * x1 - e1 * x2))
+    return (-w + jw - kw, -x + jx - kx, -y + jy - ky, -z + jz - kz)
 
 
 def _fueter(field, m, point):
@@ -389,6 +409,42 @@ def fueter_derivative_field(field, m):
     return field.derived(lambda p: _fueter(field, m, p))
 
 
+def negated_fueter_field(field, m):
+    """The field of -(Cauchy-Riemann-Fueter derivative in x_m): one
+    derivative field, the value of ``negate_field`` of
+    ``fueter_derivative_field`` with one memo instead of two."""
+
+    def flat(point):
+        w, x, y, z = _fueter(field, m, point)
+        return (-w, -x, -y, -z)
+
+    return field.derived(flat)
+
+
+def normalized_dirac_field(field, m):
+    """The field of (2 Im(x_m))^-1 times the spherical Dirac derivative in
+    x_m: one derivative field, the value of ``div_by_twice_im`` of
+    ``spherical_dirac_field`` with one memo instead of two.  The band is
+    checked before the stencil runs."""
+    _check_var(field, m)
+
+    def flat(point):
+        _check_off_axis(field, m, point)
+        return hamilton(_inverse_im(point, m, 2.0),
+                        _spherical_dirac(field, m, point))
+
+    return field.derived(flat)
+
+
+def _view(field, flat):
+    """The field of ``flat``, a pointwise view of ``field`` with its
+    configuration and no memo: it is evaluated afresh at every call, and
+    its values are shared only through the memos of the fields below and
+    above it."""
+    return NumericField(quaternion_form(flat), field.n, field.smoothness,
+                        field.step, field.band)
+
+
 def negate_field(field):
     flat = field.flat
 
@@ -396,22 +452,31 @@ def negate_field(field):
         w, x, y, z = flat(point)
         return (-w, -x, -y, -z)
 
-    return field.derived(func, cost=0)
+    return _view(field, func)
 
 
 def multiply_by_variable(field, m, conj=False):
     """Pointwise left multiplication by x_m (or its conjugate); smooth, so
-    the derivative budget is untouched."""
+    the derivative budget is untouched.  The product restates ``hamilton``
+    in its operation order."""
     _check_var(field, m)
     flat = field.flat
-    if conj:
-        def func(point):
-            w, x, y, z = _coordinates(point, m)
-            return hamilton((w, -x, -y, -z), flat(point))
-    else:
-        def func(point):
-            return hamilton(_coordinates(point, m), flat(point))
-    return field.derived(func, cost=0)
+    k = 4 * (m - 1)
+
+    def func(point):
+        a = float(point[k])
+        b = float(point[k + 1])
+        c = float(point[k + 2])
+        d = float(point[k + 3])
+        if conj:
+            b, c, d = -b, -c, -d
+        e, f, g, h = flat(point)
+        return (a * e - b * f - c * g - d * h,
+                a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f,
+                a * h + b * g - c * f + d * e)
+
+    return _view(field, func)
 
 
 def div_by_twice_im(field, m):
@@ -423,7 +488,7 @@ def div_by_twice_im(field, m):
         _check_off_axis(field, m, point)
         return hamilton(_inverse_im(point, m, 2.0), flat(point))
 
-    return field.derived(func, cost=0)
+    return _view(field, func)
 
 
 def lift(f, smoothness=DEFAULT_SMOOTHNESS, step=DEFAULT_STEP, band=DEFAULT_BAND):

@@ -25,8 +25,8 @@ from functools import lru_cache, reduce
 from operator import add, mul
 
 from .quaternion import (Quaternion, ONE, LONG_DIGIT_RUN, MAX_DIGITS,
-                         format_quaternion, hamilton, number_text,
-                         quaternion_form, split_slice_components)
+                         NUMBER_PATTERN, format_quaternion, number_text,
+                         quaternion_form)
 from .stem import MAX_VARS
 
 MAX_DEGREE_PER_VARIABLE = 32
@@ -219,6 +219,8 @@ def _compile_stem(f):
     """
     n, den = f.n, f.den
     one = (1.0, 0.0, 0.0, 0.0)
+    axis_unit = (0.0, 1.0, 0.0, 0.0)
+    sqrt = math.sqrt
     powers = {}
     terms = []
     plan = set()
@@ -245,7 +247,12 @@ def _compile_stem(f):
 
     def parts(values, prods):
         for mask, low, rest in plan:
-            prods[mask] = hamilton(prods[low], prods[rest])
+            a, b, c, d = prods[low]
+            e, f, g, h = prods[rest]
+            prods[mask] = (a * e - b * f - c * g - d * h,
+                           a * f + b * e + c * h - d * g,
+                           a * g - b * h + c * e + d * f,
+                           a * h + b * g - c * f + d * e)
         table = [values[i] ** k for i, k in powers]
         tw = tx = ty = tz = 0.0
         for slots, mask, (e, f, g, h) in terms:
@@ -271,10 +278,18 @@ def _compile_stem(f):
         values = []
         prods = [one] * size
         for k, unit in coordinates:
-            alpha, beta, prods[unit] = split_slice_components(
-                point[k], point[k + 1], point[k + 2], point[k + 3])
-            values.append(alpha)
-            values.append(beta)
+            # the operations of split_slice_components, in its order
+            n2 = ((x := float(point[k + 1])) ** 2
+                  + (y := float(point[k + 2])) ** 2
+                  + (z := float(point[k + 3])) ** 2)
+            values.append(float(point[k]))
+            if n2 == 0.0:
+                values.append(0.0)
+                prods[unit] = axis_unit
+            else:
+                b = sqrt(n2)
+                values.append(b)
+                prods[unit] = (0.0, x / b, y / b, z / b)
         return parts(values, prods)
 
     return flat, parts
@@ -618,13 +633,17 @@ def _json_field(obj, name, where, kind=list):
 
 # A denominator of zeros only, as ``Fraction``'s literals write it.
 _ZERO_DENOMINATOR = re.compile(r"/\s*0+(?:_0+)*\s*\Z")
+# A quaternion entry as ``to_json`` writes it: a number literal of the
+# expression language with an optional minus sign, in ASCII digits.
+_JSON_NUMBER = re.compile(r"-?" + NUMBER_PATTERN, re.ASCII)
 
 
 def _check_json_number(c, key):
     """Refuse a quaternion entry of stem term ``key`` that is not a str or
     an int (a bool or float included: stems are exact), has a run of more
-    than ``MAX_DIGITS`` digits, or a zero denominator, with a ValueError
-    that names the term, before ``Fraction`` converts it."""
+    than ``MAX_DIGITS`` digits or a zero denominator, or is a str other than
+    a signed number literal (no exponent, blank, ``_`` or ``+``), with a
+    ValueError that names the term, before ``Fraction`` converts it."""
     if type(c) is int:
         return
     if not isinstance(c, str):
@@ -638,6 +657,10 @@ def _check_json_number(c, key):
     if _ZERO_DENOMINATOR.search(c):
         raise ValueError("stem term %r has a quaternion component %r with a "
                          "zero denominator" % (key, c))
+    if not _JSON_NUMBER.fullmatch(c):
+        raise ValueError("stem term %r has a quaternion component %r that is "
+                         "not an integer, ratio or decimal with an optional "
+                         "minus sign" % (key, c))
 
 
 # One class serves both names: a slice polynomial is induced by exactly one

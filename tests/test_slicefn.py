@@ -397,11 +397,24 @@ def _quaternion_doc(entry):
     (_quaternion_doc("1/0"), r"stem term \(1, 0\) has a quaternion component "
      r"'1/0' with a zero denominator"),
     (_quaternion_doc("-3 / 0_00"), r"'-3 / 0_00' with a zero denominator"),
+    # Fraction read these: an exponent (a 330,000-bit numerator), blanks,
+    # an underscore and a plus sign; "abc" raised Fraction's own message
+    (_quaternion_doc("1e100000"), r"stem term \(1, 0\) has a quaternion "
+     r"component '1e100000' that is not an integer, ratio or decimal with an "
+     r"optional minus sign"),
+    (_quaternion_doc(" 1/2 "), r"stem term \(1, 0\) has a quaternion "
+     r"component ' 1/2 ' that is not"),
+    (_quaternion_doc("1_000"), r"component '1_000' that is not"),
+    (_quaternion_doc("+3"), r"component '\+3' that is not"),
+    (_quaternion_doc("abc"), r"stem term \(1, 0\) has a quaternion "
+     r"component 'abc' that is not"),
 ], ids=["wrong-length", "listed-twice", "non-int", "three-components",
         "five-components", "bool-n", "float-n", "str-n", "no-terms", "no-n",
         "no-components", "int-alpha-exps", "top-level-list", "null-entry",
         "list-entry", "bool-entry", "float-entry", "long-numerator",
-        "long-denominator", "zero-denominator", "spaced-zero-denominator"])
+        "long-denominator", "zero-denominator", "spaced-zero-denominator",
+        "exponent-entry", "blank-padded-entry", "underscore-entry",
+        "plus-entry", "word-entry"])
 def test_from_json_refuses_malformed_terms(data, match):
     with pytest.raises(ValueError, match=match):
         SliceFunction.from_json(data)

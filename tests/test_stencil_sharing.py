@@ -21,9 +21,11 @@ from qwirt.expr import parse_slice
 from qwirt.numeric import (NumericField, NearRealAxisError, DepthExhaustedError,
                            lift, coordinate_partial, spherical_dirac_field,
                            fueter_derivative_field, negate_field,
-                           multiply_by_variable, div_by_twice_im)
+                           multiply_by_variable, div_by_twice_im,
+                           negated_fueter_field, normalized_dirac_field)
 from qwirt import slicefn
-from qwirt.quaternion import Quaternion, flat_point
+from qwirt.quaternion import (Quaternion, flat_point, hamilton,
+                              quaternion_form, split_slice_components)
 from qwirt.sampling import random_slice_point
 from qwirt.slicefn import SliceFunction, variable, conj_variable
 from qwirt.wirtinger import (wirtinger_conj_derivative_numeric,
@@ -246,6 +248,84 @@ def test_derived_banded_field_raises_at_every_call():
             field(p)
 
 
+def test_a_dirac_entry_checks_the_band_before_its_stencil():
+    base = lift(variable(1, 1))
+    counter = Counter(base)
+    field = normalized_dirac_field(base, 1)
+    for _ in range(2):
+        with pytest.raises(NearRealAxisError):
+            field((Quaternion(1.0, 0.05),))
+    assert counter.calls == 0
+
+
+def _counted_field():
+    """A field of one variable whose flat form records every point it is
+    asked for."""
+    calls = []
+
+    def flat(point):
+        calls.append(point)
+        w, x, y, z = point
+        return (w * x - y, x * z + 0.5, w - z * y, y * y)
+
+    return NumericField(quaternion_form(flat), 1), calls
+
+
+_P = (Quaternion(0.5, 1.0, 0.25, -0.5),)
+
+
+@pytest.mark.parametrize("build", [
+    negate_field, lambda f: multiply_by_variable(f, 1),
+    lambda f: multiply_by_variable(f, 1, conj=True),
+    lambda f: div_by_twice_im(f, 1)],
+    ids=["negate", "times_x1", "times_conj_x1", "div_by_twice_im"])
+def test_a_pointwise_view_keeps_no_memo(build):
+    # a view costs less than a memo lookup, so it reads its parent at every
+    # call; its values are shared through the memos below and above it
+    parent, calls = _counted_field()
+    view = build(parent)
+    first = view(_P).components()
+    assert view(_P).components() == first
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("build, stencil", [
+    (spherical_dirac_field, 6), (fueter_derivative_field, 8),
+    (negated_fueter_field, 8), (normalized_dirac_field, 6)])
+def test_a_derivative_field_reads_each_stencil_point_once(build, stencil):
+    parent, calls = _counted_field()
+    field = build(parent, 1)
+    values = {field(_P).components() for _ in range(3)}
+    assert len(values) == 1
+    assert len(calls) == len(set(calls)) == stencil
+    # over a view, the derivative's memo still reads each point once
+    parent, calls = _counted_field()
+    field = build(multiply_by_variable(parent, 1), 1)
+    for _ in range(3):
+        field(_P)
+    assert len(calls) == len(set(calls)) == stencil
+
+
+@pytest.mark.parametrize("one, two", [
+    (negated_fueter_field,
+     lambda g, m: negate_field(fueter_derivative_field(g, m))),
+    (normalized_dirac_field,
+     lambda g, m: div_by_twice_im(spherical_dirac_field(g, m), m))],
+    ids=["fueter", "dirac"])
+def test_a_family_entry_field_matches_its_two_field_form(one, two):
+    # one derived field per family entry, with the bits of the composition
+    base = lift(parse_slice("x1*~x2*(1/2-j) + x2^2*x1*(1/3k)", 2))
+    rng = random.Random(12)
+    for m in (1, 2):
+        for _ in range(4):
+            p = random_slice_point(rng, 2)
+            want = [c.hex() for c in two(base, m)(p).components()]
+            assert [c.hex() for c in one(base, m)(p).components()] == want
+            got = one(two(base, 1), m)(p).components()
+            assert [c.hex() for c in got] == [
+                c.hex() for c in two(two(base, 1), m)(p).components()]
+
+
 def _reference_lift(f, point):
     """Quaternion-object evaluation: the reference for the compiled stem."""
     n = f.n
@@ -368,6 +448,74 @@ def test_flat_kernel_matches_the_reference_bit_for_bit(f, seed):
         assert [c.hex() for c in parts.components()] == want
 
 
+def _split_and_hamilton(f, point):
+    """f at a flat point from ``split_slice_components`` and ``hamilton``:
+    each coordinate split by the one, each unit product formed by the other
+    as its lowest unit times the rest, and the terms summed in the kernel's
+    order."""
+    n = f.n
+    values, units = [], {0: (1.0, 0.0, 0.0, 0.0)}
+    for m in range(n):
+        alpha, beta, units[1 << m] = split_slice_components(
+            *point[4 * m:4 * m + 4])
+        values += [alpha, beta]
+
+    def unit(mask):
+        if mask not in units:
+            low = mask & -mask
+            units[mask] = hamilton(unit(low), unit(mask & ~low))
+        return units[mask]
+
+    total = (0.0, 0.0, 0.0, 0.0)
+    for key, comps in f.terms.items():
+        scalar, mask = 1.0, 0
+        for m in range(n):
+            if key[m]:
+                scalar *= values[2 * m] ** key[m]
+            if key[n + m]:
+                scalar *= values[2 * m + 1] ** key[n + m]
+                mask |= (key[n + m] & 1) << m
+        if scalar == 0.0:
+            continue
+        coeff = tuple(v / f.den for v in comps)
+        term = hamilton(unit(mask), coeff) if mask else coeff
+        total = tuple(t + c * scalar for t, c in zip(total, term))
+    return total
+
+
+def _hex_or_overflow(evaluate, f, point):
+    try:
+        return [c.hex() for c in evaluate(f, point)]
+    except OverflowError:
+        return "OverflowError"
+
+
+# Point components: zeros of both signs, exact ones, and floats up to 1e200,
+# whose squares leave the float range.
+_POINT_COMPONENTS = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, Fraction(1, 3), Fraction(-7, 2)]),
+    st.fractions(min_value=-8, max_value=8, max_denominator=40),
+    st.floats(min_value=-1e200, max_value=1e200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stems(), st.data())
+def test_the_kernels_split_and_unit_products_are_split_and_hamiltons(f, data):
+    # the kernel splits each coordinate and forms its unit products inline;
+    # the bits, and the OverflowError of a square past the float range, are
+    # those of split_slice_components and hamilton
+    n = f.n
+    drawn = tuple(data.draw(st.lists(_POINT_COMPONENTS, min_size=4 * n,
+                                     max_size=4 * n)))
+    on_axis = (0.75, -0.0, 0.0, -0.0) * n
+    overflow = (0.5, 1e200, 0.0, Fraction(1, 3)) * n
+    kernel = lift(f).func.flat
+    for point in (drawn, on_axis, overflow):
+        want = _hex_or_overflow(_split_and_hamilton, f, point)
+        assert _hex_or_overflow(lambda f, p: kernel(p), f, point) == want
+    assert _hex_or_overflow(_split_and_hamilton, f, overflow) == "OverflowError"
+
+
 def test_an_underflowed_coefficient_matches_the_reference():
     # -1/10^400 is -0.0 as a float: on mask 0 the kernel adds the coefficient
     # times the scalar where the reference adds (1.0, 0.0, 0.0, 0.0) times
@@ -409,6 +557,8 @@ def _built_fields(base):
     return {"view": base.derived(base.flat, cost=0),
             "spherical_dirac": spherical_dirac_field(base, 1),
             "fueter": fueter_derivative_field(base, 1),
+            "negated_fueter": negated_fueter_field(base, 1),
+            "normalized_dirac": normalized_dirac_field(base, 1),
             "negate": negate_field(base),
             "times_x1": multiply_by_variable(base, 1),
             "times_conj_x1": multiply_by_variable(base, 1, conj=True),
