@@ -22,9 +22,10 @@ class RealArgumentError(ValueError):
 def hamilton(p, q):
     """Hamilton's product of two component 4-tuples ``(w, x, y, z)``, as
     ``Quaternion.__mul__`` and the numeric operators compute it.  The stem
-    kernel (``slicefn._compile_stem``) and the stem product
-    (``slicefn._stem_product``) restate it inline in this operation order;
-    tests pin both to these bits."""
+    kernel (``slicefn._compile_stem``), the stem product
+    (``slicefn._stem_product``) and ``numeric.multiply_by_variable``
+    restate it inline in this operation order; tests pin them to these
+    bits."""
     a, b, c, d = p
     e, f, g, h = q
     return (a * e - b * f - c * g - d * h,
@@ -187,7 +188,9 @@ def split_slice_components(w, x, y, z):
     floats ``(alpha, beta, J)``, J a component 4-tuple.  On the real axis J
     is i; stem parity makes evaluation independent of that choice.  ``** 2``
     raises ``OverflowError`` where a square leaves the float range, where
-    ``*`` would give inf, a zero unit and a wrong value."""
+    ``*`` would give inf, a zero unit and a wrong value.  The stem kernel
+    (``slicefn._compile_stem``) restates these operations inline in this
+    order; a test pins it to these bits."""
     n2 = float(x) ** 2 + float(y) ** 2 + float(z) ** 2
     if n2 == 0.0:
         return float(w), 0.0, (0.0, 1.0, 0.0, 0.0)

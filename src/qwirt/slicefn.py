@@ -202,10 +202,12 @@ def _compile_stem(f):
     ``parts(values, prods)``, the term loop ``flat`` ends in, on the list
     alpha_1, beta_1, ..., alpha_n, beta_n and the unit-product table of 2^n
     component 4-tuples by subset mask, (1.0, 0.0, 0.0, 0.0) at 0 and J_m at
-    2^(m-1).  ``flat`` splits each coordinate by ``split_slice_components``
-    and writes J_m into the table.  ``parts`` forms each other unit product
-    the stem uses as its lowest unit times the rest, in ascending mask
-    order, and each distinct power ``values[i] ** k`` once.
+    2^(m-1).  ``flat`` splits each coordinate with the operations of
+    ``split_slice_components``, inline and in its order (so a square past
+    the float range still raises ``OverflowError``), and writes J_m into
+    the table.  ``parts`` forms each other unit product the stem uses as
+    its lowest unit times the rest by ``hamilton``'s formula inline, in
+    ascending mask order, and each distinct power ``values[i] ** k`` once.
 
     A coefficient is its numerators over the denominator as ints, which
     rounds as ``float(Fraction)`` does.  A unit product acts from the left
