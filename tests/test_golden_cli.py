@@ -116,6 +116,17 @@ RUNS = (
     # Fueter entries at level 3: three nested negated Fueter derivatives
     ("almansi", "--flavor", "a", "--level", "3", "--n", "3",
      "x1*x2*x3+x2^2*x3*(1/3k)", "--samples", "2", "--seed", "12"),
+    # products by a coordinate whose terms collide and cancel: x_m * g in
+    # the spherical recursion meets the conjugates of x_m in g
+    ("almansi", "--flavor", "sp", "--level", "3", "--n", "3",
+     "x1*~x1*x2+~x1^2*x3*(1/2j)+x2*~x2*~x3*(1/3k)"),
+    ("almansi", "--flavor", "sp", "--level", "4", "--n", "4",
+     "x1*~x2*x3+~x1*x4^2*(1/2i)+x2*~x3*~x4*(1/3+j)+x4*(2k)"),
+    # coordinate factors on the left and on the right of a stem of several
+    # terms: the value sums the product's terms in the float kernel, so it
+    # pins their order
+    ("eval", "--at", "1/2+i;-1/3+1/2j-k;1/5+1/2i+2/3k",
+     "~x3*(x1*~x2*(1+i)+~x1*x2*x3*(j))*~x2*x3"),
 )
 
 
