@@ -22,7 +22,7 @@ from functools import reduce
 
 from .quaternion import Quaternion, hamilton
 from .stem import bit, mask_indices
-from .slicefn import SliceFunction, monomial, variable
+from .slicefn import SliceFunction, conj_variable, variable
 from .numeric import (negated_fueter_field, normalized_dirac_field,
                       multiply_by_variable, running_worst, sweep, report_tail,
                       check_tolerance, field_point, _add)
@@ -181,22 +181,22 @@ def reconstruct(family, point):
     return Quaternion(*total)
 
 
-def _neg_conj_monomial(n, indices):
-    """The ordered product of the negated conjugate coordinates x_k, k in
-    ``indices``: the conjugate monomial with the sign on the right."""
-    conj_powers = tuple(int(k in indices) for k in range(1, n + 1))
-    return monomial(n, (0,) * n, conj_powers, (-1) ** len(indices))
-
-
 def reconstruct_symbolic(family):
-    """The decomposition sum as an exact slice function (spherical flavor)."""
+    """The decomposition sum as an exact slice function (spherical flavor),
+    in Horner form: for m = level down to 1, the entries on K and K | {m},
+    K a subset of {1..m-1}, give -conj(x_m) * e_K + e_{K | {m}} on K.  Those
+    are 2^level - 1 products by a coordinate factor, each a key shift in
+    ``*``.  Stem products are exact and associative, so the result equals
+    the sum over K of the ascending product of -conj(x_k), k not in K,
+    times e_K."""
     if not family.symbolic:
         raise ValueError("symbolic reconstruction needs a spherical family")
-    total = SliceFunction.zero(family.n)
-    for mask in family.masks():
-        mult = _neg_conj_monomial(family.n, complement_indices(mask, family.level))
-        total = total + mult * family.entries[mask]
-    return total
+    n, entries = family.n, family.entries
+    for m in range(family.level, 0, -1):
+        factor = -conj_variable(n, m)
+        entries = {mask: factor * entries[mask] + entries[mask | bit(m)]
+                   for mask in range(bit(m))}
+    return entries[0]
 
 
 def check_uniqueness(f, candidate):

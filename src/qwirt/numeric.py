@@ -14,10 +14,13 @@ The operators run on flat points and tuple values.  A point is the flat
 tuple of its 4n components, as given, which is also the key of every memo;
 a component becomes a float only where an operator calls ``float()`` on it.
 A value is a component 4-tuple.  Products go through ``quaternion.hamilton``
-or restate it in its operation order (the product by x_m), and sums,
-negations and scalings follow the component order of ``Quaternion``
-arithmetic, inline where they sit on the stencil path, so every value is
-bit for bit the one quaternion arithmetic gives.  The public operators
+or restate it in its operation order (the product by x_m, and the products
+by i, j and k).  The unit products leave out only its multiplications by
+1, as ``1 * v`` is ``v``; each ``0 * v`` stays, since it can decide the
+sign of a zero or be NaN.  Sums, negations and scalings follow the
+component order of ``Quaternion`` arithmetic, inline where they sit on the
+stencil path, so every value is bit for bit the one quaternion arithmetic
+gives.  The public operators
 take a point of quaternions through ``field_point``, which refuses a point
 whose length is not the field's n, and return a quaternion.
 
@@ -44,7 +47,7 @@ stencil points once.
 import math
 from functools import reduce
 
-from .quaternion import Quaternion, I, J, K, hamilton, flat_point, quaternion_form
+from .quaternion import Quaternion, hamilton, flat_point, quaternion_form
 
 DEFAULT_STEP = 1e-3
 # Outer step for differentiating an already-derived field.  Cancellation of
@@ -55,9 +58,6 @@ NESTED_STEP = 2e-3
 DEFAULT_BAND = 0.1
 DEFAULT_SMOOTHNESS = 16
 
-# The units as int component tuples: their products through ``hamilton`` are
-# those of ``Quaternion.__mul__``, signs of zero included.
-_I, _J, _K = I.components(), J.components(), K.components()
 _ZERO = (0.0, 0.0, 0.0, 0.0)
 
 
@@ -312,22 +312,42 @@ def _spherical_dirac(field, m, point):
     field.spend()
     (a1, b1, c1, e1), (a2, b2, c2, e2), (a3, b3, c3, e3) = _partials(
         field, m, (1, 2, 3), point)
-    w, x, y, z = hamilton(_I, (a3 * x2 - a2 * x3, b3 * x2 - b2 * x3,
-                               c3 * x2 - c2 * x3, e3 * x2 - e2 * x3))
-    jw, jx, jy, jz = hamilton(_J, (a3 * x1 - a1 * x3, b3 * x1 - b1 * x3,
-                                   c3 * x1 - c1 * x3, e3 * x1 - e1 * x3))
-    kw, kx, ky, kz = hamilton(_K, (a2 * x1 - a1 * x2, b2 * x1 - b1 * x2,
-                                   c2 * x1 - c1 * x2, e2 * x1 - e1 * x2))
+    # the products by i, j and k in the operation order of hamilton(unit, q),
+    # without its multiplications by 1
+    e, f, g, h = (a3 * x2 - a2 * x3, b3 * x2 - b2 * x3, c3 * x2 - c2 * x3,
+                  e3 * x2 - e2 * x3)
+    w, x, y, z = (0 * e - f - 0 * g - 0 * h, 0 * f + e + 0 * h - 0 * g,
+                  0 * g - h + 0 * e + 0 * f, 0 * h + g - 0 * f + 0 * e)
+    e, f, g, h = (a3 * x1 - a1 * x3, b3 * x1 - b1 * x3, c3 * x1 - c1 * x3,
+                  e3 * x1 - e1 * x3)
+    jw, jx, jy, jz = (0 * e - 0 * f - g - 0 * h, 0 * f + 0 * e + h - 0 * g,
+                      0 * g - 0 * h + e + 0 * f, 0 * h + 0 * g - f + 0 * e)
+    e, f, g, h = (a2 * x1 - a1 * x2, b2 * x1 - b1 * x2, c2 * x1 - c1 * x2,
+                  e2 * x1 - e1 * x2)
+    kw, kx, ky, kz = (0 * e - 0 * f - 0 * g - h, 0 * f + 0 * e + 0 * h - g,
+                      0 * g - 0 * h + 0 * e + f, 0 * h + 0 * g - 0 * f + e)
     return (-w + jw - kw, -x + jx - kx, -y + jy - ky, -z + jz - kz)
 
 
 def _fueter(field, m, point):
     _check_var(field, m)
     field.spend()
-    d0, d1, d2, d3 = _partials(field, m, (0, 1, 2, 3), point)
-    total = _add(_add(_add(d0, hamilton(_I, d1)), hamilton(_J, d2)),
-                 hamilton(_K, d3))
-    return _scale(total, 0.5)
+    (dw, dx, dy, dz), (e, f, g, h), (e2, f2, g2, h2), (e3, f3, g3, h3) = \
+        _partials(field, m, (0, 1, 2, 3), point)
+    # d0 + i d1 + j d2 + k d3, halved, in the operation order of _add,
+    # hamilton(unit, d) and _scale, without hamilton's multiplications by 1
+    return ((((dw + (0 * e - f - 0 * g - 0 * h))
+              + (0 * e2 - 0 * f2 - g2 - 0 * h2))
+             + (0 * e3 - 0 * f3 - 0 * g3 - h3)) * 0.5,
+            (((dx + (0 * f + e + 0 * h - 0 * g))
+              + (0 * f2 + 0 * e2 + h2 - 0 * g2))
+             + (0 * f3 + 0 * e3 + 0 * h3 - g3)) * 0.5,
+            (((dy + (0 * g - h + 0 * e + 0 * f))
+              + (0 * g2 - 0 * h2 + e2 + 0 * f2))
+             + (0 * g3 - 0 * h3 + 0 * e3 + f3)) * 0.5,
+            (((dz + (0 * h + g - 0 * f + 0 * e))
+              + (0 * h2 + 0 * g2 - f2 + 0 * e2))
+             + (0 * h3 + 0 * g3 - 0 * f3 + e3)) * 0.5)
 
 
 def _laplacian(field, m, point, step=None):

@@ -160,6 +160,54 @@ def _stem_square(rows):
     return sums
 
 
+def _coordinate_factor(f):
+    """f's two terms as ``(key position, sign)`` pairs, in its term order,
+    when f is exactly +-x_m or +-conj(x_m): denominator 1, one term on the
+    unit alpha_m key and one on the unit beta_m key, real numerators +-1.
+    None for any other stem."""
+    if f.den != 1 or len(f.terms) != 2:
+        return None
+    factor = []
+    for key, (w, x, y, z) in f.terms.items():
+        if x or y or z or (w != 1 and w != -1) or sum(key) != 1:
+            return None
+        factor.append((key.index(1), w))
+    if abs(factor[0][0] - factor[1][0]) != f.n:
+        return None
+    return factor
+
+
+def _shifted(n, factor, terms, left):
+    """``_stem_product`` of a coordinate factor, as ``_coordinate_factor``
+    gives it, by the stem ``terms`` on its right (``left``) or on its left,
+    on tuple keys and without the sums that cancel.  Each term of the factor
+    adds 1 to its exponent and multiplies by its sign; the basis sign
+    negates the beta_m term's product by a term whose beta_m is odd, and the
+    alpha_m term (on the empty subset) negates none.  The keys come in the
+    pair loop's order of first appearance: two passes, one per factor term,
+    for a left factor; the factor's two terms in turn per term for a right
+    one."""
+    items = terms.items()
+    if left:
+        pairs = [(pos, sign, key, comps) for pos, sign in factor
+                 for key, comps in items]
+    else:
+        pairs = [(pos, sign, key, comps) for key, comps in items
+                 for pos, sign in factor]
+    sums = {}
+    for pos, sign, key, (w, x, y, z) in pairs:
+        e = key[pos]
+        if pos >= n and e & 1:
+            sign = -sign
+        if sign < 0:
+            w, x, y, z = -w, -x, -y, -z
+        key = key[:pos] + (e + 1,) + key[pos + 1:]
+        cur = sums.get(key)
+        sums[key] = (w, x, y, z) if cur is None else (
+            cur[0] + w, cur[1] + x, cur[2] + y, cur[3] + z)
+    return {key: comps for key, comps in sums.items() if any(comps)}
+
+
 def _stem(n, den, terms, degrees=None):
     """The slice function of numerators ``terms`` over ``den``, in lowest
     terms and none all zero, and of the ``degrees`` when known."""
@@ -401,7 +449,10 @@ class SliceFunction:
         pairs of terms multiply and sum on the numerators
         (``_stem_product``; ``f * f`` packs f once, and is squared over its
         unordered pairs), over the product of the denominators, and the
-        sums that cancel are dropped.  A product of more pairs of terms than
+        sums that cancel are dropped.  A product by a factor that is exactly
+        +-x_m or +-conj(x_m), on either side (the left one when both are),
+        shifts the other factor's keys instead (``_shifted``), with the same
+        terms in the same order.  A product of more pairs of terms than
         ``MAX_STEM_TERMS`` is refused before any pair is formed."""
         self._check_compatible(other)
         degrees = tuple([a + b for a, b in zip(self.degrees(), other.degrees())])
@@ -410,13 +461,20 @@ class SliceFunction:
         if a * b > MAX_STEM_TERMS:
             raise ValueError("stem term cap %d exceeded: a product of %d by "
                              "%d terms" % (MAX_STEM_TERMS, a, b))
-        size = 2 * self.n
-        left = _packed(self)
-        right = left if other is self else _packed(other)
-        terms = {tuple(key.to_bytes(size, "little")): tuple(comps)
-                 for key, comps in _stem_product(left, right).items()
-                 if any(comps)}
-        return _lowest(self.n, self.den * other.den, terms,
+        n = self.n
+        factor = _coordinate_factor(self)
+        if factor is not None:
+            terms = _shifted(n, factor, other.terms, True)
+        elif (factor := _coordinate_factor(other)) is not None:
+            terms = _shifted(n, factor, self.terms, False)
+        else:
+            size = 2 * n
+            left = _packed(self)
+            right = left if other is self else _packed(other)
+            terms = {tuple(key.to_bytes(size, "little")): tuple(comps)
+                     for key, comps in _stem_product(left, right).items()
+                     if any(comps)}
+        return _lowest(n, self.den * other.den, terms,
                        degrees if terms else None)
 
     def __pow__(self, k):
@@ -487,12 +545,14 @@ class SliceFunction:
         """Divide the components whose subset contains m (odd beta_m
         exponent) by beta_m and drop m: exact on the stem, and the spherical
         derivative Im(x_m)^-1 (f(x) - f with x_m conjugated)/2 whenever f is
-        slice w.r.t. x_m (always for m = 1, and kept by the recursions)."""
+        slice w.r.t. x_m (always for m = 1, and kept by the recursions).
+        Lowering an odd beta_m exponent is one-to-one on keys, so no two
+        terms merge and nothing cancels."""
         self._check_var(m)
         bpos = self.n + m - 1
-        return _summed(self.n, self.den, [(_lowered(key, bpos), comps)
+        return _lowest(self.n, self.den, {_lowered(key, bpos): comps
                                           for key, comps in self.terms.items()
-                                          if key[bpos] % 2])
+                                          if key[bpos] % 2})
 
     def is_slice_with_respect_to(self, m):
         """True when every restriction in x_m is a one-variable slice

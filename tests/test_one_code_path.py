@@ -47,8 +47,10 @@ def test_unvalidated_results_pass_validation(seed, n):
 
 
 class _CountStemProducts:
-    """Count stem products: ``*`` and ``**`` form every product of pairs of
-    terms in ``slicefn._stem_product``."""
+    """Count the calls of ``slicefn._stem_product``, the pair loop, where
+    ``*`` and ``**`` form every product whose factors are not a coordinate:
+    a product by +-x_m or +-conj(x_m) shifts keys in ``slicefn._shifted``
+    instead."""
 
     def __init__(self, monkeypatch):
         self.calls = 0

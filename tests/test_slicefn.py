@@ -190,6 +190,100 @@ def test_only_a_stem_times_itself_is_squared(monkeypatch):
     assert squares == sizes
 
 
+def pair_loop(f, g):
+    """f * g through the general pair loop: ``_stem_product`` on the packed
+    rows, without the sums that cancel, then ``_lowest``."""
+    size = 2 * f.n
+    sums = slicefn._stem_product(slicefn._packed(f), slicefn._packed(g))
+    return slicefn._lowest(f.n, f.den * g.den, {
+        tuple(key.to_bytes(size, "little")): tuple(comps)
+        for key, comps in sums.items() if any(comps)})
+
+
+COORDINATES = {"x": variable, "conj": conj_variable,
+               "-x": lambda n, m: -variable(n, m),
+               "-conj": lambda n, m: -conj_variable(n, m)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 4), st.sampled_from(sorted(COMPONENTS)),
+       st.sampled_from(sorted(COORDINATES)), st.booleans(), st.booleans())
+def test_a_product_by_a_coordinate_is_the_pair_loop(data, n, kind, coordinate,
+                                                     on_left, beta_first):
+    # the key shift gives the pair loop's denominator, terms and order, so
+    # the float kernel sums the same terms in the same order; the factor's
+    # terms come alpha first from variable() and beta first from JSON
+    g = data.draw(stems(n, kind))
+    c = COORDINATES[coordinate](n, data.draw(st.integers(1, n)))
+    if beta_first:
+        c = slicefn._stem(n, 1, dict(reversed(c.terms.items())))
+    assert slicefn._coordinate_factor(c) is not None
+    f, h = (c, g) if on_left else (g, c)
+    got, want = f * h, pair_loop(f, h)
+    assert stored(got) == stored(want)
+    point = data.draw(st.tuples(*[st.floats(-2, 2)] * (4 * n)))
+    assert [v.hex() for v in lift(got).flat(point)] \
+        == [v.hex() for v in lift(want).flat(point)]
+
+
+@pytest.mark.parametrize("text", [
+    "x1+x2", "x1*(2)", "x1*(i)", "x1*(1/2)", "x1+1", "x1^2", "x1*~x1",
+    "(x1+~x1)*(1/2)+(x2-~x2)*(1/2)"])
+def test_only_a_coordinate_factor_is_shifted(text):
+    # real numerators +-1 over the denominator 1, on the unit alpha_m and
+    # beta_m keys of one m, or the pair loop (the last is alpha_1 + beta_2)
+    assert slicefn._coordinate_factor(parse_slice(text, 2)) is None
+    for c in (variable(2, 2), -conj_variable(2, 1)):
+        assert slicefn._coordinate_factor(c) is not None
+
+
+def test_shifted_terms_that_cancel_are_dropped():
+    # ~x1 * (x1 * ~x2): the alpha_1 shift of beta_1 * ... meets the beta_1
+    # shift of alpha_1 * ... with the opposite sign
+    n = 2
+    g = variable(n, 1) * conj_variable(n, 2) * constant(n, Fraction(1, 2))
+    got = conj_variable(n, 1) * g
+    assert stored(got) == stored(pair_loop(conj_variable(n, 1), g))
+    assert len(got.terms) < 2 * len(g.terms)
+    assert got == g * conj_variable(n, 1)
+
+
+@pytest.mark.parametrize("on_left", [True, False])
+@pytest.mark.parametrize("cap", ["terms", "degree"])
+def test_a_coordinate_product_over_a_cap_is_refused_before_any_term(
+        monkeypatch, on_left, cap):
+    g = parse_slice("~x1*(1/3+2/5i)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i)", 3)
+    c = conj_variable(3, 2)
+    if cap == "terms":
+        monkeypatch.setattr(slicefn, "MAX_STEM_TERMS", 2 * len(g.terms) - 1)
+        match = "stem term cap"
+    else:
+        g = g * variable(3, 2) ** 31
+        match = "degree cap 32 exceeded in variable 2"
+    formed = []
+    for name in ("_shifted", "_stem_product"):
+        inner = getattr(slicefn, name)
+        monkeypatch.setattr(slicefn, name, lambda *args, inner=inner:
+                            formed.append(1) or inner(*args))
+    with pytest.raises(ValueError, match=match):
+        c * g if on_left else g * c
+    assert formed == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 4), st.sampled_from(sorted(COMPONENTS)))
+def test_the_spherical_derivative_keeps_the_merged_storage(data, n, kind):
+    # lowering an odd beta_m is one-to-one: the dict built in place has the
+    # storage and order of summing the lowered terms
+    f = data.draw(stems(n, kind))
+    for m in range(1, n + 1):
+        bpos = n + m - 1
+        merged = slicefn._summed(n, f.den, [
+            (slicefn._lowered(key, bpos), comps)
+            for key, comps in f.terms.items() if key[bpos] % 2])
+        assert stored(f.spherical_derivative(m)) == stored(merged)
+
+
 def test_the_sign_table_is_the_basis_product_sign():
     for n in range(1, 5):
         masks = range(1 << n)
@@ -280,11 +374,12 @@ def test_equal_stems_have_equal_storage_and_hashes(data, n, kind, r):
         "monomial"])
 def test_a_float_coefficient_is_refused_before_any_work(monkeypatch, build):
     # stems are exact; a float coefficient is a TypeError, raised before any
-    # stem product is formed
+    # stem product or key shift is formed
     products = []
-    inner = slicefn._stem_product
-    monkeypatch.setattr(slicefn, "_stem_product",
-                        lambda a, b: products.append(1) or inner(a, b))
+    for name in ("_shifted", "_stem_product"):
+        inner = getattr(slicefn, name)
+        monkeypatch.setattr(slicefn, name, lambda *args, inner=inner:
+                            products.append(1) or inner(*args))
     with pytest.raises(TypeError, match="must be exact"):
         build()
     assert products == []

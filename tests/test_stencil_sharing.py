@@ -23,8 +23,8 @@ from qwirt.numeric import (NumericField, NearRealAxisError, DepthExhaustedError,
                            fueter_derivative_field, negate_field,
                            multiply_by_variable, div_by_twice_im,
                            negated_fueter_field, normalized_dirac_field)
-from qwirt import slicefn
-from qwirt.quaternion import (Quaternion, flat_point, hamilton,
+from qwirt import numeric, slicefn
+from qwirt.quaternion import (Quaternion, I, J, K, flat_point, hamilton,
                               quaternion_form, split_slice_components)
 from qwirt.sampling import random_slice_point
 from qwirt.slicefn import SliceFunction, variable, conj_variable
@@ -514,6 +514,54 @@ def test_the_kernels_split_and_unit_products_are_split_and_hamiltons(f, data):
         want = _hex_or_overflow(_split_and_hamilton, f, point)
         assert _hex_or_overflow(lambda f, p: kernel(p), f, point) == want
     assert _hex_or_overflow(_split_and_hamilton, f, overflow) == "OverflowError"
+
+
+def _fueter_by_hamilton(field, m, point):
+    """``numeric._fueter`` through ``_add``, ``hamilton`` and ``_scale``."""
+    d0, d1, d2, d3 = numeric._partials(field, m, (0, 1, 2, 3), point)
+    total = numeric._add(numeric._add(numeric._add(
+        d0, hamilton(I.components(), d1)), hamilton(J.components(), d2)),
+        hamilton(K.components(), d3))
+    return numeric._scale(total, 0.5)
+
+
+def _dirac_by_hamilton(field, m, point):
+    """``numeric._spherical_dirac`` through ``hamilton``."""
+    _, x1, x2, x3 = numeric._coordinates(point, m)
+    d1, d2, d3 = numeric._partials(field, m, (1, 2, 3), point)
+    i = hamilton(I.components(), tuple(a * x2 - b * x3 for a, b in zip(d3, d2)))
+    j = hamilton(J.components(), tuple(a * x1 - b * x3 for a, b in zip(d3, d1)))
+    k = hamilton(K.components(), tuple(a * x1 - b * x2 for a, b in zip(d2, d1)))
+    return tuple(-a + b - c for a, b, c in zip(i, j, k))
+
+
+# Field values: zeros of both signs, infinities and NaN, whose products by
+# the units' zeros decide signs of zero and NaNs.
+_VALUE_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, float("inf"), float("-inf"),
+                     float("nan")]),
+    st.floats(min_value=-1e300, max_value=1e300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_the_unit_products_of_fueter_and_dirac_are_hamiltons(n, data):
+    # each operator forms its products by i, j and k inline, without the
+    # multiplications by 1: the bits are those of hamilton on the units
+    values = data.draw(st.lists(st.tuples(*[_VALUE_COMPONENTS] * 4),
+                                min_size=1, max_size=8))
+    point = tuple(data.draw(st.lists(st.floats(-4, 4), min_size=4 * n,
+                                     max_size=4 * n)))
+    m = data.draw(st.integers(1, n))
+
+    def flat(p):
+        return values[hash(p) % len(values)]
+
+    field = NumericField(quaternion_form(flat), n, band=0.0)
+    for operator, reference in ((numeric._fueter, _fueter_by_hamilton),
+                                (numeric._spherical_dirac, _dirac_by_hamilton)):
+        assert [v.hex() for v in operator(field, m, point)] \
+            == [v.hex() for v in reference(field, m, point)]
 
 
 def test_an_underflowed_coefficient_matches_the_reference():

@@ -3,7 +3,9 @@ every base evaluation of a lifted field, and puts every method it patches
 back.  ``perfbench/tracing.py`` is loaded from
 its file and not changed."""
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,36 @@ def test_the_tracer_sees_every_base_evaluation():
     # the index-2 operator reaches 48 stencil points, each evaluated once
     assert tracer.counts["numeric.base_eval.calls"] == 48
     assert tracer.counts["numeric.base_eval.distinct"] == 48
+
+
+def test_a_product_by_a_coordinate_counts_once(pair):
+    # the key shift runs inside __mul__, where the tracer counts it
+    f, _ = pair
+    x2 = parse_slice("x2", 2)
+    counts = _traced(lambda: x2 * f)
+    assert counts["slicefn.mul.calls"] == 1
+    assert counts["slicefn.stem_mul.terms_out"] == len((x2 * f).terms)
+
+
+def test_a_traced_cli_run_prints_what_an_untraced_one_prints():
+    # the tracer rebinds qwirt.cli.main, so main is looked up on the module
+    import qwirt.cli
+
+    argv = ["almansi", "--flavor", "sp", "--level", "3", "--n", "3",
+            "x1*~x1*x2+~x1^2*x3*(1/2j)+x2*~x2*~x3*(1/3k)"]
+    originals = {attr: SliceFunction.__dict__[attr] for attr in PATCHED}
+    main = qwirt.cli.main
+    untraced = io.StringIO()
+    with contextlib.redirect_stdout(untraced):
+        assert main(argv) == 0
+    traced = io.StringIO()
+    with contextlib.redirect_stdout(traced):
+        counts = _traced(lambda: qwirt.cli.main(argv))
+    assert traced.getvalue() == untraced.getvalue()
+    assert counts["cli.main.calls"] == 1
+    # 9 calls lowering the expression (the power ~x1^2 and its square
+    # count apiece), 7 products in the level-3 recursion and 7 in the Horner
+    # reconstruction
+    assert counts["slicefn.mul.calls"] == 23
+    assert qwirt.cli.main is main
+    assert {attr: SliceFunction.__dict__[attr] for attr in PATCHED} == originals
