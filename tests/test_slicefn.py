@@ -226,15 +226,15 @@ def test_a_product_by_a_coordinate_is_the_pair_loop(data, n, kind, coordinate,
         == [v.hex() for v in lift(want).flat(point)]
 
 
-@pytest.mark.parametrize("text", [
-    "x1+x2", "x1*(2)", "x1*(i)", "x1*(1/2)", "x1+1", "x1^2", "x1*~x1",
-    "(x1+~x1)*(1/2)+(x2-~x2)*(1/2)"])
-def test_only_a_coordinate_factor_is_shifted(text):
+@pytest.mark.parametrize("text, shifted", [
+    ("x2", True), ("~x1*(-1)", True), ("x1+x2", False), ("x1*(2)", False),
+    ("x1*(i)", False), ("x1*(1/2)", False), ("x1+1", False), ("x1^2", False),
+    ("x1*~x1", False), ("(x1+~x1)*(1/2)+(x2-~x2)*(1/2)", False)])
+def test_only_a_coordinate_factor_is_shifted(text, shifted):
     # real numerators +-1 over the denominator 1, on the unit alpha_m and
     # beta_m keys of one m, or the pair loop (the last is alpha_1 + beta_2)
-    assert slicefn._coordinate_factor(parse_slice(text, 2)) is None
-    for c in (variable(2, 2), -conj_variable(2, 1)):
-        assert slicefn._coordinate_factor(c) is not None
+    assert (slicefn._coordinate_factor(parse_slice(text, 2)) is not None) \
+        == shifted
 
 
 def test_shifted_terms_that_cancel_are_dropped():
