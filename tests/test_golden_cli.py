@@ -127,6 +127,18 @@ RUNS = (
     # pins their order
     ("eval", "--at", "1/2+i;-1/3+1/2j-k;1/5+1/2i+2/3k",
      "~x3*(x1*~x2*(1+i)+~x1*x2*x3*(j))*~x2*x3"),
+    # slice partials whose alpha and beta sums all cancel: the power of a
+    # polynomial in x_m alone is slice-regular
+    ("thetabar", "--m", "2", "--n", "3", "(x1*(1/2i)+x2*x3*(1/3+j)+x3*(k))^4"),
+    ("check-regular", "--n", "3", "(x1*(1/2i)+x2*x3*(1/3+j)+x3*(k))^3"),
+    # a sum of unequal denominators holding every token kind; the leading
+    # minus stays inside parentheses, where no option parser reads it
+    ("theta", "--m", "3", "--n", "3",
+     "x2*(1/3)+(-x1*(1/2))-conj(x1)*x3*(0.25j)+x3*(1/6i)"),
+    ("spherical", "--var", "3", "--kind", "derivative", "--n", "3",
+     "(~x1*(1/3+2/5i)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i))^4"),
+    # a syntax error after every token kind pins the error offset
+    ("theta", "--m", "1", "--n", "3", "x1*conj(x2)+1.5i-(x3^2*"),
 )
 
 
