@@ -57,6 +57,9 @@ _TOKEN_RE = re.compile(r"""
 
 
 def tokenize(text):
+    """``(kind, value, offset)`` triples and a final ``end`` token: the
+    kind is the alternative that matched (``lastgroup``, in which ``var``
+    encloses ``varidx``), the value is read from its one matched text."""
     run = LONG_DIGIT_RUN.search(text)
     if run:
         raise ExpressionSyntaxError("number has %d digits, more than the %d "
@@ -68,17 +71,14 @@ def tokenize(text):
         match = _TOKEN_RE.match(text, pos)
         if not match:
             raise ExpressionSyntaxError("unexpected character %r" % text[pos], pos)
-        if not match.group("ws"):
-            if match.group("var"):
-                tokens.append(("var", int(match.group("varidx")), pos))
-            elif match.group("conj"):
-                tokens.append(("conj", "conj", pos))
-            elif match.group("number"):
-                tokens.append(("number", Fraction(match.group("number")), pos))
-            elif match.group("unit"):
-                tokens.append(("unit", match.group("unit"), pos))
-            else:
-                tokens.append(("op", match.group("op"), pos))
+        kind = match.lastgroup
+        if kind != "ws":
+            value = match.group()
+            if kind == "var":
+                value = int(value[1:])
+            elif kind == "number":
+                value = Fraction(value)
+            tokens.append((kind, value, pos))
         pos = match.end()
     tokens.append(("end", None, len(text)))
     return tokens

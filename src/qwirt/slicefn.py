@@ -22,7 +22,8 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import add, mul
+from itertools import chain
+from operator import add, itemgetter, mul
 
 from .quaternion import (Quaternion, ONE, LONG_DIGIT_RUN, MAX_DIGITS,
                          NUMBER_PATTERN, format_quaternion, number_text,
@@ -220,7 +221,7 @@ def _lowest(n, den, terms, degrees=None):
     """``_stem`` after one gcd pass divides out the common factor of
     ``den`` and every numerator."""
     if den != 1:
-        g = math.gcd(den, *[v for comps in terms.values() for v in comps])
+        g = math.gcd(den, *chain.from_iterable(terms.values()))
         if g != 1:
             den //= g
             terms = {key: (w // g, x // g, y // g, z // g)
@@ -392,12 +393,16 @@ class SliceFunction:
         _check_degree_cap(self.degrees())
 
     def degrees(self):
-        """Per-variable degrees: the largest a_m + b_m over the terms."""
+        """Per-variable degrees: the largest a_m + b_m over the terms, from
+        one pass over the key columns; all 0 for the zero stem."""
         if self._degrees is None:
             n = self.n
-            self._degrees = tuple(
-                max((key[m] + key[n + m] for key in self.terms), default=0)
-                for m in range(n))
+            if self.terms:
+                columns = list(zip(*self.terms))
+                self._degrees = tuple([max(map(add, columns[m], columns[n + m]))
+                                       for m in range(n)])
+            else:
+                self._degrees = (0,) * n
         return self._degrees
 
     @classmethod
@@ -429,12 +434,14 @@ class SliceFunction:
     # a nonzero product's degrees are the sums of its factors'.
 
     def __add__(self, other):
+        """``_summed`` over the lcm of the denominators, of each operand's
+        terms scaled to it; an operand already over it passes as it is."""
         self._check_compatible(other)
         den = math.lcm(self.den, other.den)
-        return _summed(self.n, den, [
-            (key, tuple([v * scale for v in comps]))
-            for f, scale in ((self, den // self.den), (other, den // other.den))
-            for key, comps in f.terms.items()])
+        return _summed(self.n, den, chain(*[
+            f.terms.items() if (scale := den // f.den) == 1 else [
+                (key, tuple([v * scale for v in comps]))
+                for key, comps in f.terms.items()] for f in (self, other)]))
 
     def __neg__(self):
         return _stem(self.n, self.den, {key: tuple([-v for v in comps])
@@ -570,19 +577,35 @@ class SliceFunction:
         complex structure of m, which restores the parity the bare beta_m
         partial breaks (off K with a sign for odd b, onto K + {m} else).
         The alpha_m pass comes first, which orders the result's terms as
-        the float kernel sums them; terms that cancel are dropped."""
+        the float kernel sums them; terms that cancel are dropped.  Both
+        passes write one dict in place, in ``_summed``'s order: lowering
+        alpha_m is one-to-one on keys, so only a beta_m term can merge, and
+        only a merged sum can cancel."""
         self._check_var(m)
         n = self.n
+        apos, bpos = m - 1, n + m - 1
         sign = 1 if conj else -1
-        rows = []
-        for pos in (m - 1, n + m - 1):
-            for key, comps in self.terms.items():
-                e = key[pos]
-                if e:
-                    factor = e if pos < n else sign * (-e if e % 2 else e)
-                    rows.append((_lowered(key, pos),
-                                 tuple([v * factor for v in comps])))
-        return _summed(n, 2 * self.den, rows)
+        terms = {}
+        for key, (w, x, y, z) in self.terms.items():
+            a = key[apos]
+            if a:
+                terms[key[:apos] + (a - 1,) + key[apos + 1:]] = (
+                    w * a, x * a, y * a, z * a)
+        merged = False
+        for key, (w, x, y, z) in self.terms.items():
+            b = key[bpos]
+            if b:
+                factor = sign * (-b if b & 1 else b)
+                w, x, y, z = w * factor, x * factor, y * factor, z * factor
+                key = key[:bpos] + (b - 1,) + key[bpos + 1:]
+                cur = terms.get(key)
+                if cur is not None:
+                    merged = True
+                    w, x, y, z = cur[0] + w, cur[1] + x, cur[2] + y, cur[3] + z
+                terms[key] = (w, x, y, z)
+        if merged:
+            terms = {key: comps for key, comps in terms.items() if any(comps)}
+        return _lowest(n, 2 * self.den, terms)
 
     def slice_partial(self, m):
         """Slice partial derivative w.r.t. x_m."""
@@ -803,25 +826,30 @@ def to_monomials(f):
     exact and unique.  It runs one variable at a time over the scaled
     expansions of ``_variable_expansion`` on the stem's numerators over its
     denominator D, so that a monomial of total degree T gets one
-    ``Fraction`` per component over D * 2^T.
+    ``Fraction`` per component over D * 2^T.  A sum that cancels in one
+    pass is not expanded by the next, so the keys' order is not kept.
     """
     n = f.n
     # keys list (a_1, b_1, ..., a_n, b_n); pass m turns (a_m, b_m) into
     # (l_m, h_m), so the total degree of a key never changes
-    partial = {tuple(v for m in range(n) for v in (key[m], key[n + m])): comps
-               for key, comps in f.terms.items()}
+    interleave = itemgetter(*[p for m in range(n) for p in (m, n + m)])
+    partial = {interleave(key): comps for key, comps in f.terms.items()}
     for i in range(0, 2 * n, 2):
         nxt = {}
-        for key, comps in partial.items():
+        for key, (w, x, y, z) in partial.items():
+            if not (w or x or y or z):
+                continue
             head, tail = key[:i], key[i + 2:]
             for lh, c in _variable_expansion(key[i], key[i + 1]):
                 new_key = head + lh + tail
                 cur = nxt.get(new_key)
                 if cur is None:
-                    nxt[new_key] = [c * v for v in comps]
+                    nxt[new_key] = [c * w, c * x, c * y, c * z]
                 else:
-                    for j, v in enumerate(comps):
-                        cur[j] += c * v
+                    cur[0] += c * w
+                    cur[1] += c * x
+                    cur[2] += c * y
+                    cur[3] += c * z
         partial = nxt
     out = {}
     for key, comps in partial.items():

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
-from qwirt.quaternion import Quaternion, K
+from qwirt.quaternion import (Quaternion, K, LONG_DIGIT_RUN, MAX_DIGITS)
 from qwirt.slicefn import variable, conj_variable, constant, monomial, format_slice
 from qwirt.expr import (parse, parse_slice, lower, max_variable_index,
-                        ExpressionSyntaxError, ArityError, MAX_NESTING)
+                        tokenize, _TOKEN_RE, ExpressionSyntaxError, ArityError,
+                        MAX_NESTING)
 
 
 def test_basic_lowering():
@@ -122,3 +124,61 @@ def test_round_trip_random_polynomials():
         n = rng.choice((1, 2, 3))
         f = helpers.random_slice_polynomial(rng, n)
         assert parse_slice(format_slice(f), n=n) == f
+
+
+def reference_tokenize(text):
+    """The tokenizer as it read each token group by group."""
+    run = LONG_DIGIT_RUN.search(text)
+    if run:
+        raise ExpressionSyntaxError("number has %d digits, more than the %d "
+                                    "accepted" % (len(run.group()), MAX_DIGITS),
+                                    run.start())
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if not match:
+            raise ExpressionSyntaxError("unexpected character %r" % text[pos], pos)
+        if not match.group("ws"):
+            if match.group("var"):
+                tokens.append(("var", int(match.group("varidx")), pos))
+            elif match.group("conj"):
+                tokens.append(("conj", "conj", pos))
+            elif match.group("number"):
+                tokens.append(("number", Fraction(match.group("number")), pos))
+            elif match.group("unit"):
+                tokens.append(("unit", match.group("unit"), pos))
+            else:
+                tokens.append(("op", match.group("op"), pos))
+        pos = match.end()
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+# Every token kind, with digits that are not ASCII, and text that no token
+# matches: a bare x, a letter, a dot and a symbol.
+_PIECES = ("x1", "x23", "x007", "x\u0663", "conj", "con", "(", ")", "~",
+           "+", "-", "*", "^", "0", "12", "1/2", "0.25", "3/", "1.",
+           "\u0663", "i", "j", "k", " ", "\t", "x", "q", ".", "$")
+
+
+def tokens_or_error(tokenizer, text):
+    """The tokens, or the error's type, message and offset (a zero
+    denominator is refused by ``Fraction``, with no offset)."""
+    try:
+        return tokenizer(text)
+    except (ExpressionSyntaxError, ZeroDivisionError) as err:
+        return type(err), str(err), getattr(err, "offset", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+def test_tokens_match_the_group_by_group_tokenizer(text):
+    # the same kinds, values, value types and offsets, or the same error
+    # at the same offset
+    got = tokens_or_error(tokenize, text)
+    want = tokens_or_error(reference_tokenize, text)
+    assert got == want
+    if isinstance(want, list):
+        assert [type(value) for _, value, _ in got] \
+            == [type(value) for _, value, _ in want]

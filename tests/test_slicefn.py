@@ -304,6 +304,16 @@ def test_partials_match_the_separate_stem_pipeline(data, n, kind):
             assert stored(got) == stored(reference_partial(f, m, conj))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32))
+def test_the_conjugate_partials_of_a_regular_stem_cancel(n, seed):
+    # every sum of thetabar_m cancels, and no all-zero sum is kept
+    f = helpers.random_regular_polynomial(random.Random(seed), n)
+    for m in range(1, n + 1):
+        got = f.slice_partial_conj(m)
+        assert stored(got) == stored(reference_partial(f, m, True)) == (1, [])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(1, 4), st.sampled_from(sorted(COMPONENTS)))
 def test_to_monomials_matches_the_tensor_expansion(data, n, kind):
@@ -312,6 +322,64 @@ def test_to_monomials_matches_the_tensor_expansion(data, n, kind):
     assert got == want
     assert {lh: [str(c) for c in q.components()] for lh, q in got.items()} \
         == {lh: [str(c) for c in q.components()] for lh, q in want.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(2, 4), st.sampled_from(sorted(COMPONENTS)))
+def test_to_monomials_skips_a_middle_pass_that_cancels(data, n, kind):
+    # alpha_m^2 and beta_m^2 expand to z^2 + 2 z~z + ~z^2 and
+    # -(z^2 - 2 z~z + ~z^2), over 4: on h * x_m * ~x_m the z_m^2 and
+    # ~z_m^2 sums of pass m cancel, and the next pass meets them as zeros
+    h = data.draw(stems(n, kind))
+    m = data.draw(st.integers(1, n - 1))
+    f = h * variable(n, m) * conj_variable(n, m)
+    assert to_monomials(f) == reference_monomials(f)
+
+
+def summed_reference(f, g):
+    """f + g as ``_summed`` of both operands' terms, each scaled to the lcm
+    of the denominators, in storage order."""
+    den = math.lcm(f.den, g.den)
+    return slicefn._summed(f.n, den, [
+        (key, tuple([v * (den // h.den) for v in comps]))
+        for h in (f, g) for key, comps in list(h.terms.items())])
+
+
+SUMMANDS = {
+    "drawn": lambda data, f, kind: data.draw(stems(f.n, kind)),
+    # the same denominator and keys: the terms on odd-size subsets cancel
+    "conjugate": lambda data, f, kind: f.conjugate(),
+    # the same denominator: every term of f cancels, some of g stay
+    "negated": lambda data, f, kind: data.draw(stems(f.n, "int")) - f,
+    # a scaled denominator: one operand is over the lcm, the other is not
+    "scaled": lambda data, f, kind: f * constant(
+        f.n, Fraction(1, data.draw(st.integers(2, 6)))),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4), st.sampled_from(sorted(COMPONENTS)),
+       st.sampled_from(sorted(SUMMANDS)))
+def test_a_sum_keeps_the_summed_storage(data, n, kind, summand):
+    # the same denominator, terms and order as summing the scaled rows,
+    # whichever operand is over the lcm already
+    f = data.draw(stems(n, kind))
+    g = SUMMANDS[summand](data, f, kind)
+    for left, right in ((f, g), (g, f)):
+        assert stored(left + right) == stored(summed_reference(left, right))
+        assert stored(left - right) == stored(summed_reference(left, -right))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 4), st.sampled_from(sorted(COMPONENTS)))
+def test_degrees_are_the_largest_exponent_sums(data, n, kind):
+    f = data.draw(stems(n, kind))
+    for h in (f, f - f, SliceFunction.zero(n)):
+        want = tuple(max((key[m] + key[n + m] for key in h.terms), default=0)
+                     for m in range(n))
+        # a fresh stem, whose degrees are not yet known
+        assert slicefn._stem(n, h.den, h.terms).degrees() == want
+        assert h.degrees() == want
 
 
 def test_cancelling_terms_vanish():
