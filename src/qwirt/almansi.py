@@ -10,10 +10,11 @@ subsets of {1..m}:
 * ``dirac`` -- numeric entries obtained by iterated normalized spherical
   Dirac derivatives of any smooth field.
 
-Every flavor reconstructs the original function as the ordered sum of
-entries left-multiplied by products of negated conjugate coordinates over
-the complementary subsets.  For slice inputs the three families agree; the
-spherical/fueter agreement characterizes slice-regularity.
+A family reconstructs a function as the ordered sum of its entries
+left-multiplied by products of negated conjugate coordinates over the
+complementary subsets.  The spherical and Dirac flavors reconstruct slice
+functions (Dirac: any smooth field), the Fueter flavor slice-regular ones
+only, and on slice inputs it agrees with them exactly on those.
 """
 
 import random

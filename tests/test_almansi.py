@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from qwirt.almansi import (spherical_components, fueter_components,
                            check_uniqueness, truncated_spherical, check_zonal,
                            complement_indices)
 from qwirt.sampling import random_slice_point
+from qwirt.cli import main
 
 SEED = 4321
 
@@ -175,6 +177,30 @@ def test_dirac_reconstructs_arbitrary_smooth_fields():
         for p in sample:
             helpers.assert_quat_close(reconstruct(fam, p), field(p), 1e-4,
                                       "level %d" % m)
+
+
+def almansi_residual(capsys, flavor, text, *step):
+    code = main(["almansi", "--flavor", flavor, "--level", "2", "--n", "2",
+                 "--samples", "3", "--seed", "1", *step, text])
+    report = json.loads(capsys.readouterr().out)
+    return code, report["reconstruction_residuals"]["max_residual"]
+
+
+def test_fueter_reconstructs_slice_regular_functions_only(capsys):
+    # ~x1*x2 is a slice function that is not slice-regular: the Dirac
+    # family rebuilds it, the Fueter family misses it by a residual that no
+    # step shrinks, and rebuilds the regular x1*x2
+    misses = []
+    for step in ("1e-2", "1e-3", "1e-4"):
+        code, residual = almansi_residual(capsys, "a", "~x1*x2", "--fd-step",
+                                          step)
+        assert code == 1
+        misses.append(residual)
+    assert misses == pytest.approx([7.8201] * 3, abs=1e-4)
+    code, residual = almansi_residual(capsys, "gamma", "~x1*x2")
+    assert code == 0 and residual < 1e-10
+    code, residual = almansi_residual(capsys, "a", "x1*x2")
+    assert code == 0 and residual < 1e-8
 
 
 def test_level_recursion_fueter():
