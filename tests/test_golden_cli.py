@@ -139,6 +139,19 @@ RUNS = (
      "(~x1*(1/3+2/5i)+x2*~x3*(3/7j+1/2)+x3*(5/9-1/4i))^4"),
     # a syntax error after every token kind pins the error offset
     ("theta", "--m", "1", "--n", "3", "x1*conj(x2)+1.5i-(x3^2*"),
+    # sibling entries (D g, D(x_m g)) nested four deep: every entry of the
+    # last level is a derivative of a product by a coordinate
+    ("almansi", "--flavor", "gamma", "--level", "4", "--n", "4",
+     "x1*~x2*x3*x4+x2^2*~x4*(1/2i)+~x1*x3*(1/3+j)", "--samples", "1",
+     "--seed", "13"),
+    # Fueter siblings at a non-default step, on a function that is not
+    # slice-regular, so the reconstruction residual is large
+    ("almansi", "--flavor", "a", "--level", "2", "--n", "2", "--fd-step",
+     "1e-2", "~x1*x2", "--samples", "2", "--seed", "14"),
+    # the tangential derivatives of every Dirac entry, at a non-default step
+    # and band
+    ("check-slice", "--n", "3", "--fd-step", "2e-3", "--fd-delta", "0.2",
+     "x1*~x2*x3+~x1*x3^2*(1/2j)", "--samples", "1", "--seed", "15"),
 )
 
 
