@@ -24,9 +24,9 @@ from functools import reduce
 from .quaternion import Quaternion, hamilton
 from .stem import bit, mask_indices
 from .slicefn import SliceFunction, conj_variable, variable
-from .numeric import (negated_fueter_field, normalized_dirac_field,
-                      multiply_by_variable, running_worst, sweep, report_tail,
-                      check_tolerance, field_point, _add)
+from .numeric import (running_worst, sweep, report_tail, check_tolerance,
+                      field_point, _add, _negated_fueter_pair,
+                      _normalized_dirac_pair)
 from .sampling import respin_units, _sample_points
 
 FLAVOR_SPHERICAL = "spherical"
@@ -95,19 +95,17 @@ def _check_level(obj_n, level):
         raise ValueError("level %d out of range 1..%d" % (level, obj_n))
 
 
-def _component_levels(flavor, f, level, times_variable, derivative):
+def _component_levels(flavor, f, level, pair):
     """Yield the families of levels 1..``level`` of one recursion from f.
-    The entry g on subset K one level down gives ``derivative(g, m)`` on K
-    and ``derivative(times_variable(m)(g), m)`` on K | {m} of level m, where
-    ``times_variable(m)`` maps g to x_m * g."""
+    The entry g on subset K one level down gives the two entries of
+    ``pair(g, m)`` on K and on K | {m} of level m: the derivative of g and
+    that of x_m * g."""
     _check_level(f.n, level)
     entries = {0: f}
     for m in range(1, level + 1):
-        times_xm = times_variable(m)
         nxt = {}
         for mask, g in entries.items():
-            nxt[mask] = derivative(g, m)
-            nxt[mask | bit(m)] = derivative(times_xm(g), m)
+            nxt[mask], nxt[mask | bit(m)] = pair(g, m)
         entries = nxt
         yield ComponentFamily(flavor, m, f.n, entries)
 
@@ -122,29 +120,30 @@ def spherical_components(f, level):
     m coordinates.
     """
     return list(_component_levels(
-        FLAVOR_SPHERICAL, f, level, lambda m: variable(f.n, m).__mul__,
-        lambda g, m: g.spherical_derivative(m)))[-1]
+        FLAVOR_SPHERICAL, f, level,
+        lambda g, m: (g.spherical_derivative(m),
+                      (variable(f.n, m) * g).spherical_derivative(m))))[-1]
 
 
-def _numeric_levels(flavor, derivative, field, level):
+def _numeric_levels(flavor, pair, field, level):
     """The levels of a numeric recursion from a memoizing cost-0 view of the
-    caller's field: sibling entries share its stencil evaluations, and the
-    caller's field keeps no state."""
-    return _component_levels(
-        flavor, field.derived(field.flat, cost=0), level,
-        lambda m: lambda g: multiply_by_variable(g, m), derivative)
+    caller's field: the stencils of the first level's pair reach some points
+    more than once, and the caller's field keeps no state.  Each pair is one
+    stencil pass per point for both siblings."""
+    return _component_levels(flavor, field.derived(field.flat, cost=0), level,
+                             pair)
 
 
 def fueter_components(field, level):
     """Numeric family by nested negated Cauchy-Riemann-Fueter derivatives."""
-    return list(_numeric_levels(FLAVOR_FUETER, negated_fueter_field, field,
+    return list(_numeric_levels(FLAVOR_FUETER, _negated_fueter_pair, field,
                                 level))[-1]
 
 
 def dirac_levels(field, level):
     """Yield the Dirac families of levels 1..``level``, each built from the
     entries of the one before."""
-    return _numeric_levels(FLAVOR_DIRAC, normalized_dirac_field, field, level)
+    return _numeric_levels(FLAVOR_DIRAC, _normalized_dirac_pair, field, level)
 
 
 def dirac_components(field, level):

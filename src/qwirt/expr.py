@@ -77,7 +77,11 @@ def tokenize(text):
             if kind == "var":
                 value = int(value[1:])
             elif kind == "number":
-                value = Fraction(value)
+                try:
+                    value = Fraction(value)
+                except ZeroDivisionError:
+                    raise ExpressionSyntaxError(
+                        "number %r has a zero denominator" % value, pos) from None
             tokens.append((kind, value, pos))
         pos = match.end()
     tokens.append(("end", None, len(text)))

@@ -248,26 +248,54 @@ def _displace(point, k, h):
     return point[:k] + (point[k] + h,) + point[k + 1:]
 
 
-def _partials(field, m, coords, point, step=None):
+def _partials(field, m, coords, point, step=None, times_variable=False):
     """The central differences in the real coordinates ``coords`` of x_m,
     in that order, each from the value at the point displaced by +h, then
     by -h: the one stencil routine of every coordinate partial.  It checks
     nothing; its caller has checked m and spent one derivative.  The
     displaced points and the scaled differences are formed in place, in the
-    operation order of ``_displace``, ``_sub`` and ``_scale``."""
+    operation order of ``_displace``, ``_sub`` and ``_scale``.
+
+    With ``times_variable``, it returns the partials of the field and of
+    x_m times the field, from the same field values: the product at each
+    displaced point is the one ``multiply_by_variable`` forms there, from
+    the float components of x_m at that point."""
     h = field.step if step is None else step
     minus_h = -h
     scale = 1.0 / (2.0 * h)
     flat = field.flat
     out = []
+    if times_variable:
+        k = 4 * (m - 1)
+        xm = [float(point[k]), float(point[k + 1]), float(point[k + 2]),
+              float(point[k + 3])]
+        products = []
     for i in coords:
         k = 4 * (m - 1) + i
-        head, c, tail = point[:k], point[k], point[k + 1:]
-        pw, px, py, pz = flat(head + (c + h,) + tail)
-        mw, mx, my, mz = flat(head + (c + minus_h,) + tail)
+        head, v, tail = point[:k], point[k], point[k + 1:]
+        plus, minus = v + h, v + minus_h
+        pw, px, py, pz = flat(head + (plus,) + tail)
+        mw, mx, my, mz = flat(head + (minus,) + tail)
         out.append(((pw - mw) * scale, (px - mx) * scale, (py - my) * scale,
                     (pz - mz) * scale))
-    return out
+        if times_variable:
+            # x_m times each value, in the operation order of hamilton
+            xm[i] = float(plus)
+            a, b, c, d = xm
+            pw, px, py, pz = (a * pw - b * px - c * py - d * pz,
+                              a * px + b * pw + c * pz - d * py,
+                              a * py - b * pz + c * pw + d * px,
+                              a * pz + b * py - c * px + d * pw)
+            xm[i] = float(minus)
+            a, b, c, d = xm
+            mw, mx, my, mz = (a * mw - b * mx - c * my - d * mz,
+                              a * mx + b * mw + c * mz - d * my,
+                              a * my - b * mz + c * mw + d * mx,
+                              a * mz + b * my - c * mx + d * mw)
+            xm[i] = float(v)
+            products.append(((pw - mw) * scale, (px - mx) * scale,
+                             (py - my) * scale, (pz - mz) * scale))
+    return (out, products) if times_variable else out
 
 
 def _euler_sum(coords, partials):
@@ -306,12 +334,12 @@ def _tangential(field, m, i, j, point):
     return _sub(_scale(dj, coords[i]), _scale(di, coords[j]))
 
 
-def _spherical_dirac(field, m, point):
-    _check_var(field, m)
-    _, x1, x2, x3 = _coordinates(point, m)
-    field.spend()
-    (a1, b1, c1, e1), (a2, b2, c2, e2), (a3, b3, c3, e3) = _partials(
-        field, m, (1, 2, 3), point)
+def _dirac_sum(x1, x2, x3, d1, d2, d3):
+    """-i L_23 + j L_13 - k L_12 from the float imaginary components of x_m
+    and the partials in them."""
+    a1, b1, c1, e1 = d1
+    a2, b2, c2, e2 = d2
+    a3, b3, c3, e3 = d3
     # the products by i, j and k in the operation order of hamilton(unit, q),
     # without its multiplications by 1
     e, f, g, h = (a3 * x2 - a2 * x3, b3 * x2 - b2 * x3, c3 * x2 - c2 * x3,
@@ -329,13 +357,21 @@ def _spherical_dirac(field, m, point):
     return (-w + jw - kw, -x + jx - kx, -y + jy - ky, -z + jz - kz)
 
 
-def _fueter(field, m, point):
+def _spherical_dirac(field, m, point):
     _check_var(field, m)
+    _, x1, x2, x3 = _coordinates(point, m)
     field.spend()
-    (dw, dx, dy, dz), (e, f, g, h), (e2, f2, g2, h2), (e3, f3, g3, h3) = \
-        _partials(field, m, (0, 1, 2, 3), point)
-    # d0 + i d1 + j d2 + k d3, halved, in the operation order of _add,
-    # hamilton(unit, d) and _scale, without hamilton's multiplications by 1
+    return _dirac_sum(x1, x2, x3, *_partials(field, m, (1, 2, 3), point))
+
+
+def _fueter_sum(d0, d1, d2, d3):
+    """(d0 + i d1 + j d2 + k d3) / 2 from the four coordinate partials."""
+    dw, dx, dy, dz = d0
+    e, f, g, h = d1
+    e2, f2, g2, h2 = d2
+    e3, f3, g3, h3 = d3
+    # in the operation order of _add, hamilton(unit, d) and _scale, without
+    # hamilton's multiplications by 1
     return ((((dw + (0 * e - f - 0 * g - 0 * h))
               + (0 * e2 - 0 * f2 - g2 - 0 * h2))
              + (0 * e3 - 0 * f3 - 0 * g3 - h3)) * 0.5,
@@ -348,6 +384,12 @@ def _fueter(field, m, point):
             (((dz + (0 * h + g - 0 * f + 0 * e))
               + (0 * h2 + 0 * g2 - f2 + 0 * e2))
              + (0 * h3 + 0 * g3 - 0 * f3 + e3)) * 0.5)
+
+
+def _fueter(field, m, point):
+    _check_var(field, m)
+    field.spend()
+    return _fueter_sum(*_partials(field, m, (0, 1, 2, 3), point))
 
 
 def _laplacian(field, m, point, step=None):
@@ -454,6 +496,67 @@ def normalized_dirac_field(field, m):
                         _spherical_dirac(field, m, point))
 
     return field.derived(flat)
+
+
+def _derived_pair(field, m, pair):
+    """The two fields of ``pair``, a function of flat points whose value is
+    a pair of component 4-tuples: one derivative each of ``field`` in x_m,
+    configured as ``derived`` configures one.  One call of ``pair`` fills
+    both memos at a point, and a raised exception is stored in neither."""
+    _check_var(field, m)
+    field.spend()
+    first, second = {}, {}
+
+    def memo_first(point):
+        value = first.get(point)
+        if value is None:
+            value, second[point] = pair(point)
+            first[point] = value
+        return value
+
+    def memo_second(point):
+        value = second.get(point)
+        if value is None:
+            first[point], value = pair(point)
+            second[point] = value
+        return value
+
+    return tuple(NumericField(quaternion_form(memo), field.n,
+                              field.smoothness - 1, NESTED_STEP, field.band)
+                 for memo in (memo_first, memo_second))
+
+
+def _negated_fueter_pair(field, m):
+    """The fields of ``negated_fueter_field`` of ``field`` and of
+    ``multiply_by_variable(field, m)``, bit for bit, from one stencil pass
+    per point."""
+
+    def pair(point):
+        partials, products = _partials(field, m, (0, 1, 2, 3), point,
+                                       times_variable=True)
+        w, x, y, z = _fueter_sum(*partials)
+        pw, px, py, pz = _fueter_sum(*products)
+        return (-w, -x, -y, -z), (-pw, -px, -py, -pz)
+
+    return _derived_pair(field, m, pair)
+
+
+def _normalized_dirac_pair(field, m):
+    """The fields of ``normalized_dirac_field`` of ``field`` and of
+    ``multiply_by_variable(field, m)``, bit for bit, from one stencil pass
+    per point.  The band is checked, and the inverse formed, once for both
+    and before the stencil runs."""
+
+    def pair(point):
+        _check_off_axis(field, m, point)
+        inverse = _inverse_im(point, m, 2.0)
+        _, x1, x2, x3 = _coordinates(point, m)
+        partials, products = _partials(field, m, (1, 2, 3), point,
+                                       times_variable=True)
+        return (hamilton(inverse, _dirac_sum(x1, x2, x3, *partials)),
+                hamilton(inverse, _dirac_sum(x1, x2, x3, *products)))
+
+    return _derived_pair(field, m, pair)
 
 
 def _view(field, flat):

@@ -307,7 +307,13 @@ def parse_quaternion(text):
             value = Fraction(1)
         else:
             unit = match.group("unit") or ""
-            value = Fraction(match.group("num"))
+            try:
+                value = Fraction(match.group("num"))
+            except ZeroDivisionError:
+                raise ValueError("number %r at offset %d of quaternion literal %r "
+                                 "has a zero denominator"
+                                 % (match.group("num"), match.start("num"), text)
+                                 ) from None
         comps[unit] += factor * value
         pos = match.end()
         count += 1

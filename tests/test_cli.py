@@ -140,6 +140,29 @@ def test_point_arity_mismatch(capsys):
     assert report["error"]["type"] == "value"
 
 
+def test_a_zero_denominator_in_an_expression_is_a_syntax_error(capsys):
+    # Fraction raised before an offset was attached, and the report read
+    # {"type": "division-by-zero", "message": "Fraction(3, 0)"}
+    code, report = run_json(capsys, "eval", "x1*(3/0)", "--at", "i")
+    assert code == 2
+    assert report["error"] == {
+        "type": "syntax", "offset": 4,
+        "message": "number '3/0' has a zero denominator (offset 4)"}
+
+
+@pytest.mark.parametrize("literal, offset", [("3/0", 0), ("1-2/00k", 2)])
+def test_a_zero_denominator_in_a_point_is_a_value_error(capsys, literal,
+                                                        offset):
+    # named with its offset, as every other malformed point literal is
+    code, report = run_json(capsys, "eval", "x1", "--at=" + literal)
+    assert code == 2
+    assert report["error"] == {
+        "type": "value",
+        "message": "number %r at offset %d of quaternion literal %r has a "
+                   "zero denominator" % (literal[offset:].rstrip("k"), offset,
+                                         literal)}
+
+
 def test_long_expressions_report_instead_of_overflowing_the_stack(capsys):
     code, report = run_json(capsys, "eval", "+".join(["x1"] * 5000),
                             "--at", "1+i")

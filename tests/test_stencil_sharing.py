@@ -258,17 +258,19 @@ def test_a_dirac_entry_checks_the_band_before_its_stencil():
     assert counter.calls == 0
 
 
-def _counted_field():
-    """A field of one variable whose flat form records every point it is
+def _counted_field(n=1):
+    """A field of n variables whose flat form records every point it is
     asked for."""
     calls = []
 
     def flat(point):
         calls.append(point)
-        w, x, y, z = point
+        w, x, y, z = point[:4]
+        for c in point[4:]:
+            w, z = w + c * z, z - c
         return (w * x - y, x * z + 0.5, w - z * y, y * y)
 
-    return NumericField(quaternion_form(flat), 1), calls
+    return NumericField(quaternion_form(flat), n), calls
 
 
 _P = (Quaternion(0.5, 1.0, 0.25, -0.5),)
@@ -324,6 +326,73 @@ def test_a_family_entry_field_matches_its_two_field_form(one, two):
             got = one(two(base, 1), m)(p).components()
             assert [c.hex() for c in got] == [
                 c.hex() for c in two(two(base, 1), m)(p).components()]
+
+
+def _hexes(field, point):
+    return [c.hex() for c in field(point).components()]
+
+
+@pytest.mark.parametrize("pair, build, stencil", [
+    (numeric._negated_fueter_pair, negated_fueter_field, 8),
+    (numeric._normalized_dirac_pair, normalized_dirac_field, 6)],
+    ids=["fueter", "dirac"])
+def test_a_sibling_pair_matches_its_two_field_form(pair, build, stencil):
+    # the entries on K and K | {m} of a family, D g and D(x_m g), from one
+    # stencil pass: the bits and configuration of the derivative field of g
+    # and of its multiply_by_variable view
+    rng = random.Random(31)
+    for m in (1, 2):
+        for base in (lift(parse_slice("x1*~x2*(1/2-j) + x2^2*x1*(1/3k)", 2)),
+                     _counted_field(2)[0]):
+            siblings = pair(base, m)
+            two = (build(base, m), build(multiply_by_variable(base, m), m))
+            assert [(f.n, f.smoothness, f.step, f.band) for f in siblings] \
+                == [(f.n, f.smoothness, f.step, f.band) for f in two]
+            for _ in range(3):
+                p = random_slice_point(rng, 2)
+                assert [_hexes(f, p) for f in siblings] \
+                    == [_hexes(f, p) for f in two]
+    # the two siblings together read each stencil point once
+    parent, calls = _counted_field()
+    first, second = pair(parent, 1)
+    values = {(first(_P).components(), second(_P).components())
+              for _ in range(3)}
+    assert len(values) == 1
+    assert len(calls) == len(set(calls)) == stencil
+
+
+def test_a_dirac_pair_checks_the_band_before_its_stencil():
+    parent, calls = _counted_field()
+    siblings = numeric._normalized_dirac_pair(parent, 1)
+    for _ in range(2):
+        for field in siblings:
+            with pytest.raises(NearRealAxisError):
+                field((Quaternion(1.0, 0.05),))
+    assert calls == []
+
+
+@pytest.mark.parametrize("pair", [numeric._negated_fueter_pair,
+                                  numeric._normalized_dirac_pair],
+                         ids=["fueter", "dirac"])
+def test_a_sibling_pair_memoizes_values_but_not_exceptions(pair):
+    parent, calls = _counted_field()
+    flat = parent.func.flat
+
+    def flaky(point):
+        if not calls:
+            calls.append(None)
+            raise ArithmeticError("first read fails")
+        return flat(point)
+
+    first, second = pair(NumericField(quaternion_form(flaky), 1), 1)
+    with pytest.raises(ArithmeticError):
+        second(_P)
+    value = first(_P).components()
+    reads = len(calls)
+    # one compute filled both memos, and the failed one stored nothing
+    assert second(_P).components() != value
+    assert first(_P).components() == value
+    assert len(calls) == reads
 
 
 def _reference_lift(f, point):
@@ -640,7 +709,9 @@ def test_derived_takes_no_step():
         base.derived(base.flat, cost=0, step=base.step)
 
 
-@pytest.mark.parametrize("build", [spherical_dirac_field, fueter_derivative_field])
+@pytest.mark.parametrize("build", [
+    spherical_dirac_field, fueter_derivative_field,
+    numeric._negated_fueter_pair, numeric._normalized_dirac_pair])
 def test_a_derivative_field_on_an_exhausted_budget_evaluates_nothing(build):
     calls = []
     base = NumericField(lambda p: calls.append(p) or Quaternion(1.0), 1, 0)
