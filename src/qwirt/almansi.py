@@ -10,6 +10,11 @@ subsets of {1..m}:
 * ``dirac`` -- numeric entries obtained by iterated normalized spherical
   Dirac derivatives of any smooth field.
 
+Each flavor runs one recursion: the entry g on a subset K of {1..m-1}
+gives the entries D g on K and D(x_m g) on K | {m}, D the flavor's
+derivative in x_m.  A numeric flavor builds each such sibling pair from
+one stencil pass per point, reading g once at each displaced point.
+
 A family reconstructs a function as the ordered sum of its entries
 left-multiplied by products of negated conjugate coordinates over the
 complementary subsets.  The spherical and Dirac flavors reconstruct slice

@@ -27,7 +27,12 @@ whose length is not the field's n, and return a quaternion.
 Every coordinate partial comes from one stencil routine, ``_partials``:
 several coordinates of one variable in one pass, each displaced by +h, then
 by -h, in the operator's order.  Each operator checks its variable and
-spends its derivative once, then calls it.
+spends its derivative once, then calls it.  Asked for the partials of x_m
+times the field too, it forms both from the same values, so the sibling
+entries D g and D(x_m g) of a component family (``_negated_fueter_pair``,
+``_normalized_dirac_pair``) take one stencil pass per point.  The Fueter
+and spherical Dirac formulas (``_fueter_sum``, ``_dirac_sum``) are shared
+by the single operators and the pairs.
 
 Every field is a ``NumericField``, with one rule for its flat form: ``flat``
 is ``func.flat`` when ``func`` has one, as the compiled stem of ``lift(f)``
@@ -37,11 +42,11 @@ every evaluation of its field (``functools.wraps`` would copy ``flat`` onto
 it, and the wrapper would be bypassed).
 
 Memos sit where values are shared: every derivative field (``derived``,
-cost 1), including the one field of each component-family entry, and the
-base view a family is built on.  A pointwise view (``negate_field``,
-``multiply_by_variable``, ``div_by_twice_im``) keeps none; it costs less
-than a memo lookup, and a derivative field above it reads each of its
-stencil points once.
+cost 1), both fields of a sibling pair (``_derived_pair``, one compute
+filling both memos), and the base view a family is built on.  A pointwise
+view (``negate_field``, ``multiply_by_variable``, ``div_by_twice_im``)
+keeps none; it costs less than a memo lookup, and a derivative field above
+it reads each of its stencil points once.
 """
 
 import math
