@@ -131,12 +131,11 @@ def spherical_components(f, level):
 
 
 def _numeric_levels(flavor, pair, field, level):
-    """The levels of a numeric recursion from a memoizing cost-0 view of the
-    caller's field: the stencils of the first level's pair reach some points
-    more than once, and the caller's field keeps no state.  Each pair is one
-    stencil pass per point for both siblings."""
-    return _component_levels(flavor, field.derived(field.flat, cost=0), level,
-                             pair)
+    """The levels of a numeric recursion from ``field.memoized()``: the
+    stencils of the first level's pair reach some points more than once,
+    and the caller's field keeps no state.  Each pair is one stencil pass
+    per point for both siblings."""
+    return _component_levels(flavor, field.memoized(), level, pair)
 
 
 def fueter_components(field, level):

@@ -32,7 +32,9 @@ times the field too, it forms both from the same values, so the sibling
 entries D g and D(x_m g) of a component family (``_negated_fueter_pair``,
 ``_normalized_dirac_pair``) take one stencil pass per point.  The Fueter
 and spherical Dirac formulas (``_fueter_sum``, ``_dirac_sum``) are shared
-by the single operators and the pairs.
+by the single operators and the pairs.  ``_partials`` and the Laplacian's
+second-order stencil refuse a step too small to move a coordinate, over
+which every difference would be exactly 0.
 
 Every field is a ``NumericField``, with one rule for its flat form: ``flat``
 is ``func.flat`` when ``func`` has one, as the compiled stem of ``lift(f)``
@@ -41,12 +43,11 @@ quaternions.  So a wrapper without ``flat`` put in place of ``func`` sees
 every evaluation of its field (``functools.wraps`` would copy ``flat`` onto
 it, and the wrapper would be bypassed).
 
-Memos sit where values are shared: every derivative field (``derived``,
-cost 1), both fields of a sibling pair (``_derived_pair``, one compute
-filling both memos), and the base view a family is built on.  A pointwise
-view (``negate_field``, ``multiply_by_variable``, ``div_by_twice_im``)
-keeps none; it costs less than a memo lookup, and a derivative field above
-it reads each of its stencil points once.
+Memos sit where values are shared: both fields of a sibling pair
+(``_derived_pair``, the one builder of derivative fields, one compute
+filling both memos) and the base view a family is built on
+(``NumericField.memoized``).  ``multiply_by_variable``, the tests'
+reference for the sibling product, keeps none.
 """
 
 import math
@@ -91,13 +92,13 @@ class NumericField:
     It may carry ``flat``, the same function from a flat 4n-tuple to a
     component 4-tuple.  The field's ``flat``, on which the operators run, is
     ``func.flat`` when there is one, else ``func`` at the point's
-    quaternions.  A field built by the caller keeps no state; one built by
-    ``derived`` memoizes its values for as long as it lives, and a pointwise
-    view or product keeps none.  A view or product of a field reads the
-    field's ``flat`` once, when it is built; a product goes through
-    ``hamilton`` or restates it in its operation order.
+    quaternions.  A field built by the caller keeps no state; ``memoized``
+    and the sibling pairs of a component family memoize their values for as
+    long as they live, and ``multiply_by_variable`` keeps none.  Each of
+    them reads its parent's ``flat`` once, when it is built.
 
-    n must be an int >= 1, the step finite and > 0, the band finite and >= 0.
+    n must be an int >= 1, the smoothness an int >= 0, the step finite and
+    > 0, the band finite and >= 0.
     """
 
     __slots__ = ("func", "n", "smoothness", "step", "band")
@@ -107,6 +108,9 @@ class NumericField:
         if type(n) is not int or n < 1:
             raise ValueError("a field needs at least one variable: n must be "
                              "an int >= 1, got %r" % (n,))
+        if type(smoothness) is not int or smoothness < 0:
+            raise ValueError("smoothness budget must be an int >= 0, got %r"
+                             % (smoothness,))
         if not (math.isfinite(step) and step > 0):
             raise ValueError("finite-difference step must be finite and > 0, "
                              "got %r" % step)
@@ -139,16 +143,11 @@ class NumericField:
                 "operator needs %d derivative(s), smoothness budget is %d"
                 % (depth, self.smoothness))
 
-    def derived(self, flat, cost=1):
-        """The field of ``flat``, a function of flat points with 4-tuple
-        values, memoized by the flat point (a raised exception is never
-        stored).  It spends ``cost`` of this field's budget now; a
-        derivative (cost 1) steps by ``NESTED_STEP``, and a cost-0 view,
-        such as the base view a component family shares, keeps this
-        field's step.  ``flat`` computes its products by ``hamilton`` or
-        restates it in its operation order."""
-        if cost:
-            self.spend(cost)
+    def memoized(self):
+        """This field with a memo of its ``flat`` by the flat point (a
+        raised exception is never stored), its budget and its step: the
+        cost-0 base view a component family shares."""
+        flat = self.flat
         values = {}
 
         def memo(point):
@@ -157,8 +156,8 @@ class NumericField:
                 value = values[point] = flat(point)
             return value
 
-        return NumericField(quaternion_form(memo), self.n, self.smoothness - cost,
-                            NESTED_STEP if cost else self.step, self.band)
+        return NumericField(quaternion_form(memo), self.n, self.smoothness,
+                            self.step, self.band)
 
 
 def running_worst(worst, residual):
@@ -253,6 +252,13 @@ def _displace(point, k, h):
     return point[:k] + (point[k] + h,) + point[k + 1:]
 
 
+def _unmoved(h, m, i, v):
+    """The refusal of a step too small to move coordinate i of x_m: every
+    difference over it would be exactly 0."""
+    return ValueError("finite-difference step %s does not move coordinate %d "
+                      "of x_%d, which is %s" % (h, i, m, v))
+
+
 def _partials(field, m, coords, point, step=None, times_variable=False):
     """The central differences in the real coordinates ``coords`` of x_m,
     in that order, each from the value at the point displaced by +h, then
@@ -264,7 +270,10 @@ def _partials(field, m, coords, point, step=None, times_variable=False):
     With ``times_variable``, it returns the partials of the field and of
     x_m times the field, from the same field values: the product at each
     displaced point is the one ``multiply_by_variable`` forms there, from
-    the float components of x_m at that point."""
+    the float components of x_m at that point.
+
+    A step that leaves a displaced coordinate equal to the undisplaced one
+    is refused before that coordinate's values are read."""
     h = field.step if step is None else step
     minus_h = -h
     scale = 1.0 / (2.0 * h)
@@ -279,6 +288,8 @@ def _partials(field, m, coords, point, step=None, times_variable=False):
         k = 4 * (m - 1) + i
         head, v, tail = point[:k], point[k], point[k + 1:]
         plus, minus = v + h, v + minus_h
+        if plus == v or minus == v:
+            raise _unmoved(h, m, i, v)
         pw, px, py, pz = flat(head + (plus,) + tail)
         mw, mx, my, mz = flat(head + (minus,) + tail)
         out.append(((pw - mw) * scale, (px - mx) * scale, (py - my) * scale,
@@ -404,7 +415,11 @@ def _laplacian(field, m, point, step=None):
     center = field.flat(point)
     twice = _scale(center, 2.0)
     total = _ZERO
-    for k in range(4 * (m - 1), 4 * m):
+    for i in range(4):
+        k = 4 * (m - 1) + i
+        v = point[k]
+        if v + h == v or v - h == v:
+            raise _unmoved(h, m, i, v)
         plus = field.flat(_displace(point, k, h))
         minus = field.flat(_displace(point, k, -h))
         total = _sub(_add(_add(total, plus), minus), twice)
@@ -468,46 +483,14 @@ def laplacian(field, m, point, step=None):
 # -- derived fields -------------------------------------------------------------
 
 
-def spherical_dirac_field(field, m):
-    return field.derived(lambda p: _spherical_dirac(field, m, p))
-
-
-def fueter_derivative_field(field, m):
-    return field.derived(lambda p: _fueter(field, m, p))
-
-
-def negated_fueter_field(field, m):
-    """The field of -(Cauchy-Riemann-Fueter derivative in x_m): one
-    derivative field, the value of ``negate_field`` of
-    ``fueter_derivative_field`` with one memo instead of two."""
-
-    def flat(point):
-        w, x, y, z = _fueter(field, m, point)
-        return (-w, -x, -y, -z)
-
-    return field.derived(flat)
-
-
-def normalized_dirac_field(field, m):
-    """The field of (2 Im(x_m))^-1 times the spherical Dirac derivative in
-    x_m: one derivative field, the value of ``div_by_twice_im`` of
-    ``spherical_dirac_field`` with one memo instead of two.  The band is
-    checked before the stencil runs."""
-    _check_var(field, m)
-
-    def flat(point):
-        _check_off_axis(field, m, point)
-        return hamilton(_inverse_im(point, m, 2.0),
-                        _spherical_dirac(field, m, point))
-
-    return field.derived(flat)
-
-
 def _derived_pair(field, m, pair):
     """The two fields of ``pair``, a function of flat points whose value is
     a pair of component 4-tuples: one derivative each of ``field`` in x_m,
-    configured as ``derived`` configures one.  One call of ``pair`` fills
-    both memos at a point, and a raised exception is stored in neither."""
+    and the one place a derivative field is built.  Each spends one
+    derivative of the budget now and steps by ``NESTED_STEP``, with the
+    parent's band.  Each memoizes its values by the flat point: one call of
+    ``pair`` fills both memos at a point, and a raised exception is stored
+    in neither."""
     _check_var(field, m)
     field.spend()
     first, second = {}, {}
@@ -532,9 +515,9 @@ def _derived_pair(field, m, pair):
 
 
 def _negated_fueter_pair(field, m):
-    """The fields of ``negated_fueter_field`` of ``field`` and of
-    ``multiply_by_variable(field, m)``, bit for bit, from one stencil pass
-    per point."""
+    """The fields of -(Cauchy-Riemann-Fueter derivative in x_m) of
+    ``field`` and of ``multiply_by_variable(field, m)``, from one stencil
+    pass per point: bit for bit ``-fueter_derivative`` of each."""
 
     def pair(point):
         partials, products = _partials(field, m, (0, 1, 2, 3), point,
@@ -547,10 +530,11 @@ def _negated_fueter_pair(field, m):
 
 
 def _normalized_dirac_pair(field, m):
-    """The fields of ``normalized_dirac_field`` of ``field`` and of
-    ``multiply_by_variable(field, m)``, bit for bit, from one stencil pass
-    per point.  The band is checked, and the inverse formed, once for both
-    and before the stencil runs."""
+    """The fields of (2 Im(x_m))^-1 times the spherical Dirac derivative in
+    x_m of ``field`` and of ``multiply_by_variable(field, m)``, from one
+    stencil pass per point: bit for bit ``(Im(x_m) * 2.0).inverse() *
+    spherical_dirac`` of each.  The band is checked, and the inverse
+    formed, once for both and before the stencil runs."""
 
     def pair(point):
         _check_off_axis(field, m, point)
@@ -564,59 +548,19 @@ def _normalized_dirac_pair(field, m):
     return _derived_pair(field, m, pair)
 
 
-def _view(field, flat):
-    """The field of ``flat``, a pointwise view of ``field`` with its
-    configuration and no memo: it is evaluated afresh at every call, and
-    its values are shared only through the memos of the fields below and
-    above it."""
-    return NumericField(quaternion_form(flat), field.n, field.smoothness,
+def multiply_by_variable(field, m):
+    """Pointwise left multiplication by x_m, by ``hamilton`` on the float
+    components of x_m; smooth, so the derivative budget is untouched.  It
+    keeps no memo.  It is the reference of the sibling product that
+    ``_partials`` forms."""
+    _check_var(field, m)
+    flat = field.flat
+
+    def func(point):
+        return hamilton(_coordinates(point, m), flat(point))
+
+    return NumericField(quaternion_form(func), field.n, field.smoothness,
                         field.step, field.band)
-
-
-def negate_field(field):
-    flat = field.flat
-
-    def func(point):
-        w, x, y, z = flat(point)
-        return (-w, -x, -y, -z)
-
-    return _view(field, func)
-
-
-def multiply_by_variable(field, m, conj=False):
-    """Pointwise left multiplication by x_m (or its conjugate); smooth, so
-    the derivative budget is untouched.  The product restates ``hamilton``
-    in its operation order."""
-    _check_var(field, m)
-    flat = field.flat
-    k = 4 * (m - 1)
-
-    def func(point):
-        a = float(point[k])
-        b = float(point[k + 1])
-        c = float(point[k + 2])
-        d = float(point[k + 3])
-        if conj:
-            b, c, d = -b, -c, -d
-        e, f, g, h = flat(point)
-        return (a * e - b * f - c * g - d * h,
-                a * f + b * e + c * h - d * g,
-                a * g - b * h + c * e + d * f,
-                a * h + b * g - c * f + d * e)
-
-    return _view(field, func)
-
-
-def div_by_twice_im(field, m):
-    """Pointwise left multiplication by (2 Im(x_m))^-1, banded at the axis."""
-    _check_var(field, m)
-    flat = field.flat
-
-    def func(point):
-        _check_off_axis(field, m, point)
-        return hamilton(_inverse_im(point, m, 2.0), flat(point))
-
-    return _view(field, func)
 
 
 def lift(f, smoothness=DEFAULT_SMOOTHNESS, step=DEFAULT_STEP, band=DEFAULT_BAND):

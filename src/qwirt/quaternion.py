@@ -23,10 +23,10 @@ def hamilton(p, q):
     """Hamilton's product of two component 4-tuples ``(w, x, y, z)``, as
     ``Quaternion.__mul__`` and the numeric operators compute it.  The stem
     kernel (``slicefn._compile_stem``), the stem product
-    (``slicefn._stem_product``), ``numeric.multiply_by_variable``, the
-    sibling products of ``numeric._partials`` and the products by i, j and
-    k of ``numeric._fueter_sum`` and ``numeric._dirac_sum`` restate it
-    inline in this operation order; tests pin them to these bits."""
+    (``slicefn._stem_product``), the sibling products of
+    ``numeric._partials`` and the products by i, j and k of
+    ``numeric._fueter_sum`` and ``numeric._dirac_sum`` restate it inline in
+    this operation order; tests pin them to these bits."""
     a, b, c, d = p
     e, f, g, h = q
     return (a * e - b * f - c * g - d * h,

@@ -5,6 +5,7 @@ numeric suite the command line runs."""
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from functools import reduce
@@ -294,6 +295,21 @@ def test_regularity_check_refuses_no_operators():
     assert not calls
 
 
+@pytest.mark.parametrize("smoothness", [math.nan, 0.5, "3", True, -1])
+def test_a_smoothness_that_is_not_an_int_is_refused(smoothness):
+    # a NaN budget never ran out (a level-1 Dirac entry read nan and still
+    # differentiated), 0.5 was refused later as "smoothness budget is 0" and
+    # "3" was accepted
+    calls = []
+    with pytest.raises(ValueError, match="smoothness budget must be an int "
+                       r">= 0, got %s$" % re.escape(repr(smoothness))):
+        NumericField(lambda p: calls.append(p) or Quaternion(1.0), 1,
+                     smoothness)
+    with pytest.raises(ValueError, match="smoothness budget"):
+        lift(variable(1, 1), smoothness)
+    assert not calls
+
+
 @pytest.mark.parametrize("flavor", ["fueter", "dirac"])
 def test_numeric_reconstruction_level_over_the_cap_is_refused(flavor):
     # level 6 failed x1*...*x6 at residual 3.2e-3 against 1e-4 in 14 s,
@@ -427,6 +443,42 @@ def test_bad_tolerances_are_refused_before_any_evaluation(check, tol, monkeypatc
     assert not calls
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-regular", "--numeric", "--fd-step", "1e-300", "--samples", "2",
+     "~x1"),
+    ("theta", "--numeric", "--m", "1", "--at=1+i", "--fd-step", "1e-300",
+     "x1"),
+], ids=["check-regular", "theta"])
+def test_a_step_too_small_to_move_a_coordinate_is_refused(capsys, argv):
+    # every displaced coordinate equalled the undisplaced one, so every
+    # difference was exactly 0: check-regular said "regular" for ~x1 and
+    # exited 0, and theta printed 0
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["error"]["type"] == "value"
+    assert re.fullmatch(r"finite-difference step 1e-300 does not move "
+                        r"coordinate 0 of x_1, which is \S+",
+                        report["error"]["message"])
+
+
+@pytest.mark.parametrize("operator", [
+    lambda field, p, step: numeric.coordinate_partial(field, 1, 2, p, step),
+    lambda field, p, step: numeric.laplacian(field, 1, p, step)],
+    ids=["coordinate_partial", "laplacian"])
+def test_the_stencils_refuse_a_step_that_moves_no_coordinate(operator):
+    field = lift(variable(1, 1))
+    p = (Quaternion(0.5, 1.0, 2.0 ** 60, -0.5),)
+    # the default step does not move the coordinate 2^60
+    with pytest.raises(ValueError, match="step 0.001 does not move coordinate "
+                       "2 of x_1, which is 1.152921504606847e"):
+        operator(field, p, None)
+    # nor does 1e-300 move 1.0, whichever coordinate comes first
+    with pytest.raises(ValueError, match="step 1e-300 does not move"):
+        operator(field, (Quaternion(1.0, 1.0, 1.0, 1.0),), 1e-300)
+    # a step that moves every coordinate is accepted
+    assert math.isfinite(abs(operator(field, p, 1e3)))
+
+
 def test_zero_band_and_exact_step_are_accepted():
     field = NumericField(lambda p: p[0], 1, step=Fraction(1, 100), band=0)
     assert (field.step, field.band) == (Fraction(1, 100), 0)
@@ -540,8 +592,9 @@ _HUGE = "1" + "0" * 160
 @pytest.mark.parametrize("argv, value", [
     (("eval", "--at", "%s+i;%s+j" % (_HUGE, _HUGE), "x1*x2"),
      "inf+nani+nanj+nank"),
+    # a step of 1e150 moves the coordinate 1e160; the default step does not
     (("theta", "--numeric", "--m", "1", "--at", "%s+i;%s+j" % (_HUGE, _HUGE),
-      "x1*x2"), "nan+nani+nanj+nank"),
+      "--fd-step", "1e150", "x1*x2"), "nan+nani+nanj+nank"),
 ], ids=["eval", "theta-numeric"])
 def test_a_non_finite_value_is_an_overflow_error(capsys, argv, value):
     # the product leaves the float range, and inf - inf is nan; these used to

@@ -1,8 +1,11 @@
 """Each concept has one home: the degree cap is checked before any product
 is formed, unvalidated ring operations keep the stem invariants, the Dirac
-recursion runs once per sample point and the CLI accepts only the flags a
-command reads."""
+recursion runs once per sample point, the CLI accepts only the flags a
+command reads and the numeric module defines no function that only tests
+reach."""
 
+import ast
+import os
 import random
 from functools import reduce
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import helpers
+import qwirt
 from qwirt import slicefn
 from qwirt.cli import main
 from qwirt.expr import parse_slice
@@ -140,3 +144,42 @@ def test_cli_refuses_flags_the_command_never_reads(argv, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# The tests' reference for the sibling product that the numeric families
+# form inside their stencil pass.
+_TEST_REFERENCES = ["multiply_by_variable"]
+
+
+def _names_read(statements):
+    """The names, attributes and imported names the statements mention."""
+    names = set()
+    for node in (n for stmt in statements for n in ast.walk(stmt)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_numeric_function_is_reached_from_the_library():
+    # the builders that only tests reached were a second way to build a
+    # derivative field; a function of qwirt.numeric is named by other code
+    # of the library or exported by qwirt
+    src = os.path.dirname(qwirt.__file__)
+    modules = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                modules[name] = ast.parse(fh.read()).body
+    numeric = modules.pop("numeric.py")
+    elsewhere = _names_read(stmt for body in modules.values() for stmt in body)
+    unreached = [
+        stmt.name for stmt in numeric
+        if isinstance(stmt, ast.FunctionDef)
+        and stmt.name not in elsewhere | _names_read(
+            other for other in numeric if other is not stmt)
+        and not hasattr(qwirt, stmt.name)]
+    assert unreached == _TEST_REFERENCES

@@ -19,10 +19,9 @@ from qwirt.almansi import (check_reconstruction, check_zonal, reconstruct,
 from qwirt.cli import main
 from qwirt.expr import parse_slice
 from qwirt.numeric import (NumericField, NearRealAxisError, DepthExhaustedError,
-                           lift, coordinate_partial, spherical_dirac_field,
-                           fueter_derivative_field, negate_field,
-                           multiply_by_variable, div_by_twice_im,
-                           negated_fueter_field, normalized_dirac_field)
+                           NESTED_STEP, lift, coordinate_partial,
+                           fueter_derivative, spherical_dirac,
+                           multiply_by_variable)
 from qwirt import numeric, slicefn
 from qwirt.quaternion import (Quaternion, I, J, K, flat_point, hamilton,
                               quaternion_form, split_slice_components)
@@ -230,7 +229,7 @@ def test_derived_field_memoizes_values_but_not_exceptions():
         return Quaternion(2.0)
 
     base = NumericField(value, 1, 4)
-    view = base.derived(base.flat, cost=0)
+    view = base.memoized()
     p = (Quaternion(0.5, 1.0),)
     with pytest.raises(NearRealAxisError):
         view(p)
@@ -240,22 +239,14 @@ def test_derived_field_memoizes_values_but_not_exceptions():
     assert (view.smoothness, view.step) == (base.smoothness, base.step)
 
 
-def test_derived_banded_field_raises_at_every_call():
-    field = div_by_twice_im(spherical_dirac_field(lift(variable(1, 1)), 1), 1)
-    p = (Quaternion(1.0, 0.05),)
-    for _ in range(2):
-        with pytest.raises(NearRealAxisError):
-            field(p)
-
-
-def test_a_dirac_entry_checks_the_band_before_its_stencil():
-    base = lift(variable(1, 1))
-    counter = Counter(base)
-    field = normalized_dirac_field(base, 1)
-    for _ in range(2):
-        with pytest.raises(NearRealAxisError):
-            field((Quaternion(1.0, 0.05),))
-    assert counter.calls == 0
+def test_a_memoized_view_keeps_exact_components():
+    # a memo passes its parent's values through, exact components included
+    base = NumericField(lambda p: p[0] * Quaternion(1, Fraction(1, 3), 0, -2),
+                        1)
+    p = (Quaternion(Fraction(1, 3), Fraction(-1, 2), 0, 1),)
+    got = base.memoized()(p).components()
+    assert got == base(p).components()
+    assert {type(c) for c in got} == {Fraction}
 
 
 def test_a_dirac_pair_checks_the_band_before_its_stencil():
@@ -288,14 +279,11 @@ def _counted_field(n=1):
 _P = (Quaternion(0.5, 1.0, 0.25, -0.5),)
 
 
-@pytest.mark.parametrize("build", [
-    negate_field, lambda f: multiply_by_variable(f, 1),
-    lambda f: multiply_by_variable(f, 1, conj=True),
-    lambda f: div_by_twice_im(f, 1)],
-    ids=["negate", "times_x1", "times_conj_x1", "div_by_twice_im"])
+@pytest.mark.parametrize("build", [lambda f: multiply_by_variable(f, 1)],
+                         ids=["times_x1"])
 def test_a_pointwise_view_keeps_no_memo(build):
-    # a view costs less than a memo lookup, so it reads its parent at every
-    # call; its values are shared through the memos below and above it
+    # a product costs less than a memo lookup, so it reads its parent at
+    # every call
     parent, calls = _counted_field()
     view = build(parent)
     first = view(_P).components()
@@ -303,74 +291,50 @@ def test_a_pointwise_view_keeps_no_memo(build):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("build, stencil", [
-    (spherical_dirac_field, 6), (fueter_derivative_field, 8),
-    (negated_fueter_field, 8), (normalized_dirac_field, 6)])
-def test_a_derivative_field_reads_each_stencil_point_once(build, stencil):
-    parent, calls = _counted_field()
-    field = build(parent, 1)
-    values = {field(_P).components() for _ in range(3)}
-    assert len(values) == 1
-    assert len(calls) == len(set(calls)) == stencil
-    # over a view, the derivative's memo still reads each point once
-    parent, calls = _counted_field()
-    field = build(multiply_by_variable(parent, 1), 1)
-    for _ in range(3):
-        field(_P)
-    assert len(calls) == len(set(calls)) == stencil
-
-
-@pytest.mark.parametrize("one, two", [
-    (negated_fueter_field,
-     lambda g, m: negate_field(fueter_derivative_field(g, m))),
-    (normalized_dirac_field,
-     lambda g, m: div_by_twice_im(spherical_dirac_field(g, m), m))],
-    ids=["fueter", "dirac"])
-def test_a_family_entry_field_matches_its_two_field_form(one, two):
-    # one derived field per family entry, with the bits of the composition
-    base = lift(parse_slice("x1*~x2*(1/2-j) + x2^2*x1*(1/3k)", 2))
-    rng = random.Random(12)
-    for m in (1, 2):
-        for _ in range(4):
-            p = random_slice_point(rng, 2)
-            want = [c.hex() for c in two(base, m)(p).components()]
-            assert [c.hex() for c in one(base, m)(p).components()] == want
-            got = one(two(base, 1), m)(p).components()
-            assert [c.hex() for c in got] == [
-                c.hex() for c in two(two(base, 1), m)(p).components()]
-
-
 def _hexes(field, point):
     return [c.hex() for c in field(point).components()]
 
 
-@pytest.mark.parametrize("pair, build, stencil", [
-    (numeric._negated_fueter_pair, negated_fueter_field, 8),
-    (numeric._normalized_dirac_pair, normalized_dirac_field, 6)],
+def _negated_fueter(g, m, p):
+    return -fueter_derivative(g, m, p)
+
+
+def _normalized_dirac(g, m, p):
+    inverse = (p[m - 1].to_float().im() * 2.0).inverse()
+    return inverse * spherical_dirac(g, m, p)
+
+
+@pytest.mark.parametrize("pair, reference, stencil", [
+    (numeric._negated_fueter_pair, _negated_fueter, 8),
+    (numeric._normalized_dirac_pair, _normalized_dirac, 6)],
     ids=["fueter", "dirac"])
-def test_a_sibling_pair_matches_its_two_field_form(pair, build, stencil):
+def test_a_sibling_pair_matches_its_two_field_form(pair, reference, stencil):
     # the entries on K and K | {m} of a family, D g and D(x_m g), from one
-    # stencil pass: the bits and configuration of the derivative field of g
-    # and of its multiply_by_variable view
+    # stencil pass: bit for bit the public operator on g and on its
+    # multiply_by_variable view, each sibling one derivative of g
     rng = random.Random(31)
     for m in (1, 2):
-        for base in (lift(parse_slice("x1*~x2*(1/2-j) + x2^2*x1*(1/3k)", 2)),
+        for base in (lift(parse_slice("x1*~x2*(1/2-j) + x2^2*x1*(1/3k)", 2),
+                          band=0.05),
                      _counted_field(2)[0]):
             siblings = pair(base, m)
-            two = (build(base, m), build(multiply_by_variable(base, m), m))
             assert [(f.n, f.smoothness, f.step, f.band) for f in siblings] \
-                == [(f.n, f.smoothness, f.step, f.band) for f in two]
+                == [(base.n, base.smoothness - 1, NESTED_STEP, base.band)] * 2
+            two = (base, multiply_by_variable(base, m))
             for _ in range(3):
                 p = random_slice_point(rng, 2)
                 assert [_hexes(f, p) for f in siblings] \
-                    == [_hexes(f, p) for f in two]
-    # the two siblings together read each stencil point once
-    parent, calls = _counted_field()
-    first, second = pair(parent, 1)
-    values = {(first(_P).components(), second(_P).components())
-              for _ in range(3)}
-    assert len(values) == 1
-    assert len(calls) == len(set(calls)) == stencil
+                    == [[c.hex() for c in reference(g, m, p).components()]
+                        for g in two]
+    # the two siblings together read each stencil point once, also over a
+    # multiply_by_variable view, which keeps no memo
+    for view in (lambda f: f, lambda f: multiply_by_variable(f, 1)):
+        parent, calls = _counted_field()
+        first, second = pair(view(parent), 1)
+        values = {(first(_P).components(), second(_P).components())
+                  for _ in range(3)}
+        assert len(values) == 1
+        assert len(calls) == len(set(calls)) == stencil
 
 
 @pytest.mark.parametrize("pair", [numeric._negated_fueter_pair,
@@ -673,15 +637,12 @@ def test_no_quaternion_is_built_per_base_evaluation(monkeypatch):
 
 
 def _built_fields(base):
-    return {"view": base.derived(base.flat, cost=0),
-            "spherical_dirac": spherical_dirac_field(base, 1),
-            "fueter": fueter_derivative_field(base, 1),
-            "negated_fueter": negated_fueter_field(base, 1),
-            "normalized_dirac": normalized_dirac_field(base, 1),
-            "negate": negate_field(base),
-            "times_x1": multiply_by_variable(base, 1),
-            "times_conj_x1": multiply_by_variable(base, 1, conj=True),
-            "div_by_twice_im": div_by_twice_im(base, 1)}
+    fueter = numeric._negated_fueter_pair(base, 1)
+    dirac = numeric._normalized_dirac_pair(base, 1)
+    return {"view": base.memoized(),
+            "fueter": fueter[0], "fueter_times_x1": fueter[1],
+            "dirac": dirac[0], "dirac_times_x1": dirac[1],
+            "times_x1": multiply_by_variable(base, 1)}
 
 
 def test_every_built_field_is_a_numeric_field_whose_flat_is_its_funcs():
@@ -705,15 +666,18 @@ def test_a_wrapper_on_a_derived_fields_func_sees_every_evaluation():
         assert len(counter.points) == 2, name
 
 
-def test_derived_takes_no_step():
+def test_memoized_replaces_derived():
+    # derived(flat, cost=1) built a derivative field; a caller of it gets an
+    # AttributeError, not a budget that changed without notice
     base = lift(parse_slice("x1"))
+    with pytest.raises(AttributeError):
+        base.derived(base.flat)
     with pytest.raises(TypeError):
-        base.derived(base.flat, cost=0, step=base.step)
+        base.memoized(base.flat)
 
 
-@pytest.mark.parametrize("build", [
-    spherical_dirac_field, fueter_derivative_field,
-    numeric._negated_fueter_pair, numeric._normalized_dirac_pair])
+@pytest.mark.parametrize("build", [numeric._negated_fueter_pair,
+                                   numeric._normalized_dirac_pair])
 def test_a_derivative_field_on_an_exhausted_budget_evaluates_nothing(build):
     calls = []
     base = NumericField(lambda p: calls.append(p) or Quaternion(1.0), 1, 0)
