@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from qwirt.almansi import (check_reconstruction, check_zonal, reconstruct,
-                           spherical_components)
+                           spherical_components, fueter_components,
+                           dirac_components)
 from qwirt.cli import main
 from qwirt.expr import parse_slice
 from qwirt.numeric import (NumericField, NearRealAxisError, DepthExhaustedError,
@@ -261,6 +262,31 @@ def test_a_dirac_pair_checks_the_band_before_its_stencil():
     assert counter.calls == 0
 
 
+def test_a_dirac_entry_checks_the_band_before_its_stencil():
+    # through the family's memoized view of the caller's field as well
+    base = lift(variable(1, 1))
+    counter = Counter(base)
+    family = dirac_components(base, 1)
+    for _ in range(2):
+        for mask in family.masks():
+            with pytest.raises(NearRealAxisError):
+                family.entry_value(mask, (Quaternion(1.0, 0.05),))
+    assert counter.calls == 0
+
+
+def test_derived_banded_field_raises_at_every_call():
+    # a level-2 Dirac entry near the real axis in x2 fails its own band
+    # check, and near it in x1 that of the entries its stencil reads; no
+    # memo on the way stores the exception
+    family = dirac_components(lift(variable(2, 1) * variable(2, 2)), 2)
+    for point in ((Quaternion(0.5, 1.0), Quaternion(1.0, 0.05)),
+                  (Quaternion(1.0, 0.05), Quaternion(0.5, 1.0))):
+        for _ in range(2):
+            for entry in family.entries.values():
+                with pytest.raises(NearRealAxisError):
+                    entry(point)
+
+
 def _counted_field(n=1):
     """A field of n variables whose flat form records every point it is
     asked for."""
@@ -335,6 +361,48 @@ def test_a_sibling_pair_matches_its_two_field_form(pair, reference, stencil):
                   for _ in range(3)}
         assert len(values) == 1
         assert len(calls) == len(set(calls)) == stencil
+
+
+@pytest.mark.parametrize("pair, sibling, stencil", [
+    (numeric._negated_fueter_pair, 0, 8), (numeric._negated_fueter_pair, 1, 8),
+    (numeric._normalized_dirac_pair, 0, 6),
+    (numeric._normalized_dirac_pair, 1, 6)],
+    ids=["fueter_derivative_of_g", "negated_fueter_field_of_x1_g",
+         "normalized_dirac_field_of_g", "spherical_dirac_field_of_x1_g"])
+def test_a_derivative_field_reads_each_stencil_point_once(pair, sibling,
+                                                         stencil):
+    # one sibling alone reads each point once, also over a view, and fills
+    # the memo of the other
+    for view in (lambda f: f, lambda f: multiply_by_variable(f, 1)):
+        parent, calls = _counted_field()
+        siblings = pair(view(parent), 1)
+        field = siblings[sibling]
+        values = {field(_P).components() for _ in range(3)}
+        assert len(values) == 1
+        assert len(calls) == len(set(calls)) == stencil
+        siblings[1 - sibling](_P)
+        assert len(calls) == stencil
+
+
+@pytest.mark.parametrize("components, reference", [
+    (fueter_components, _negated_fueter),
+    (dirac_components, _normalized_dirac)], ids=["fueter", "dirac"])
+def test_a_family_entry_field_matches_its_two_field_form(components,
+                                                         reference):
+    # a level-2 entry on K is the operator in x2 of the level-1 entry g on
+    # K minus {2}, or of x2 * g when 2 lies in K, bit for bit
+    base = lift(parse_slice("x1*~x2*(1/2-j) + x2^2*x1*(1/3k)", 2), band=0.05)
+    low = components(base, 1)
+    high = components(base, 2)
+    rng = random.Random(12)
+    for _ in range(4):
+        p = random_slice_point(rng, 2)
+        for mask, entry in high.entries.items():
+            g = low.entries[mask & 1]
+            if mask & 2:
+                g = multiply_by_variable(g, 2)
+            assert _hexes(entry, p) \
+                == [c.hex() for c in reference(g, 2, p).components()]
 
 
 @pytest.mark.parametrize("pair", [numeric._negated_fueter_pair,
