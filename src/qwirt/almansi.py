@@ -208,7 +208,8 @@ def check_uniqueness(f, candidate):
 
     The decomposition with sphere-constant entries is unique, so exact
     reconstruction and entry-wise equality with the spherical family are
-    equivalent; both are computed and their agreement asserted.
+    equivalent; both are computed, and a disagreement raises
+    ``RuntimeError``.
     """
     if not candidate.symbolic:
         raise ValueError("uniqueness checking needs a symbolic family")
@@ -223,7 +224,12 @@ def check_uniqueness(f, candidate):
     reference = spherical_components(f, candidate.level)
     matches = all(candidate.entries[mask] == reference.entries[mask]
                   for mask in reference.masks())
-    assert reconstructs == matches, "decomposition uniqueness violated"
+    if reconstructs != matches:
+        raise RuntimeError("decomposition uniqueness violated: the candidate "
+                           "%s f, but its entries %s the spherical family's"
+                           % ("reconstructs" if reconstructs
+                              else "does not reconstruct",
+                              "equal" if matches else "differ from"))
     return reconstructs
 
 

@@ -24,17 +24,20 @@ gives.  The public operators
 take a point of quaternions through ``field_point``, which refuses a point
 whose length is not the field's n, and return a quaternion.
 
-Every coordinate partial comes from one stencil routine, ``_partials``:
-several coordinates of one variable in one pass, each displaced by +h, then
-by -h, in the operator's order.  Each operator checks its variable and
-spends its derivative once, then calls it.  Asked for the partials of x_m
-times the field too, it forms both from the same values, so the sibling
-entries D g and D(x_m g) of a component family (``_negated_fueter_pair``,
+The step is the field's: ``NumericField.step`` is the only step an
+operator reads, so no operator takes one per call.  Every coordinate
+partial comes from one stencil routine, ``_partials``: several coordinates
+of one variable in one pass, each displaced by +h, then by -h, in the
+operator's order.  Each operator checks its variable and spends its
+derivative once, then calls it.  Asked for the partials of x_m times the
+field too, it forms both from the same values, so the sibling entries D g
+and D(x_m g) of a component family (``_negated_fueter_pair``,
 ``_normalized_dirac_pair``) take one stencil pass per point.  The Fueter
 and spherical Dirac formulas (``_fueter_sum``, ``_dirac_sum``) are shared
-by the single operators and the pairs.  ``_partials`` and the Laplacian's
-second-order stencil refuse a step too small to move a coordinate, over
-which every difference would be exactly 0.
+by the single operators and the pairs.  ``_partials`` and the second-order
+stencil of ``laplacian`` displace every coordinate by one rule,
+``_moved``, which refuses a step that does not move the coordinate, or
+whose displaced coordinates, as rounded, do not span twice the step.
 
 Every field is a ``NumericField``, with one rule for its flat form: ``flat``
 is ``func.flat`` when ``func`` has one, as the compiled stem of ``lift(f)``
@@ -248,48 +251,48 @@ def _inverse_im(point, m, scale):
 # -- operators on flat points --------------------------------------------------------
 
 
-def _displace(point, k, h):
-    return point[:k] + (point[k] + h,) + point[k + 1:]
+def _moved(h, m, i, v):
+    """Coordinate i of x_m, which is v, displaced by +h and by -h: the one
+    displacement rule of both stencils.  A step that leaves a displaced
+    coordinate equal to v is refused, as every difference over it would be
+    exactly 0; so is one whose displaced coordinates, as rounded, span more
+    than 2^-20 away from 2h, as every difference is divided by 2h."""
+    plus, minus = v + h, v + -h
+    if plus == v or minus == v:
+        raise ValueError("finite-difference step %s does not move coordinate "
+                         "%d of x_%d, which is %s" % (h, i, m, v))
+    if abs(plus - minus - 2 * h) > 2 * h * 2.0 ** -20:
+        raise ValueError("finite-difference step %s spans %s, not twice the "
+                         "step, at coordinate %d of x_%d, which is %s"
+                         % (h, plus - minus, i, m, v))
+    return plus, minus
 
 
-def _unmoved(h, m, i, v):
-    """The refusal of a step too small to move coordinate i of x_m: every
-    difference over it would be exactly 0."""
-    return ValueError("finite-difference step %s does not move coordinate %d "
-                      "of x_%d, which is %s" % (h, i, m, v))
-
-
-def _partials(field, m, coords, point, step=None, times_variable=False):
-    """The central differences in the real coordinates ``coords`` of x_m,
-    in that order, each from the value at the point displaced by +h, then
-    by -h: the one stencil routine of every coordinate partial.  It checks
-    nothing; its caller has checked m and spent one derivative.  The
-    displaced points and the scaled differences are formed in place, in the
-    operation order of ``_displace``, ``_sub`` and ``_scale``.
+def _partials(field, m, coords, point, times_variable=False):
+    """The central differences over the field's step in the real
+    coordinates ``coords`` of x_m, in that order, each from the value at the
+    point displaced by +h, then by -h (``_moved``): the one first-order
+    stencil of every coordinate partial.  It checks nothing; its caller has
+    checked m and spent one derivative.  The differences are scaled in place,
+    in the operation order of ``_sub`` and ``_scale``.
 
     With ``times_variable``, it returns the partials of the field and of
     x_m times the field, from the same field values: the product at each
     displaced point is the one ``multiply_by_variable`` forms there, from
     the float components of x_m at that point.
 
-    A step that leaves a displaced coordinate equal to the undisplaced one
-    is refused before that coordinate's values are read."""
-    h = field.step if step is None else step
-    minus_h = -h
+    ``_moved`` refuses a step before that coordinate's values are read."""
+    h = field.step
     scale = 1.0 / (2.0 * h)
     flat = field.flat
     out = []
     if times_variable:
-        k = 4 * (m - 1)
-        xm = [float(point[k]), float(point[k + 1]), float(point[k + 2]),
-              float(point[k + 3])]
+        xm = list(_coordinates(point, m))
         products = []
     for i in coords:
         k = 4 * (m - 1) + i
         head, v, tail = point[:k], point[k], point[k + 1:]
-        plus, minus = v + h, v + minus_h
-        if plus == v or minus == v:
-            raise _unmoved(h, m, i, v)
+        plus, minus = _moved(h, m, i, v)
         pw, px, py, pz = flat(head + (plus,) + tail)
         mw, mx, my, mz = flat(head + (minus,) + tail)
         out.append(((pw - mw) * scale, (px - mx) * scale, (py - my) * scale,
@@ -321,13 +324,6 @@ def _euler_sum(coords, partials):
     for i, d in zip((1, 2, 3), partials):
         total = _add(total, _scale(d, coords[i]))
     return total
-
-
-def _euler(field, m, point):
-    _check_var(field, m)
-    coords = _coordinates(point, m)
-    field.spend()
-    return _euler_sum(coords, _partials(field, m, (1, 2, 3), point))
 
 
 def _global_pair(field, m, point):
@@ -373,13 +369,6 @@ def _dirac_sum(x1, x2, x3, d1, d2, d3):
     return (-w + jw - kw, -x + jx - kx, -y + jy - ky, -z + jz - kz)
 
 
-def _spherical_dirac(field, m, point):
-    _check_var(field, m)
-    _, x1, x2, x3 = _coordinates(point, m)
-    field.spend()
-    return _dirac_sum(x1, x2, x3, *_partials(field, m, (1, 2, 3), point))
-
-
 def _fueter_sum(d0, d1, d2, d3):
     """(d0 + i d1 + j d2 + k d3) / 2 from the four coordinate partials."""
     dw, dx, dy, dz = d0
@@ -402,46 +391,27 @@ def _fueter_sum(d0, d1, d2, d3):
              + (0 * h3 + 0 * g3 - 0 * f3 + e3)) * 0.5)
 
 
-def _fueter(field, m, point):
-    _check_var(field, m)
-    field.spend()
-    return _fueter_sum(*_partials(field, m, (0, 1, 2, 3), point))
-
-
-def _laplacian(field, m, point, step=None):
-    _check_var(field, m)
-    field.spend(2)
-    h = field.step if step is None else step
-    center = field.flat(point)
-    twice = _scale(center, 2.0)
-    total = _ZERO
-    for i in range(4):
-        k = 4 * (m - 1) + i
-        v = point[k]
-        if v + h == v or v - h == v:
-            raise _unmoved(h, m, i, v)
-        plus = field.flat(_displace(point, k, h))
-        minus = field.flat(_displace(point, k, -h))
-        total = _sub(_add(_add(total, plus), minus), twice)
-    return _scale(total, 1.0 / (h * h))
-
-
 # -- the public operators: points of quaternions in, a quaternion out ----------------
 
 
-def coordinate_partial(field, m, i, point, step=None):
+def coordinate_partial(field, m, i, point):
     """Central difference for the partial in the i-th real coordinate of x_m."""
     _check_var(field, m)
     if not 0 <= i <= 3:
         raise ValueError("coordinate index must be in 0..3")
     field.spend()
     point = field_point(point, field.n)
-    return Quaternion(*_partials(field, m, (i,), point, step)[0])
+    return Quaternion(*_partials(field, m, (i,), point)[0])
 
 
 def euler_operator(field, m, point):
     """Sum of x_{m_i} d/dx_{m_i} over the three imaginary coordinates."""
-    return Quaternion(*_euler(field, m, field_point(point, field.n)))
+    point = field_point(point, field.n)
+    _check_var(field, m)
+    coords = _coordinates(point, m)
+    field.spend()
+    return Quaternion(*_euler_sum(coords,
+                                  _partials(field, m, (1, 2, 3), point)))
 
 
 def global_derivative(field, m, point):
@@ -466,18 +436,38 @@ def spherical_dirac(field, m, point):
     The three tangential derivatives share one set of coordinate partials.
     """
     point = field_point(point, field.n)
-    return Quaternion(*_spherical_dirac(field, m, point))
+    _check_var(field, m)
+    _, x1, x2, x3 = _coordinates(point, m)
+    field.spend()
+    return Quaternion(*_dirac_sum(x1, x2, x3,
+                                  *_partials(field, m, (1, 2, 3), point)))
 
 
 def fueter_derivative(field, m, point):
     """The Cauchy-Riemann-Fueter operator (d0 + i d1 + j d2 + k d3)/2 in x_m."""
-    return Quaternion(*_fueter(field, m, field_point(point, field.n)))
-
-
-def laplacian(field, m, point, step=None):
-    """Four-coordinate Laplacian in x_m by second central differences."""
     point = field_point(point, field.n)
-    return Quaternion(*_laplacian(field, m, point, step))
+    _check_var(field, m)
+    field.spend()
+    return Quaternion(*_fueter_sum(*_partials(field, m, (0, 1, 2, 3), point)))
+
+
+def laplacian(field, m, point):
+    """Four-coordinate Laplacian in x_m by second central differences over
+    the field's step, each coordinate displaced by ``_moved``."""
+    point = field_point(point, field.n)
+    _check_var(field, m)
+    field.spend(2)
+    h = field.step
+    flat = field.flat
+    twice = _scale(flat(point), 2.0)
+    total = _ZERO
+    for i in range(4):
+        k = 4 * (m - 1) + i
+        head, v, tail = point[:k], point[k], point[k + 1:]
+        plus, minus = _moved(h, m, i, v)
+        total = _sub(_add(_add(total, flat(head + (plus,) + tail)),
+                          flat(head + (minus,) + tail)), twice)
+    return Quaternion(*_scale(total, 1.0 / (h * h)))
 
 
 # -- derived fields -------------------------------------------------------------

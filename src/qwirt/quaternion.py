@@ -215,11 +215,6 @@ def quaternion_form(flat):
     return func
 
 
-def coordinate(q, i):
-    """The i-th real coordinate of q, with i in 0..3."""
-    return q.components()[i]
-
-
 # A number literal: a natural number, a ratio of two, or a decimal; each
 # parses to an exact Fraction.  The expression language uses it too.
 NUMBER_PATTERN = r"\d+(?:/\d+|\.\d+)?"

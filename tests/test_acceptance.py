@@ -11,7 +11,7 @@ import random
 import time
 
 import helpers
-from qwirt.quaternion import Quaternion, coordinate
+from qwirt.quaternion import Quaternion
 from qwirt.slicefn import (SliceFunction, variable, conj_variable, constant,
                            monomial)
 from qwirt.numeric import (NumericField, lift, coordinate_partial, laplacian,
@@ -56,7 +56,7 @@ def _witness_field():
     """Closed form of the raw second-variable global derivative of x1*x2."""
     def value(p):
         im2 = p[1].im().to_float()
-        dot = sum(float(coordinate(p[0], i)) * float(coordinate(p[1], i))
+        dot = sum(float(p[0].components()[i]) * float(p[1].components()[i])
                   for i in (1, 2, 3))
         return Quaternion(float(p[0].w)) + im2 * (dot / float(im2.norm_sq()))
     return NumericField(value, 2, 6)
@@ -293,8 +293,8 @@ def test_criterion_12_order_of_accuracy():
         m = mono.factors[0][0]
         i = rng.choice((0, 1, 2, 3))
         exact = mono.derivative(m, i, p)
-        e1 = abs(coordinate_partial(mono.field(), m, i, p, step=2e-2) - exact)
-        e2 = abs(coordinate_partial(mono.field(), m, i, p, step=1e-2) - exact)
+        e1 = abs(coordinate_partial(mono.field(step=2e-2), m, i, p) - exact)
+        e2 = abs(coordinate_partial(mono.field(step=1e-2), m, i, p) - exact)
         ratio = e1 / e2 if e2 else float("inf")
         ratios.append(ratio)
         ok = ok and 3.5 <= ratio <= 4.5

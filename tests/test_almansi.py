@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from qwirt.quaternion import Quaternion, ONE, coordinate
+from qwirt.quaternion import Quaternion, ONE
 from qwirt.slicefn import variable, conj_variable, constant
 from qwirt.numeric import NumericField, lift, laplacian
 from qwirt.almansi import (spherical_components, fueter_components,
@@ -14,6 +14,7 @@ from qwirt.almansi import (spherical_components, fueter_components,
                            complement_indices)
 from qwirt.sampling import random_slice_point
 from qwirt.cli import main
+from qwirt import almansi
 
 SEED = 4321
 
@@ -163,7 +164,7 @@ def test_dirac_reconstructs_arbitrary_smooth_fields():
     # exercise it on the closed-form non-slice witness field
     def witness(p):
         im2 = p[1].im().to_float()
-        dot = sum(float(coordinate(p[0], i)) * float(coordinate(p[1], i))
+        dot = sum(float(p[0].components()[i]) * float(p[1].components()[i])
                   for i in (1, 2, 3))
         return Quaternion(float(p[0].w)) + im2 * (dot / float(im2.norm_sq()))
 
@@ -241,6 +242,22 @@ def test_uniqueness_checks():
     assert not check_uniqueness(g, swapped)
 
 
+def test_uniqueness_raises_when_the_two_checks_disagree(monkeypatch):
+    # the check used an assert, which python -O strips; a reference family
+    # that differs from the candidate makes the two computations disagree
+    f = variable(1, 1)
+    fam = spherical_components(f, 1)
+    bumped = fam.replace_entry(1, fam.entries[1] + constant(1, ONE))
+    monkeypatch.setattr(almansi, "spherical_components",
+                        lambda g, level: bumped)
+    with pytest.raises(RuntimeError, match="uniqueness violated: the "
+                       "candidate reconstructs f, but its entries differ"):
+        check_uniqueness(f, fam)
+    with pytest.raises(RuntimeError, match="does not reconstruct f, but its "
+                       "entries equal"):
+        check_uniqueness(f, bumped)
+
+
 def test_uniqueness_rejects_sphere_dependent_entries():
     f = variable(2, 1)
     fam = spherical_components(f, 1)
@@ -278,7 +295,7 @@ def test_zonal_dirac_on_slice_function():
 def test_zonal_flags_non_slice_field():
     def witness(p):
         im2 = p[1].im().to_float()
-        dot = sum(float(coordinate(p[0], i)) * float(coordinate(p[1], i))
+        dot = sum(float(p[0].components()[i]) * float(p[1].components()[i])
                   for i in (1, 2, 3))
         return Quaternion(float(p[0].w)) + im2 * (dot / float(im2.norm_sq()))
 

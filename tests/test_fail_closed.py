@@ -2,8 +2,10 @@
 never yields a passing verdict, and the finite-difference flags reach every
 numeric suite the command line runs."""
 
+import ast
 import json
 import math
+import pathlib
 import random
 import re
 import time
@@ -461,22 +463,62 @@ def test_a_step_too_small_to_move_a_coordinate_is_refused(capsys, argv):
                         report["error"]["message"])
 
 
-@pytest.mark.parametrize("operator", [
-    lambda field, p, step: numeric.coordinate_partial(field, 1, 2, p, step),
-    lambda field, p, step: numeric.laplacian(field, 1, p, step)],
+_STENCILS = pytest.mark.parametrize("operator", [
+    lambda field, p: numeric.coordinate_partial(field, 1, 2, p),
+    lambda field, p: numeric.laplacian(field, 1, p)],
     ids=["coordinate_partial", "laplacian"])
+
+
+@_STENCILS
 def test_the_stencils_refuse_a_step_that_moves_no_coordinate(operator):
-    field = lift(variable(1, 1))
     p = (Quaternion(0.5, 1.0, 2.0 ** 60, -0.5),)
     # the default step does not move the coordinate 2^60
     with pytest.raises(ValueError, match="step 0.001 does not move coordinate "
                        "2 of x_1, which is 1.152921504606847e"):
-        operator(field, p, None)
+        operator(lift(variable(1, 1)), p)
     # nor does 1e-300 move 1.0, whichever coordinate comes first
     with pytest.raises(ValueError, match="step 1e-300 does not move"):
-        operator(field, (Quaternion(1.0, 1.0, 1.0, 1.0),), 1e-300)
-    # a step that moves every coordinate is accepted
-    assert math.isfinite(abs(operator(field, p, 1e3)))
+        operator(lift(variable(1, 1), step=1e-300),
+                 (Quaternion(1.0, 1.0, 1.0, 1.0),))
+    # a step that moves every coordinate by exactly itself is accepted
+    assert math.isfinite(abs(operator(lift(variable(1, 1), step=2.0 ** 10), p)))
+
+
+@_STENCILS
+def test_the_stencils_refuse_a_step_whose_span_is_not_twice_it(operator):
+    # 1 + 3e-16 rounds to 1 + 2.2e-16 and 1 - 3e-16 to 1 - 3.3e-16, so the
+    # stencil spans 5.6e-16, and dividing by 6e-16 gave a wrong value
+    field = lift(variable(1, 1), step=3e-16)
+    with pytest.raises(ValueError, match=r"finite-difference step 3e-16 "
+                       r"spans 5\.551115123125783e-16, not twice the step, "
+                       r"at coordinate [02] of x_1, which is 1\.0"):
+        operator(field, (Quaternion(1.0, 1.0, 1.0, 1.0),))
+    # 1e3 moves the coordinate 2^60, but its stencil spans 2048, not 2000
+    with pytest.raises(ValueError, match="step 1000.0 spans 2048.0, not twice "
+                       "the step, at coordinate 2 of x_1"):
+        operator(lift(variable(1, 1), step=1e3),
+                 (Quaternion(0.5, 1.0, 2.0 ** 60, -0.5),))
+
+
+def test_a_step_whose_span_is_not_twice_it_is_refused(capsys):
+    # theta printed 0.9251858538542972 for the exact 1 and exited 0
+    code, report = run_json(capsys, "theta", "--numeric", "--m", "1",
+                            "--at=1+i", "--fd-step", "3e-16", "x1")
+    assert (code, report) == (2, {"error": {
+        "type": "value",
+        "message": "finite-difference step 3e-16 spans 5.551115123125783e-16, "
+                   "not twice the step, at coordinate 0 of x_1, which is 1.0"}})
+
+
+def test_the_library_makes_no_assert_statement():
+    # python -O strips an assert, so a check made with one would pass
+    # silently there
+    src = pathlib.Path(numeric.__file__).parent
+    asserts = ["%s:%d" % (path.name, node.lineno)
+               for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 def test_zero_band_and_exact_step_are_accepted():

@@ -73,6 +73,12 @@ def _points():
     return {"float": random_slice_point(random.Random(7), 3), "exact": exact}
 
 
+def _at_step(field, step):
+    """The field with its finite-difference step set to ``step``."""
+    return NumericField(field.func, field.n, field.smoothness, step,
+                        field.band)
+
+
 def _operators():
     """Name and function of a field and a point, for every public operator."""
     ops = []
@@ -82,7 +88,8 @@ def _operators():
                         lambda f, p, m=m, i=i: coordinate_partial(f, m, i, p)))
         ops += [
             ("partial_step_%d" % m,
-             lambda f, p, m=m: coordinate_partial(f, m, 1, p, step=Fraction(1, 64))),
+             lambda f, p, m=m: coordinate_partial(_at_step(f, Fraction(1, 64)),
+                                                  m, 1, p)),
             ("euler_%d" % m, lambda f, p, m=m: euler_operator(f, m, p)),
             ("global_%d" % m, lambda f, p, m=m: global_derivative(f, m, p)),
             ("global_conj_%d" % m,
@@ -93,7 +100,7 @@ def _operators():
             ("fueter_%d" % m, lambda f, p, m=m: fueter_derivative(f, m, p)),
             ("laplacian_%d" % m, lambda f, p, m=m: laplacian(f, m, p)),
             ("laplacian_step_%d" % m,
-             lambda f, p, m=m: laplacian(f, m, p, step=5e-3)),
+             lambda f, p, m=m: laplacian(_at_step(f, 5e-3), m, p)),
             ("times_%d" % m, lambda f, p, m=m: multiply_by_variable(f, m)(p)),
         ]
     for level in (1, 2):

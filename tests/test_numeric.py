@@ -1,16 +1,18 @@
+import inspect
 import random
 
 import pytest
 
 import helpers
-from qwirt.quaternion import Quaternion, ONE, coordinate, UNITS
+from qwirt.quaternion import Quaternion, ONE, UNITS
+from qwirt import numeric
 from qwirt.slicefn import variable, conj_variable
 from qwirt.numeric import (NumericField, lift, coordinate_partial,
                            global_derivative, global_conj_derivative,
                            tangential_derivative, spherical_dirac,
                            fueter_derivative, laplacian, euler_operator,
                            multiply_by_variable, NearRealAxisError,
-                           DepthExhaustedError)
+                           DepthExhaustedError, DEFAULT_STEP)
 from qwirt.almansi import dirac_components
 from qwirt.sampling import random_slice_point
 
@@ -56,8 +58,8 @@ class MonomialField:
             total = total + prod
         return total * self.coeff
 
-    def field(self, smoothness=16):
-        return NumericField(self.value, self.n, smoothness)
+    def field(self, smoothness=16, step=DEFAULT_STEP):
+        return NumericField(self.value, self.n, smoothness, step)
 
 
 def test_partial_fd_examples():
@@ -95,8 +97,8 @@ def test_order_of_accuracy():
     for mono in fields:
         for m, i in ((1, 0), (1, 1)) if mono.factors[0][0] == 1 else ((2, 0), (2, 2)):
             exact = mono.derivative(m, i, p)
-            e1 = abs(coordinate_partial(mono.field(), m, i, p, step=2e-2) - exact)
-            e2 = abs(coordinate_partial(mono.field(), m, i, p, step=1e-2) - exact)
+            e1 = abs(coordinate_partial(mono.field(step=2e-2), m, i, p) - exact)
+            e2 = abs(coordinate_partial(mono.field(step=1e-2), m, i, p) - exact)
             assert e1 > 1e-9, "field too flat for a ratio test"
             assert 3.5 <= e1 / e2 <= 4.5
 
@@ -118,7 +120,7 @@ def test_global_derivative_closed_form_second_variable():
     f = lift(variable(2, 1) * variable(2, 2))
     for p in points(2, 5):
         im2 = p[1].im().to_float()
-        dot = sum(float(coordinate(p[0], i)) * float(coordinate(p[1], i))
+        dot = sum(float(p[0].components()[i]) * float(p[1].components()[i])
                   for i in (1, 2, 3))
         closed = Quaternion(float(p[0].w)) + im2 * (dot / float(im2.norm_sq()))
         helpers.assert_quat_close(global_derivative(f, 2, p), closed, 1e-9)
@@ -154,10 +156,10 @@ def test_global_disagrees_with_slice_partial_second_variable():
 
 def test_tangential_examples():
     # field x_{1_2}: L_23 gives -x_{1_3}
-    coord_field = NumericField(lambda p: Quaternion(float(coordinate(p[0], 2))), 1, 4)
+    coord_field = NumericField(lambda p: Quaternion(float(p[0].components()[2])), 1, 4)
     for p in points(1, 3):
         helpers.assert_quat_close(tangential_derivative(coord_field, 1, 2, 3, p),
-                                  Quaternion(-float(coordinate(p[0], 3))), 1e-9)
+                                  Quaternion(-float(p[0].components()[3])), 1e-9)
     radial = NumericField(lambda p: Quaternion(float(p[0].im_norm_sq())), 1, 4)
     for p in points(1, 3):
         assert abs(tangential_derivative(radial, 1, 1, 2, p)) < 1e-9
@@ -231,7 +233,7 @@ def test_depth_budget():
 
 
 def test_derived_field_steps():
-    from qwirt.numeric import DEFAULT_STEP, NESTED_STEP
+    from qwirt.numeric import NESTED_STEP
     base = lift(variable(1, 1))
     entry = dirac_components(base, 1).entries[0]
     assert base.step == DEFAULT_STEP
@@ -248,7 +250,40 @@ def test_multiply_by_variable():
 
 def test_euler_operator_radial_scaling():
     # Euler operator returns degree * field on imaginary-homogeneous fields
-    cube = NumericField(lambda p: Quaternion(float(coordinate(p[0], 1)) ** 3), 1, 4)
+    cube = NumericField(lambda p: Quaternion(float(p[0].components()[1]) ** 3), 1, 4)
     for p in points(1, 3):
-        expected = Quaternion(3.0 * float(coordinate(p[0], 1)) ** 3)
+        expected = Quaternion(3.0 * float(p[0].components()[1]) ** 3)
         helpers.assert_quat_close(euler_operator(cube, 1, p), expected, 1e-6)
+
+
+_PUBLIC_OPERATORS = {
+    "coordinate_partial": lambda f, p, **kw: coordinate_partial(f, 1, 0, p, **kw),
+    "euler_operator": lambda f, p, **kw: euler_operator(f, 1, p, **kw),
+    "global_derivative": lambda f, p, **kw: global_derivative(f, 1, p, **kw),
+    "global_conj_derivative":
+        lambda f, p, **kw: global_conj_derivative(f, 1, p, **kw),
+    "tangential_derivative":
+        lambda f, p, **kw: tangential_derivative(f, 1, 1, 2, p, **kw),
+    "spherical_dirac": lambda f, p, **kw: spherical_dirac(f, 1, p, **kw),
+    "fueter_derivative": lambda f, p, **kw: fueter_derivative(f, 1, p, **kw),
+    "laplacian": lambda f, p, **kw: laplacian(f, 1, p, **kw),
+}
+
+
+def test_the_step_is_the_fields_alone():
+    # a per-call step skipped the field's validation: coordinate_partial
+    # with step=nan returned nan+nani+nanj+nank
+    functions = [name for name, value in vars(numeric).items()
+                 if inspect.isfunction(value)
+                 and value.__module__ == numeric.__name__]
+    with_field = [name for name in functions if "field" in
+                  inspect.signature(getattr(numeric, name)).parameters]
+    assert set(_PUBLIC_OPERATORS) <= set(with_field)
+    assert [name for name in with_field if "step" in
+            inspect.signature(getattr(numeric, name)).parameters] == []
+    field = lift(variable(1, 1) ** 2)
+    p = points(1, 1)[0]
+    for name, operator in _PUBLIC_OPERATORS.items():
+        operator(field, p)
+        with pytest.raises(TypeError, match="step"):
+            operator(field, p, step=2e-2)

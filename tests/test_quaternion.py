@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from qwirt import quaternion
 from qwirt.quaternion import (Quaternion, RealArgumentError, parse_quaternion,
-                              format_quaternion, coordinate,
-                              hamilton, ONE, I, J, K)
+                              format_quaternion, hamilton, ONE, I, J, K)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 quaternions = st.builds(Quaternion, rationals, rationals, rationals, rationals)
@@ -101,11 +100,6 @@ def test_split_slice_real_axis():
     alpha, beta, unit = Quaternion(3).split_slice()
     assert (alpha, beta) == (3.0, 0.0)
     assert unit == Quaternion(0.0, 1.0, 0.0, 0.0)
-
-
-def test_coordinate_helpers():
-    q = Quaternion(1, 2, 3, 4)
-    assert [coordinate(q, i) for i in range(4)] == [1, 2, 3, 4]
 
 
 def test_parse_examples():

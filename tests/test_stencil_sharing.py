@@ -620,7 +620,7 @@ def test_the_kernels_split_and_unit_products_are_split_and_hamiltons(f, data):
 
 
 def _fueter_by_hamilton(field, m, point):
-    """``numeric._fueter`` through ``_add``, ``hamilton`` and ``_scale``."""
+    """``fueter_derivative`` through ``_add``, ``hamilton`` and ``_scale``."""
     d0, d1, d2, d3 = numeric._partials(field, m, (0, 1, 2, 3), point)
     total = numeric._add(numeric._add(numeric._add(
         d0, hamilton(I.components(), d1)), hamilton(J.components(), d2)),
@@ -629,7 +629,7 @@ def _fueter_by_hamilton(field, m, point):
 
 
 def _dirac_by_hamilton(field, m, point):
-    """``numeric._spherical_dirac`` through ``hamilton``."""
+    """``spherical_dirac`` through ``hamilton``."""
     _, x1, x2, x3 = numeric._coordinates(point, m)
     d1, d2, d3 = numeric._partials(field, m, (1, 2, 3), point)
     i = hamilton(I.components(), tuple(a * x2 - b * x3 for a, b in zip(d3, d2)))
@@ -661,9 +661,11 @@ def test_the_unit_products_of_fueter_and_dirac_are_hamiltons(n, data):
         return values[hash(p) % len(values)]
 
     field = NumericField(quaternion_form(flat), n, band=0.0)
-    for operator, reference in ((numeric._fueter, _fueter_by_hamilton),
-                                (numeric._spherical_dirac, _dirac_by_hamilton)):
-        assert [v.hex() for v in operator(field, m, point)] \
+    quaternions = tuple(Quaternion(*point[k:k + 4]) for k in range(0, 4 * n, 4))
+    assert flat_point(quaternions) == point
+    for operator, reference in ((fueter_derivative, _fueter_by_hamilton),
+                                (spherical_dirac, _dirac_by_hamilton)):
+        assert [v.hex() for v in operator(field, m, quaternions).components()] \
             == [v.hex() for v in reference(field, m, point)]
 
 

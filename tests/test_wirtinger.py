@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from qwirt.quaternion import Quaternion, ONE, I, coordinate
+from qwirt.quaternion import Quaternion, ONE, I
 from qwirt.slicefn import (SliceFunction, variable, conj_variable, constant,
                            monomial)
 from qwirt.numeric import NumericField, lift
@@ -149,7 +149,7 @@ def test_strong_sliceness_of_slice_polynomial():
 def test_strong_sliceness_rejects_witness_field():
     def witness(p):
         im2 = p[1].im().to_float()
-        dot = sum(float(coordinate(p[0], i)) * float(coordinate(p[1], i))
+        dot = sum(float(p[0].components()[i]) * float(p[1].components()[i])
                   for i in (1, 2, 3))
         return Quaternion(float(p[0].w)) + im2 * (dot / float(im2.norm_sq()))
 
