@@ -131,11 +131,13 @@ def spherical_components(f, level):
 
 
 def _numeric_levels(flavor, pair, field, level):
-    """The levels of a numeric recursion from ``field.memoized()``: the
-    stencils of the first level's pair reach some points more than once,
-    and the caller's field keeps no state.  Each pair is one stencil pass
-    per point for both siblings."""
-    return _component_levels(flavor, field.memoized(), level, pair)
+    """The levels of a numeric recursion built on ``field`` itself.  Each
+    pair is one stencil pass per point for both siblings, and memoizes its
+    values.  The base points a family reads, (x1 +- h e_i, x2 +- H e_j,
+    ...), are pairwise distinct, so a memo of the caller's field would not
+    hit; a caller whose stencils do revisit base points, as
+    ``check_strong_sliceness`` does, passes ``field.memoized()``."""
+    return _component_levels(flavor, field, level, pair)
 
 
 def fueter_components(field, level):

@@ -16,8 +16,9 @@ a component becomes a float only where an operator calls ``float()`` on it.
 A value is a component 4-tuple.  Products go through ``quaternion.hamilton``
 or restate it in its operation order (the product by x_m, and the products
 by i, j and k).  The unit products leave out only its multiplications by
-1, as ``1 * v`` is ``v``; each ``0 * v`` stays, since it can decide the
-sign of a zero or be NaN.  Sums, negations and scalings follow the
+1, as ``1 * v`` is ``v``; each ``0 * v`` stays, written ``0.0 * v`` (every
+v there is a float, and int 0 converts to 0.0 exactly), since it can decide
+the sign of a zero or be NaN.  Sums, negations and scalings follow the
 component order of ``Quaternion`` arithmetic, inline where they sit on the
 stencil path, so every value is bit for bit the one quaternion arithmetic
 gives.  The public operators
@@ -37,7 +38,9 @@ and spherical Dirac formulas (``_fueter_sum``, ``_dirac_sum``) are shared
 by the single operators and the pairs.  ``_partials`` and the second-order
 stencil of ``laplacian`` displace every coordinate by one rule,
 ``_moved``, which refuses a step that does not move the coordinate, or
-whose displaced coordinates, as rounded, do not span twice the step.
+whose displaced coordinates, as rounded, do not span twice the step; and
+both refuse, through ``_stencil_scale``, a step whose scale 1 / 2h or
+1 / h^2 is not finite, before any evaluation.
 
 Every field is a ``NumericField``, with one rule for its flat form: ``flat``
 is ``func.flat`` when ``func`` has one, as the compiled stem of ``lift(f)``
@@ -48,9 +51,12 @@ it, and the wrapper would be bypassed).
 
 Memos sit where values are shared: both fields of a sibling pair
 (``_derived_pair``, the one builder of derivative fields, one compute
-filling both memos) and the base view a family is built on
-(``NumericField.memoized``).  ``multiply_by_variable``, the tests'
-reference for the sibling product, keeps none.
+filling both memos).  A family reads the caller's field itself, as the base
+points its stencils reach are pairwise distinct; only the strong-sliceness
+check, which differentiates its entries again, builds its families on
+``NumericField.memoized``, the opt-in for stencils that revisit base
+points.  ``multiply_by_variable``, the tests' reference for the sibling
+product, keeps none.
 """
 
 import math
@@ -95,10 +101,11 @@ class NumericField:
     It may carry ``flat``, the same function from a flat 4n-tuple to a
     component 4-tuple.  The field's ``flat``, on which the operators run, is
     ``func.flat`` when there is one, else ``func`` at the point's
-    quaternions.  A field built by the caller keeps no state; ``memoized``
-    and the sibling pairs of a component family memoize their values for as
-    long as they live, and ``multiply_by_variable`` keeps none.  Each of
-    them reads its parent's ``flat`` once, when it is built.
+    quaternions.  A field built by the caller keeps no state, and a
+    component family reads it without a memo; ``memoized`` and the sibling
+    pairs of a family memoize their values for as long as they live, and
+    ``multiply_by_variable`` keeps none.  Each of them reads its parent's
+    ``flat`` once, when it is built.
 
     n must be an int >= 1, the smoothness an int >= 0, the step finite and
     > 0, the band finite and >= 0.
@@ -148,8 +155,12 @@ class NumericField:
 
     def memoized(self):
         """This field with a memo of its ``flat`` by the flat point (a
-        raised exception is never stored), its budget and its step: the
-        cost-0 base view a component family shares."""
+        raised exception is never stored), its budget and its step.  A
+        component family reads its field without one; build the family on
+        this view when its stencils revisit base points, as
+        ``check_strong_sliceness`` does for each sample point, or when you
+        evaluate it at points whose stencils overlap.  Each point it has
+        not seen costs a lookup and a store more than the field."""
         flat = self.flat
         values = {}
 
@@ -261,11 +272,27 @@ def _moved(h, m, i, v):
     if plus == v or minus == v:
         raise ValueError("finite-difference step %s does not move coordinate "
                          "%d of x_%d, which is %s" % (h, i, m, v))
-    if abs(plus - minus - 2 * h) > 2 * h * 2.0 ** -20:
+    if abs(plus - minus - 2.0 * h) > 2.0 * h * 2.0 ** -20:
         raise ValueError("finite-difference step %s spans %s, not twice the "
                          "step, at coordinate %d of x_%d, which is %s"
                          % (h, plus - minus, i, m, v))
     return plus, minus
+
+
+def _stencil_scale(h, span, m, coords, point):
+    """One over ``span``, the denominator of a stencil over step h in the
+    coordinates ``coords`` of x_m.  A scale that is not finite, as for a
+    step near the bottom of the float range, is refused before any
+    evaluation; ``_moved`` has its say on every coordinate first, so a step
+    that does not move one keeps that refusal."""
+    scale = 1.0 / span if span else math.inf
+    if scale == math.inf:
+        k = 4 * (m - 1)
+        for i in coords:
+            _moved(h, m, i, point[k + i])
+        raise ValueError("finite-difference step %s is too small: its "
+                         "stencil scale 1 / %s is not finite" % (h, span))
+    return scale
 
 
 def _partials(field, m, coords, point, times_variable=False):
@@ -274,27 +301,35 @@ def _partials(field, m, coords, point, times_variable=False):
     point displaced by +h, then by -h (``_moved``): the one first-order
     stencil of every coordinate partial.  It checks nothing; its caller has
     checked m and spent one derivative.  The differences are scaled in place,
-    in the operation order of ``_sub`` and ``_scale``.
+    in the operation order of ``_sub`` and ``_scale``.  The displaced points
+    are written into one list, each coordinate set to +h, then to -h, then
+    back, and read as tuples.
 
     With ``times_variable``, it returns the partials of the field and of
     x_m times the field, from the same field values: the product at each
     displaced point is the one ``multiply_by_variable`` forms there, from
     the float components of x_m at that point.
 
-    ``_moved`` refuses a step before that coordinate's values are read."""
+    ``_moved`` refuses a step before that coordinate's values are read, and
+    ``_stencil_scale`` one whose scale 1 / 2h is not finite before any
+    value is read."""
     h = field.step
-    scale = 1.0 / (2.0 * h)
+    scale = _stencil_scale(h, 2.0 * h, m, coords, point)
     flat = field.flat
     out = []
     if times_variable:
         xm = list(_coordinates(point, m))
         products = []
+    shifted = list(point)
     for i in coords:
         k = 4 * (m - 1) + i
-        head, v, tail = point[:k], point[k], point[k + 1:]
+        v = point[k]
         plus, minus = _moved(h, m, i, v)
-        pw, px, py, pz = flat(head + (plus,) + tail)
-        mw, mx, my, mz = flat(head + (minus,) + tail)
+        shifted[k] = plus
+        pw, px, py, pz = flat(tuple(shifted))
+        shifted[k] = minus
+        mw, mx, my, mz = flat(tuple(shifted))
+        shifted[k] = v
         out.append(((pw - mw) * scale, (px - mx) * scale, (py - my) * scale,
                     (pz - mz) * scale))
         if times_variable:
@@ -356,16 +391,22 @@ def _dirac_sum(x1, x2, x3, d1, d2, d3):
     # without its multiplications by 1
     e, f, g, h = (a3 * x2 - a2 * x3, b3 * x2 - b2 * x3, c3 * x2 - c2 * x3,
                   e3 * x2 - e2 * x3)
-    w, x, y, z = (0 * e - f - 0 * g - 0 * h, 0 * f + e + 0 * h - 0 * g,
-                  0 * g - h + 0 * e + 0 * f, 0 * h + g - 0 * f + 0 * e)
+    w, x, y, z = (0.0 * e - f - 0.0 * g - 0.0 * h,
+                  0.0 * f + e + 0.0 * h - 0.0 * g,
+                  0.0 * g - h + 0.0 * e + 0.0 * f,
+                  0.0 * h + g - 0.0 * f + 0.0 * e)
     e, f, g, h = (a3 * x1 - a1 * x3, b3 * x1 - b1 * x3, c3 * x1 - c1 * x3,
                   e3 * x1 - e1 * x3)
-    jw, jx, jy, jz = (0 * e - 0 * f - g - 0 * h, 0 * f + 0 * e + h - 0 * g,
-                      0 * g - 0 * h + e + 0 * f, 0 * h + 0 * g - f + 0 * e)
+    jw, jx, jy, jz = (0.0 * e - 0.0 * f - g - 0.0 * h,
+                      0.0 * f + 0.0 * e + h - 0.0 * g,
+                      0.0 * g - 0.0 * h + e + 0.0 * f,
+                      0.0 * h + 0.0 * g - f + 0.0 * e)
     e, f, g, h = (a2 * x1 - a1 * x2, b2 * x1 - b1 * x2, c2 * x1 - c1 * x2,
                   e2 * x1 - e1 * x2)
-    kw, kx, ky, kz = (0 * e - 0 * f - 0 * g - h, 0 * f + 0 * e + 0 * h - g,
-                      0 * g - 0 * h + 0 * e + f, 0 * h + 0 * g - 0 * f + e)
+    kw, kx, ky, kz = (0.0 * e - 0.0 * f - 0.0 * g - h,
+                      0.0 * f + 0.0 * e + 0.0 * h - g,
+                      0.0 * g - 0.0 * h + 0.0 * e + f,
+                      0.0 * h + 0.0 * g - 0.0 * f + e)
     return (-w + jw - kw, -x + jx - kx, -y + jy - ky, -z + jz - kz)
 
 
@@ -377,18 +418,18 @@ def _fueter_sum(d0, d1, d2, d3):
     e3, f3, g3, h3 = d3
     # in the operation order of _add, hamilton(unit, d) and _scale, without
     # hamilton's multiplications by 1
-    return ((((dw + (0 * e - f - 0 * g - 0 * h))
-              + (0 * e2 - 0 * f2 - g2 - 0 * h2))
-             + (0 * e3 - 0 * f3 - 0 * g3 - h3)) * 0.5,
-            (((dx + (0 * f + e + 0 * h - 0 * g))
-              + (0 * f2 + 0 * e2 + h2 - 0 * g2))
-             + (0 * f3 + 0 * e3 + 0 * h3 - g3)) * 0.5,
-            (((dy + (0 * g - h + 0 * e + 0 * f))
-              + (0 * g2 - 0 * h2 + e2 + 0 * f2))
-             + (0 * g3 - 0 * h3 + 0 * e3 + f3)) * 0.5,
-            (((dz + (0 * h + g - 0 * f + 0 * e))
-              + (0 * h2 + 0 * g2 - f2 + 0 * e2))
-             + (0 * h3 + 0 * g3 - 0 * f3 + e3)) * 0.5)
+    return ((((dw + (0.0 * e - f - 0.0 * g - 0.0 * h))
+              + (0.0 * e2 - 0.0 * f2 - g2 - 0.0 * h2))
+             + (0.0 * e3 - 0.0 * f3 - 0.0 * g3 - h3)) * 0.5,
+            (((dx + (0.0 * f + e + 0.0 * h - 0.0 * g))
+              + (0.0 * f2 + 0.0 * e2 + h2 - 0.0 * g2))
+             + (0.0 * f3 + 0.0 * e3 + 0.0 * h3 - g3)) * 0.5,
+            (((dy + (0.0 * g - h + 0.0 * e + 0.0 * f))
+              + (0.0 * g2 - 0.0 * h2 + e2 + 0.0 * f2))
+             + (0.0 * g3 - 0.0 * h3 + 0.0 * e3 + f3)) * 0.5,
+            (((dz + (0.0 * h + g - 0.0 * f + 0.0 * e))
+              + (0.0 * h2 + 0.0 * g2 - f2 + 0.0 * e2))
+             + (0.0 * h3 + 0.0 * g3 - 0.0 * f3 + e3)) * 0.5)
 
 
 # -- the public operators: points of quaternions in, a quaternion out ----------------
@@ -453,21 +494,27 @@ def fueter_derivative(field, m, point):
 
 def laplacian(field, m, point):
     """Four-coordinate Laplacian in x_m by second central differences over
-    the field's step, each coordinate displaced by ``_moved``."""
+    the field's step, each coordinate displaced by ``_moved``.  All four are
+    displaced, and the scale 1 / h^2 checked by ``_stencil_scale``, before
+    the first evaluation."""
     point = field_point(point, field.n)
     _check_var(field, m)
     field.spend(2)
     h = field.step
+    k = 4 * (m - 1)
+    displaced = [_moved(h, m, i, point[k + i]) for i in range(4)]
+    scale = _stencil_scale(h, h * h, m, range(4), point)
     flat = field.flat
     twice = _scale(flat(point), 2.0)
     total = _ZERO
-    for i in range(4):
-        k = 4 * (m - 1) + i
-        head, v, tail = point[:k], point[k], point[k + 1:]
-        plus, minus = _moved(h, m, i, v)
-        total = _sub(_add(_add(total, flat(head + (plus,) + tail)),
-                          flat(head + (minus,) + tail)), twice)
-    return Quaternion(*_scale(total, 1.0 / (h * h)))
+    shifted = list(point)
+    for i, (plus, minus) in enumerate(displaced):
+        shifted[k + i] = plus
+        total = _add(total, flat(tuple(shifted)))
+        shifted[k + i] = minus
+        total = _sub(_add(total, flat(tuple(shifted))), twice)
+        shifted[k + i] = point[k + i]
+    return Quaternion(*_scale(total, scale))
 
 
 # -- derived fields -------------------------------------------------------------

@@ -256,7 +256,10 @@ def _compile_stem(f):
     the float range still raises ``OverflowError``), and writes J_m into
     the table.  ``parts`` forms each other unit product the stem uses as
     its lowest unit times the rest by ``hamilton``'s formula inline, in
-    ascending mask order, and each distinct power ``values[i] ** k`` once.
+    ascending mask order, and each distinct power ``values[i] ** k`` with k
+    >= 2 once, after the values in its table.  A first power is read in
+    place, as ``x ** 1`` is ``x``; ``x ** 2`` is kept, as it need not be
+    ``x * x``.
 
     A coefficient is its numerators over the denominator as ints, which
     rounds as ``float(Fraction)`` does.  A unit product acts from the left
@@ -272,7 +275,13 @@ def _compile_stem(f):
     one = (1.0, 0.0, 0.0, 0.0)
     axis_unit = (0.0, 1.0, 0.0, 0.0)
     sqrt = math.sqrt
-    powers = {}
+    higher = {}
+
+    def slot(i, k):
+        if k == 1:
+            return i
+        return higher.setdefault((i, k), 2 * n + len(higher))
+
     terms = []
     plan = set()
     for key, comps in f.terms.items():
@@ -281,9 +290,9 @@ def _compile_stem(f):
         for m in range(n):
             a, b = key[m], key[n + m]
             if a:
-                slots.append(powers.setdefault((2 * m, a), len(powers)))
+                slots.append(slot(2 * m, a))
             if b:
-                slots.append(powers.setdefault((2 * m + 1, b), len(powers)))
+                slots.append(slot(2 * m + 1, b))
                 if b & 1:
                     mask |= 1 << m
         terms.append((slots, mask, tuple([v / den for v in comps])))
@@ -292,7 +301,7 @@ def _compile_stem(f):
             plan.add((mask, low, mask & ~low))
             mask &= ~low
     plan = sorted(plan)
-    powers = list(powers)
+    higher = list(higher)
     size = 1 << n
     coordinates = [(4 * m, 1 << m) for m in range(n)]
 
@@ -304,7 +313,7 @@ def _compile_stem(f):
                            a * f + b * e + c * h - d * g,
                            a * g - b * h + c * e + d * f,
                            a * h + b * g - c * f + d * e)
-        table = [values[i] ** k for i, k in powers]
+        table = values + [values[i] ** k for i, k in higher]
         tw = tx = ty = tz = 0.0
         for slots, mask, (e, f, g, h) in terms:
             scalar = 1.0
@@ -523,7 +532,13 @@ class SliceFunction:
         return self.evaluator()(point)
 
     def evaluate_parts(self, alphas, betas, units):
-        """Evaluate at given real parts, imaginary radii and units J_m."""
+        """Evaluate at given real parts, imaginary radii and units J_m, n of
+        each; sequences of any other length are refused, as the kernel reads
+        the values by their index."""
+        lengths = (len(alphas), len(betas), len(units))
+        if lengths != (self.n,) * 3:
+            raise ValueError("evaluate_parts takes %d alphas, betas and units"
+                             ", got %d, %d and %d" % ((self.n,) + lengths))
         values = [v for pair in zip(alphas, betas) for v in pair]
         units = [u.components() for u in units]
         prods = [(1.0, 0.0, 0.0, 0.0)] * (1 << self.n)

@@ -182,6 +182,10 @@ def check_strong_sliceness(field, points=None, *, samples=5, seed=0, tol=1e-2):
     Records one residual per (level m, tangential variable h <= m, pair
     i < j, subset mask), maximized over the sample points.  Fields of more
     than ``MAX_SLICENESS_VARS`` variables are refused.
+
+    Differentiating a level-m entry again in a variable h <= m revisits
+    base points, so the families of each point are built on
+    ``field.memoized()``, the one suite that memoizes the caller's field.
     """
     if field.n > MAX_SLICENESS_VARS:
         raise ValueError("strong sliceness check is capped at %d variables"
@@ -190,9 +194,10 @@ def check_strong_sliceness(field, points=None, *, samples=5, seed=0, tol=1e-2):
     points = _sample_points(points, samples, seed, field.n)
 
     def tangential(p):
-        # one recursion per point: its memos hold this point's stencils only
+        # one recursion and one base memo per point: the memos hold this
+        # point's stencils only
         p = flat_point(p)
-        for family in dirac_levels(field, field.n):
+        for family in dirac_levels(field.memoized(), field.n):
             m = family.level
             for mask in family.masks():
                 entry = family.entries[mask]

@@ -500,6 +500,41 @@ def test_the_stencils_refuse_a_step_whose_span_is_not_twice_it(operator):
                  (Quaternion(0.5, 1.0, 2.0 ** 60, -0.5),))
 
 
+@pytest.mark.parametrize("operator, text, step, span", [
+    # h * h is 0.0, and the division raised a bare ZeroDivisionError
+    (lambda field, p: numeric.laplacian(field, 1, p), "x1", 1e-200, "0.0"),
+    # 1 / (h * h) is inf: the value was -inf+nani+nanj+nank for the exact -4
+    (lambda field, p: numeric.laplacian(field, 1, p), "x1^2", 1e-160,
+     "1e-320"),
+    # 1 / 2h is inf: the value was inf+nani+nanj+nank for the exact 1
+    (lambda field, p: numeric.coordinate_partial(field, 1, 0, p), "x1",
+     1e-310, "2e-310"),
+], ids=["laplacian_zero_denominator", "laplacian_infinite_scale",
+        "coordinate_partial_infinite_scale"])
+def test_a_step_whose_stencil_scale_is_not_finite_is_refused(operator, text,
+                                                             step, span):
+    # any step moves a zero coordinate by exactly itself, so only the scale
+    # of the stencil can refuse these steps, and it does before any value
+    field = lift(parse_slice(text), step=step)
+    seen = []
+    inner = field.func
+    field.func = lambda point: seen.append(point) or inner(point)
+    with pytest.raises(ValueError, match=re.escape(
+            "finite-difference step %r is too small: its stencil scale 1 / %s "
+            "is not finite" % (step, span))):
+        operator(field, (Quaternion(0),))
+    assert seen == []
+
+
+def test_a_step_that_moves_no_coordinate_is_refused_before_its_scale():
+    # coordinate 2 is 1.0, which 1e-200 does not move: that refusal wins
+    # over the scale's, though coordinates 0 and 1 are displaced first
+    field = lift(variable(1, 1), step=1e-200)
+    with pytest.raises(ValueError, match="step 1e-200 does not move "
+                       "coordinate 2 of x_1, which is 1.0"):
+        numeric.laplacian(field, 1, (Quaternion(0.0, 0.0, 1.0, 0.0),))
+
+
 def test_a_step_whose_span_is_not_twice_it_is_refused(capsys):
     # theta printed 0.9251858538542972 for the exact 1 and exited 0
     code, report = run_json(capsys, "theta", "--numeric", "--m", "1",

@@ -220,6 +220,65 @@ def test_sample_sweeps_keep_memory_flat(capsys):
         assert many < 1.5 * one
 
 
+_OVERLAP_STEP = 2.0 ** -10
+
+
+def _overlapping_points():
+    """Two points whose first coordinates lie 2h apart in their real part,
+    for the step h = ``_OVERLAP_STEP``: the stencil of the one in x1
+    displaced by +h and that of the other displaced by -h read the same
+    base points, all of them exact in binary."""
+    h = _OVERLAP_STEP
+    x2 = Quaternion(-0.25, 0.5, 0.75, 1.0)
+    return ((Quaternion(0.5, 1.0, 0.25, -0.5), x2),
+            (Quaternion(0.5 + 2 * h, 1.0, 0.25, -0.5), x2))
+
+
+def _level_2_fueter_calls(memoized):
+    """The base points a level-2 Fueter family reads at the two overlapping
+    points, built on the caller's field or on ``field.memoized()``."""
+    field = lift(parse_slice(_SUITE_N2, 2), step=_OVERLAP_STEP)
+    counter = Counter(field)
+    family = fueter_components(field.memoized() if memoized else field, 2)
+    for p in _overlapping_points():
+        for mask in family.masks():
+            family.entry_value(mask, p)
+    return counter
+
+
+def test_a_family_reads_the_callers_field_at_every_stencil_point():
+    # a family keeps no memo of the caller's field: the base points its two
+    # stencils share are read once for each
+    counter = _level_2_fueter_calls(memoized=False)
+    assert counter.calls > counter.distinct
+    assert max(counter.points.count(p) for p in counter.points) == 2
+
+
+def test_a_family_on_a_memoized_field_reads_each_point_once():
+    # field.memoized() is the opt-in for stencils that overlap
+    counter = _level_2_fueter_calls(memoized=True)
+    assert counter.calls == counter.distinct \
+        == _level_2_fueter_calls(memoized=False).distinct
+
+
+def test_only_check_slice_memoizes_the_callers_field(monkeypatch):
+    # the one suite whose stencils revisit base points builds each point's
+    # families on field.memoized(); a family built by the library does not
+    built = []
+    memoized = NumericField.memoized
+    monkeypatch.setattr(NumericField, "memoized",
+                        lambda self: built.append(self) or memoized(self))
+    f = parse_slice(_SUITE_N2, 2)
+    for kind in ("check-regular", "crosscheck", "almansi-a", "almansi-gamma"):
+        _suite_run(kind, lift(f), f, monkeypatch)
+    _suite_run("thetabar-3", lift(parse_slice(_SUITE_N3, 3)), None,
+               monkeypatch)
+    assert built == []
+    field = lift(f)
+    check_strong_sliceness(field, samples=2, seed=3)
+    assert built == [field, field]
+
+
 def test_derived_field_memoizes_values_but_not_exceptions():
     calls = []
 
@@ -263,7 +322,7 @@ def test_a_dirac_pair_checks_the_band_before_its_stencil():
 
 
 def test_a_dirac_entry_checks_the_band_before_its_stencil():
-    # through the family's memoized view of the caller's field as well
+    # through a family entry as well, which reads the caller's field itself
     base = lift(variable(1, 1))
     counter = Counter(base)
     family = dirac_components(base, 1)
@@ -522,14 +581,14 @@ _COMPONENTS = (0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3),
 
 
 @st.composite
-def _stems(draw):
+def _stems(draw, exponents=st.integers(0, 3)):
     n = draw(st.integers(1, 3))
-    keys = st.tuples(*[st.integers(0, 3)] * (2 * n))
+    keys = st.tuples(*[exponents] * (2 * n))
     components = st.sampled_from(_COMPONENTS)
     terms = draw(st.dictionaries(keys, st.tuples(*[components] * 4),
                                  max_size=8))
     # a term on mask 0 (every beta exponent even) at least
-    terms[tuple(draw(st.integers(0, 2)) for _ in range(n)) + (0,) * n] = \
+    terms[tuple(draw(exponents) for _ in range(n)) + (0,) * n] = \
         draw(st.tuples(*[components] * 4))
     return SliceFunction(n, {key: Quaternion(*comps)
                              for key, comps in terms.items()})
@@ -551,17 +610,31 @@ def test_flat_kernel_matches_the_reference_bit_for_bit(f, seed):
         assert [c.hex() for c in parts.components()] == want
 
 
+# Stems whose exponents are all 0 or 1, so that the kernel reads every
+# slot in place, and stems with no first power, so that it reads none.
+_FIRST_POWERS = st.sampled_from((0, 1))
+_HIGHER_POWERS = st.sampled_from((0, 2, 3))
+
+
 def _split_and_hamilton(f, point):
     """f at a flat point from ``split_slice_components`` and ``hamilton``:
     each coordinate split by the one, each unit product formed by the other
     as its lowest unit times the rest, and the terms summed in the kernel's
     order."""
-    n = f.n
-    values, units = [], {0: (1.0, 0.0, 0.0, 0.0)}
-    for m in range(n):
+    values, units = [], {}
+    for m in range(f.n):
         alpha, beta, units[1 << m] = split_slice_components(
             *point[4 * m:4 * m + 4])
         values += [alpha, beta]
+    return _parts_by_hamilton(f, values, units)
+
+
+def _parts_by_hamilton(f, values, units):
+    """f on the list alpha_1, beta_1, ..., alpha_n, beta_n and the units
+    J_m by mask 2^(m-1): every power as ``values[i] ** k``, first powers
+    included, and each unit product by ``hamilton``."""
+    n = f.n
+    units = {0: (1.0, 0.0, 0.0, 0.0), **units}
 
     def unit(mask):
         if mask not in units:
@@ -607,6 +680,19 @@ def test_the_kernels_split_and_unit_products_are_split_and_hamiltons(f, data):
     # the kernel splits each coordinate and forms its unit products inline;
     # the bits, and the OverflowError of a square past the float range, are
     # those of split_slice_components and hamilton
+    _check_the_kernel_against_split_and_hamilton(f, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_stems(_FIRST_POWERS), _stems(_HIGHER_POWERS)), st.data())
+def test_the_kernel_on_first_or_higher_powers_only_is_split_and_hamiltons(
+        f, data):
+    # the kernel reads a first power in place and raises only the higher
+    # ones; the reference raises every slot to its power
+    _check_the_kernel_against_split_and_hamilton(f, data)
+
+
+def _check_the_kernel_against_split_and_hamilton(f, data):
     n = f.n
     drawn = tuple(data.draw(st.lists(_POINT_COMPONENTS, min_size=4 * n,
                                      max_size=4 * n)))
@@ -617,6 +703,47 @@ def test_the_kernels_split_and_unit_products_are_split_and_hamiltons(f, data):
         want = _hex_or_overflow(_split_and_hamilton, f, point)
         assert _hex_or_overflow(lambda f, p: kernel(p), f, point) == want
     assert _hex_or_overflow(_split_and_hamilton, f, overflow) == "OverflowError"
+
+
+# Exact alphas and betas for ``evaluate_parts``: ints and Fractions, zeros
+# included.
+_EXACT_VALUES = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12))
+_UNITS = st.sampled_from((I, J, K, Quaternion(0, Fraction(3, 5), 0,
+                                                Fraction(-4, 5)),
+                          Quaternion(0.0, 0.6, 0.0, 0.8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_stems(), _stems(_FIRST_POWERS), _stems(_HIGHER_POWERS)),
+       st.data())
+def test_evaluate_parts_on_exact_values_is_every_power_by_pow(f, data):
+    # int and Fraction alphas and betas reach the kernel as they are: a
+    # first power read in place gives the bits of values[i] ** 1
+    n = f.n
+    alphas = data.draw(st.lists(_EXACT_VALUES, min_size=n, max_size=n))
+    betas = data.draw(st.lists(_EXACT_VALUES, min_size=n, max_size=n))
+    units = data.draw(st.lists(_UNITS, min_size=n, max_size=n))
+    values = [v for pair in zip(alphas, betas) for v in pair]
+    want = _parts_by_hamilton(f, values, {1 << m: units[m].components()
+                                          for m in range(n)})
+    got = f.evaluate_parts(alphas, betas, units)
+    assert [c.hex() for c in got.components()] == [c.hex() for c in want]
+
+
+def test_evaluate_parts_refuses_sequences_not_of_length_n():
+    # the kernel reads the values by index, so a longer list would put an
+    # alpha where a higher power belongs
+    f = parse_slice("x1^2*x2 + ~x2", 2)
+    one = [Fraction(1, 2), 3]
+    with pytest.raises(ValueError, match="evaluate_parts takes 2 alphas, "
+                       "betas and units, got 3, 2 and 2"):
+        f.evaluate_parts(one + [1], one, [I, J])
+    with pytest.raises(ValueError, match="got 2, 2 and 1"):
+        f.evaluate_parts(one, one, [I])
+    assert f.evaluate_parts(one, one, [I, J]) == f.evaluate_parts(
+        tuple(one), tuple(one), (I, J))
 
 
 def _fueter_by_hamilton(field, m, point):
