@@ -130,26 +130,17 @@ def spherical_components(f, level):
                       (variable(f.n, m) * g).spherical_derivative(m))))[-1]
 
 
-def _numeric_levels(flavor, pair, field, level):
-    """The levels of a numeric recursion built on ``field`` itself.  Each
-    pair is one stencil pass per point for both siblings, and memoizes its
-    values.  The base points a family reads, (x1 +- h e_i, x2 +- H e_j,
-    ...), are pairwise distinct, so a memo of the caller's field would not
-    hit; a caller whose stencils do revisit base points, as
-    ``check_strong_sliceness`` does, passes ``field.memoized()``."""
-    return _component_levels(flavor, field, level, pair)
-
-
 def fueter_components(field, level):
     """Numeric family by nested negated Cauchy-Riemann-Fueter derivatives."""
-    return list(_numeric_levels(FLAVOR_FUETER, _negated_fueter_pair, field,
-                                level))[-1]
+    return list(_component_levels(FLAVOR_FUETER, field, level,
+                                  _negated_fueter_pair))[-1]
 
 
 def dirac_levels(field, level):
     """Yield the Dirac families of levels 1..``level``, each built from the
     entries of the one before."""
-    return _numeric_levels(FLAVOR_DIRAC, _normalized_dirac_pair, field, level)
+    return _component_levels(FLAVOR_DIRAC, field, level,
+                             _normalized_dirac_pair)
 
 
 def dirac_components(field, level):

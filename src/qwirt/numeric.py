@@ -51,12 +51,11 @@ it, and the wrapper would be bypassed).
 
 Memos sit where values are shared: both fields of a sibling pair
 (``_derived_pair``, the one builder of derivative fields, one compute
-filling both memos).  A family reads the caller's field itself, as the base
-points its stencils reach are pairwise distinct; only the strong-sliceness
-check, which differentiates its entries again, builds its families on
-``NumericField.memoized``, the opt-in for stencils that revisit base
-points.  ``multiply_by_variable``, the tests' reference for the sibling
-product, keeps none.
+filling both memos).  Every suite reads the caller's field itself, with no
+memo: the base points a family's stencils reach are pairwise distinct, up
+to a few float coincidences when the strong-sliceness check differentiates
+its entries again.  ``multiply_by_variable``, the tests' reference for the
+sibling product, keeps none.
 """
 
 import math
@@ -101,11 +100,11 @@ class NumericField:
     It may carry ``flat``, the same function from a flat 4n-tuple to a
     component 4-tuple.  The field's ``flat``, on which the operators run, is
     ``func.flat`` when there is one, else ``func`` at the point's
-    quaternions.  A field built by the caller keeps no state, and a
-    component family reads it without a memo; ``memoized`` and the sibling
-    pairs of a family memoize their values for as long as they live, and
-    ``multiply_by_variable`` keeps none.  Each of them reads its parent's
-    ``flat`` once, when it is built.
+    quaternions.  A field built by the caller keeps no state, and every
+    suite reads it without a memo; the sibling pairs of a family memoize
+    their values for as long as they live, and ``multiply_by_variable``
+    keeps none.  Each of them reads its parent's ``flat`` once, when it is
+    built.
 
     n must be an int >= 1, the smoothness an int >= 0, the step finite and
     > 0, the band finite and >= 0.
@@ -152,26 +151,6 @@ class NumericField:
             raise DepthExhaustedError(
                 "operator needs %d derivative(s), smoothness budget is %d"
                 % (depth, self.smoothness))
-
-    def memoized(self):
-        """This field with a memo of its ``flat`` by the flat point (a
-        raised exception is never stored), its budget and its step.  A
-        component family reads its field without one; build the family on
-        this view when its stencils revisit base points, as
-        ``check_strong_sliceness`` does for each sample point, or when you
-        evaluate it at points whose stencils overlap.  Each point it has
-        not seen costs a lookup and a store more than the field."""
-        flat = self.flat
-        values = {}
-
-        def memo(point):
-            value = values.get(point)
-            if value is None:
-                value = values[point] = flat(point)
-            return value
-
-        return NumericField(quaternion_form(memo), self.n, self.smoothness,
-                            self.step, self.band)
 
 
 def running_worst(worst, residual):

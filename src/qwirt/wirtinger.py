@@ -183,9 +183,11 @@ def check_strong_sliceness(field, points=None, *, samples=5, seed=0, tol=1e-2):
     i < j, subset mask), maximized over the sample points.  Fields of more
     than ``MAX_SLICENESS_VARS`` variables are refused.
 
-    Differentiating a level-m entry again in a variable h <= m revisits
-    base points, so the families of each point are built on
-    ``field.memoized()``, the one suite that memoizes the caller's field.
+    The families of each point are built on the caller's field itself.
+    Differentiating a level-m entry again in a variable h <= m reaches a
+    few base points twice, where a displaced coordinate such as
+    (v + H) - h rounds to the bits of v + h; these are read again, as a
+    memo of the field costs more lookups than it saves evaluations.
     """
     if field.n > MAX_SLICENESS_VARS:
         raise ValueError("strong sliceness check is capped at %d variables"
@@ -194,10 +196,10 @@ def check_strong_sliceness(field, points=None, *, samples=5, seed=0, tol=1e-2):
     points = _sample_points(points, samples, seed, field.n)
 
     def tangential(p):
-        # one recursion and one base memo per point: the memos hold this
-        # point's stencils only
+        # one recursion per point: its sibling memos hold this point's
+        # stencils only
         p = flat_point(p)
-        for family in dirac_levels(field.memoized(), field.n):
+        for family in dirac_levels(field, field.n):
             m = family.level
             for mask in family.masks():
                 entry = family.entries[mask]

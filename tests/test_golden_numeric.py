@@ -146,7 +146,7 @@ def test_golden_numeric_values_are_bit_identical():
 def test_golden_values_hold_signed_zeros():
     # the recording pins what an operation-order change would move.  Every
     # operator here ends in float arithmetic, so no value keeps an exact
-    # component; test_a_memoized_view_keeps_exact_components pins that type
+    # component
     golden = _load()
     flat = [c for comps in golden.values() for c in comps]
     assert "-0x0.0p+0" in flat and "0x0.0p+0" in flat

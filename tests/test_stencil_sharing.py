@@ -113,7 +113,14 @@ def _suite_run(kind, field, f, monkeypatch):
                 field, 3, random_slice_point(random.Random(3), 3))
 
 
-@pytest.mark.parametrize("kind, calls, digest", [
+# The suites that read a point more than once, and their calls.  Check-slice
+# differentiates its Dirac entries again, and 6 of its base points are
+# float coincidences of nested displacements, such as (v + H) - h rounding
+# to the bits of v + h, which its stencils reach twice.
+_REPEATED_CALLS = {"check-slice": 366}
+
+
+@pytest.mark.parametrize("kind, distinct, digest", [
     ("check-regular", 56,
      "1a63b39d6dc210ca11ca1d146f80cddf84ebe8ae880468500c27fc1052d07839"),
     ("crosscheck", 48,
@@ -127,18 +134,19 @@ def _suite_run(kind, field, f, monkeypatch):
     ("thetabar-3", 288,
      "4b5f666a5a88957550777fb2423f2c11696538ac1acbafe058ab4a7dd6068b1b"),
 ])
-def test_each_suite_evaluates_its_points_in_a_fixed_order(kind, calls, digest,
-                                                          monkeypatch):
-    # one sample of each kind of suite: the base evaluations, in order, are
-    # those of one stencil per coordinate partial, plus point then minus
-    # point, coordinates in each operator's order
+def test_each_suite_evaluates_its_points_in_a_fixed_order(kind, distinct,
+                                                          digest, monkeypatch):
+    # one sample of each kind of suite: the base evaluations, in order of
+    # first visit, are those of one stencil per coordinate partial, plus
+    # point then minus point, coordinates in each operator's order
     f = parse_slice(_SUITE_N3 if kind == "thetabar-3" else _SUITE_N2,
                     3 if kind == "thetabar-3" else 2)
     field = lift(f)
     counter = Counter(field)
     _suite_run(kind, field, f, monkeypatch)
-    assert counter.calls == counter.distinct == calls
-    assert _point_digest(counter.points) == digest
+    assert counter.distinct == distinct
+    assert counter.calls == _REPEATED_CALLS.get(kind, distinct)
+    assert _point_digest(dict.fromkeys(counter.points)) == digest
 
 
 def test_crosscheck_compiles_each_stem_once(monkeypatch):
@@ -234,12 +242,12 @@ def _overlapping_points():
             (Quaternion(0.5 + 2 * h, 1.0, 0.25, -0.5), x2))
 
 
-def _level_2_fueter_calls(memoized):
+def _level_2_fueter_calls():
     """The base points a level-2 Fueter family reads at the two overlapping
-    points, built on the caller's field or on ``field.memoized()``."""
+    points, built on the caller's field."""
     field = lift(parse_slice(_SUITE_N2, 2), step=_OVERLAP_STEP)
     counter = Counter(field)
-    family = fueter_components(field.memoized() if memoized else field, 2)
+    family = fueter_components(field, 2)
     for p in _overlapping_points():
         for mask in family.masks():
             family.entry_value(mask, p)
@@ -249,64 +257,32 @@ def _level_2_fueter_calls(memoized):
 def test_a_family_reads_the_callers_field_at_every_stencil_point():
     # a family keeps no memo of the caller's field: the base points its two
     # stencils share are read once for each
-    counter = _level_2_fueter_calls(memoized=False)
+    counter = _level_2_fueter_calls()
     assert counter.calls > counter.distinct
     assert max(counter.points.count(p) for p in counter.points) == 2
 
 
-def test_a_family_on_a_memoized_field_reads_each_point_once():
-    # field.memoized() is the opt-in for stencils that overlap
-    counter = _level_2_fueter_calls(memoized=True)
+def test_a_memo_the_caller_wraps_around_its_field_reads_each_point_once():
+    # the README's recipe for stencils that overlap: a dict memo of the
+    # field's flat form, made a func by quaternion_form
+    field = lift(parse_slice(_SUITE_N2, 2), step=_OVERLAP_STEP)
+    counter = Counter(field)
+    flat, values = field.flat, {}
+
+    def memo(point):
+        value = values.get(point)
+        if value is None:
+            value = values[point] = flat(point)
+        return value
+
+    family = fueter_components(
+        NumericField(quaternion_form(memo), field.n, field.smoothness,
+                     field.step, field.band), 2)
+    for p in _overlapping_points():
+        for mask in family.masks():
+            family.entry_value(mask, p)
     assert counter.calls == counter.distinct \
-        == _level_2_fueter_calls(memoized=False).distinct
-
-
-def test_only_check_slice_memoizes_the_callers_field(monkeypatch):
-    # the one suite whose stencils revisit base points builds each point's
-    # families on field.memoized(); a family built by the library does not
-    built = []
-    memoized = NumericField.memoized
-    monkeypatch.setattr(NumericField, "memoized",
-                        lambda self: built.append(self) or memoized(self))
-    f = parse_slice(_SUITE_N2, 2)
-    for kind in ("check-regular", "crosscheck", "almansi-a", "almansi-gamma"):
-        _suite_run(kind, lift(f), f, monkeypatch)
-    _suite_run("thetabar-3", lift(parse_slice(_SUITE_N3, 3)), None,
-               monkeypatch)
-    assert built == []
-    field = lift(f)
-    check_strong_sliceness(field, samples=2, seed=3)
-    assert built == [field, field]
-
-
-def test_derived_field_memoizes_values_but_not_exceptions():
-    calls = []
-
-    def value(p):
-        calls.append(p)
-        if len(calls) == 1:
-            raise NearRealAxisError("first call fails")
-        return Quaternion(2.0)
-
-    base = NumericField(value, 1, 4)
-    view = base.memoized()
-    p = (Quaternion(0.5, 1.0),)
-    with pytest.raises(NearRealAxisError):
-        view(p)
-    assert view(p) == Quaternion(2.0)
-    assert view((Quaternion(0.5, 1.0),)) == Quaternion(2.0)
-    assert len(calls) == 2
-    assert (view.smoothness, view.step) == (base.smoothness, base.step)
-
-
-def test_a_memoized_view_keeps_exact_components():
-    # a memo passes its parent's values through, exact components included
-    base = NumericField(lambda p: p[0] * Quaternion(1, Fraction(1, 3), 0, -2),
-                        1)
-    p = (Quaternion(Fraction(1, 3), Fraction(-1, 2), 0, 1),)
-    got = base.memoized()(p).components()
-    assert got == base(p).components()
-    assert {type(c) for c in got} == {Fraction}
+        == _level_2_fueter_calls().distinct
 
 
 def test_a_dirac_pair_checks_the_band_before_its_stencil():
@@ -836,8 +812,7 @@ def test_no_quaternion_is_built_per_base_evaluation(monkeypatch):
 def _built_fields(base):
     fueter = numeric._negated_fueter_pair(base, 1)
     dirac = numeric._normalized_dirac_pair(base, 1)
-    return {"view": base.memoized(),
-            "fueter": fueter[0], "fueter_times_x1": fueter[1],
+    return {"fueter": fueter[0], "fueter_times_x1": fueter[1],
             "dirac": dirac[0], "dirac_times_x1": dirac[1],
             "times_x1": multiply_by_variable(base, 1)}
 
@@ -863,14 +838,15 @@ def test_a_wrapper_on_a_derived_fields_func_sees_every_evaluation():
         assert len(counter.points) == 2, name
 
 
-def test_memoized_replaces_derived():
-    # derived(flat, cost=1) built a derivative field; a caller of it gets an
-    # AttributeError, not a budget that changed without notice
+def test_removed_field_views_raise_attribute_error():
+    # derived(flat, cost=1) built a derivative field, and memoized() a memo
+    # of the field; a caller of either gets an AttributeError, not a budget
+    # or a memo that changed without notice
     base = lift(parse_slice("x1"))
     with pytest.raises(AttributeError):
         base.derived(base.flat)
-    with pytest.raises(TypeError):
-        base.memoized(base.flat)
+    with pytest.raises(AttributeError):
+        base.memoized()
 
 
 @pytest.mark.parametrize("build", [numeric._negated_fueter_pair,
